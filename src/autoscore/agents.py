@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import prompts
 from .backend import ChatRequest, request_digest
@@ -65,34 +66,42 @@ class NonInteger(AgentError):
     """The score field is present but is not a JSON integer."""
 
 
-class RetriesExhausted(AgentError):
-    """Every model call failed to parse/validate; carries the full attempt
-    history so callers can persist transcripts or impute a floor score."""
+class Attempt(NamedTuple):
+    """One model call: the request digest, the raw text that came back,
+    and the call's latency."""
 
-    def __init__(
-        self,
-        last_error: Exception,
-        attempts: list[str],
-        prompt_digests: list[str] | None = None,
-        attempt_latencies_ms: list[int] | None = None,
-    ):
-        self.last_error = last_error
-        self.attempts = attempts
-        self.prompt_digests = prompt_digests or []
-        self.attempt_latencies_ms = attempt_latencies_ms or []
-        super().__init__(
-            f"gave up after {len(attempts)} attempts: {last_error}"
-        )
+    digest: str
+    text: str
+    latency_ms: int
+
+
+class AttemptHistory:
+    """What follows from `attempts`, one Attempt per model call."""
+
+    attempts: list[Attempt]
+
+    @property
+    def retries(self) -> int:
+        return len(self.attempts) - 1
 
     @property
     def wall_time_ms(self) -> int:
-        return sum(self.attempt_latencies_ms)
+        return sum(a.latency_ms for a in self.attempts)
 
     def transcripts(self, agent_name: str) -> list[Transcript]:
-        return [
-            Transcript(agent_name, digest, raw)
-            for digest, raw in zip(self.prompt_digests, self.attempts)
-        ]
+        return [Transcript(agent_name, a.digest, a.text) for a in self.attempts]
+
+
+class RetriesExhausted(AttemptHistory, AgentError):
+    """Every model call failed to parse/validate; carries the full attempt
+    history so callers can persist transcripts or impute a floor score."""
+
+    def __init__(self, last_error: Exception, attempts: list[Attempt]):
+        self.last_error = last_error
+        self.attempts = attempts
+        super().__init__(
+            f"gave up after {len(attempts)} attempts: {last_error}"
+        )
 
 
 class ExtractionFailed(RetriesExhausted):
@@ -124,29 +133,11 @@ DEFAULT_BASELINE_TEMPLATE = PromptTemplate(
 
 
 @dataclass
-class AgentOutcome:
-    """Result of one agent invocation, retries included.
-
-    raw_attempts, prompt_digests and attempt_latencies_ms are parallel,
-    one entry per model call; wall_time_ms is the sum of call latencies.
-    """
+class AgentOutcome(AttemptHistory):
+    """Result of one agent invocation, retries included."""
 
     value: "StructuredRepresentation | Score"
-    raw_attempts: list[str]
-    prompt_digests: list[str]
-    attempt_latencies_ms: list[int]
-    retries: int
-    wall_time_ms: int
-
-    def __post_init__(self) -> None:
-        if self.retries != len(self.raw_attempts) - 1:
-            raise ValueError("retries must equal attempts - 1")
-
-    def transcripts(self, agent_name: str) -> list[Transcript]:
-        return [
-            Transcript(agent_name, digest, raw)
-            for digest, raw in zip(self.prompt_digests, self.raw_attempts)
-        ]
+    attempts: list[Attempt]
 
 
 _PLACEHOLDER_RE = re.compile(
@@ -247,9 +238,7 @@ def _run_with_retries(
     user_text = render(template.user_text, bindings)
     messages: list[tuple[str, str]] = [("system", system_text), ("user", user_text)]
 
-    raw_attempts: list[str] = []
-    digests: list[str] = []
-    latencies: list[int] = []
+    attempts: list[Attempt] = []
     last_error: Exception | None = None
     for _ in range(max_retries):
         request = ChatRequest(
@@ -258,10 +247,9 @@ def _run_with_retries(
             max_output_tokens=max_output_tokens,
             force_json=True,
         )
-        digests.append(request_digest(request).digest)
+        digest = request_digest(request).digest
         response = backend.complete(request)
-        raw_attempts.append(response.text)
-        latencies.append(response.latency_ms)
+        attempts.append(Attempt(digest, response.text, response.latency_ms))
         try:
             value = parse(response.text)
         except (SchemaError, NonInteger, OutOfRange, json.JSONDecodeError) as exc:
@@ -272,15 +260,8 @@ def _run_with_retries(
             )
             messages.append(("user", repair))
             continue
-        return AgentOutcome(
-            value=value,
-            raw_attempts=raw_attempts,
-            prompt_digests=digests,
-            attempt_latencies_ms=latencies,
-            retries=len(raw_attempts) - 1,
-            wall_time_ms=sum(latencies),
-        )
-    raise failure_cls(last_error, raw_attempts, digests, latencies)
+        return AgentOutcome(value=value, attempts=attempts)
+    raise failure_cls(last_error, attempts)
 
 
 def _describe(exc: Exception) -> str:

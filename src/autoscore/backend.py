@@ -1,11 +1,15 @@
-"""Chat-completion backends: a remote OpenAI-compatible endpoint, a
-deterministic replay store keyed by request digest, and a scripted mock,
-plus a write-through response cache usable around any of them.
+"""Chat-completion backends: a remote OpenAI-compatible endpoint and a
+scripted mock, plus the digest store, which is a write-through response
+cache around either of them or, with no backend inside, deterministic
+replay.
 
 All backends expose the same surface: a `model_name` attribute, an
 `identity` string recorded in run manifests, and `complete(request)`.
 Latency is measured around the network call only; cache hits report zero
 latency so timing reports measure inference alone.
+
+`read_jsonl` is the one reader of the package's append-only JSONL files:
+the store, records.jsonl and failures.jsonl.
 """
 
 from __future__ import annotations
@@ -18,13 +22,15 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, TypeVar
 
 from .core import AutoscoreError
 
 logger = logging.getLogger(__name__)
 
 API_KEY_ENV = "AUTOSCORE_API_KEY"
+
+T = TypeVar("T")
 
 
 class BackendError(AutoscoreError):
@@ -228,49 +234,6 @@ class RemoteBackend:
         raise Transport(status, text)
 
 
-class ReplayBackend:
-    """Deterministic completion source: request digest -> recorded text.
-
-    Fixtures are JSONL records {"digest": hex, "text": str} with an
-    optional "latency_ms" for synthetic timing (default 1ms). A cache file
-    written by CachingBackend is a valid fixture.
-    """
-
-    def __init__(
-        self,
-        fixture_path: str | Path | None = None,
-        mapping: dict[str, str] | None = None,
-        model_name: str = "replay",
-    ):
-        self.model_name = model_name
-        self._responses: dict[str, tuple[str, int]] = {}
-        if mapping:
-            for digest, text in mapping.items():
-                self._responses[digest] = (text, 1)
-        if fixture_path is not None:
-            path = Path(fixture_path)
-            if not path.exists():
-                raise BackendUnavailable(f"replay fixture not found: {path}")
-            for line in path.read_text(encoding="utf-8").splitlines():
-                if not line.strip():
-                    continue
-                entry = json.loads(line)
-                latency = int(entry.get("latency_ms", 1))
-                self._responses[entry["digest"]] = (entry["text"], max(1, latency))
-
-    @property
-    def identity(self) -> str:
-        return f"replay:{self.model_name}"
-
-    def complete(self, request: ChatRequest) -> ChatResponse:
-        digest = request_digest(request).digest
-        hit = self._responses.get(digest)
-        if hit is None:
-            raise ReplayMiss(digest)
-        text, latency_ms = hit
-        return ChatResponse(text, latency_ms, from_cache=False)
-
-
 class ScriptedBackend:
     """Scripted mock for tests and dry runs. Exactly one source is given:
 
@@ -332,53 +295,101 @@ class ScriptedBackend:
         raise ScriptExhausted("no scripted rule matched the request")
 
 
-class CachingBackend:
-    """Write-through response cache around any backend.
+def read_jsonl(path: str | Path, parse: Callable[[str], T]) -> tuple[list[T], int]:
+    """Parse the lines of an append-only JSONL file, one `parse` per line.
 
-    Storage is an append-only JSONL of {"digest", "text"} plus an in-memory
-    index; hits return the recorded text with from_cache=True and zero
-    latency. A torn trailing line (crash mid-append) is skipped on load.
+    Every append writes one whole line ending in a newline, so bytes after
+    the last newline are a torn append (a crash mid-write) and are left
+    out; a complete line that does not parse raises `parse`'s error.
+    Returns the entries and the byte length of the intact prefix, where a
+    writer must start its next append. A missing file reads as empty.
+    """
+    try:
+        data = Path(path).read_bytes()
+    except FileNotFoundError:
+        return [], 0
+    end = data.rfind(b"\n") + 1
+    if end < len(data):
+        logger.warning("ignoring a torn last line in %s", path)
+    lines = data[:end].decode("utf-8").split("\n")
+    return [parse(line) for line in lines if line.strip()], end
+
+
+class CachingBackend:
+    """Digest store: request digest -> recorded completion text, kept as an
+    append-only JSONL of {"digest", "text"} (optional "latency_ms") and an
+    in-memory index.
+
+    CachingBackend(inner, path) is a write-through cache around any
+    backend: hits return the recorded text with from_cache=True and zero
+    latency, misses call `inner` and append the answer. Concurrent misses
+    on one digest call `inner` once; the others wait and then hit.
+
+    CachingBackend(None, path, model_name) is replay: the file must exist,
+    a miss raises ReplayMiss (never a network call), and hits report the
+    recorded latency (default 1 ms) with from_cache=False.
     """
 
-    def __init__(self, inner, cache_path: str | Path):
+    def __init__(self, inner, cache_path: str | Path, model_name: str = "replay"):
         self.inner = inner
-        self.model_name = inner.model_name
+        self.model_name = inner.model_name if inner is not None else model_name
         self._path = Path(cache_path)
-        self._index: dict[str, str] = {}
+        if inner is None and not self._path.exists():
+            raise BackendUnavailable(f"replay fixture not found: {self._path}")
+        entries, end = read_jsonl(self._path, json.loads)
+        # digest -> the (text, latency_ms, from_cache) a hit returns
+        self._index: dict[str, tuple[str, int, bool]] = {
+            entry["digest"]: (
+                (entry["text"], max(1, int(entry.get("latency_ms", 1))), False)
+                if inner is None
+                else (entry["text"], 0, True)
+            )
+            for entry in entries
+        }
+        self._flights: dict[str, threading.Event] = {}
         self._lock = threading.Lock()
-        if self._path.exists():
-            for line in self._path.read_text(encoding="utf-8").splitlines():
-                if not line.strip():
-                    continue
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError:
-                    logger.warning("skipping torn cache line in %s", self._path)
-                    continue
-                self._index[entry["digest"]] = entry["text"]
-        else:
+        if inner is not None:
             self._path.parent.mkdir(parents=True, exist_ok=True)
+            # cut a torn tail off, so the next entry starts a line of its own
+            with self._path.open("a", encoding="utf-8") as handle:
+                handle.truncate(end)
 
     @property
     def identity(self) -> str:
+        if self.inner is None:
+            return f"replay:{self.model_name}"
         return self.inner.identity
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         digest = request_digest(request).digest
-        cached = self._index.get(digest)
-        if cached is not None:
-            return ChatResponse(cached, 0, from_cache=True)
-        response = self.inner.complete(request)
-        with self._lock:
-            if digest not in self._index:
+        hit = self._index.get(digest)
+        if hit is not None:
+            return ChatResponse(*hit)
+        if self.inner is None:
+            raise ReplayMiss(digest)
+        while True:
+            with self._lock:
+                hit = self._index.get(digest)
+                if hit is not None:
+                    return ChatResponse(*hit)
+                flight = self._flights.get(digest)
+                if flight is None:
+                    flight = self._flights[digest] = threading.Event()
+                    break
+            # another caller is asking the model; retry once it settles
+            flight.wait()
+        try:
+            response = self.inner.complete(request)
+            line = json.dumps(
+                {"digest": digest, "text": response.text}, ensure_ascii=True
+            )
+            with self._lock:
                 with self._path.open("a", encoding="utf-8") as handle:
-                    handle.write(
-                        json.dumps(
-                            {"digest": digest, "text": response.text},
-                            ensure_ascii=True,
-                        )
-                        + "\n"
-                    )
+                    handle.write(line + "\n")
                     handle.flush()
-                self._index[digest] = response.text
+                self._index[digest] = (response.text, 0, True)
+        finally:
+            with self._lock:
+                del self._flights[digest]
+            flight.set()
         return response

@@ -176,7 +176,7 @@ def _mean_first_attempt_ms(result) -> float | None:
     clean = [r for r in result.records if r.retries == 0]
     if not clean:
         return None
-    calls = 2 if result.manifest.get("mode") == "autoscore" else 1
+    calls = len(pipeline.STAGES[result.manifest["mode"]])
     return sum(r.wall_time_ms / calls for r in clean) / len(clean)
 
 
@@ -256,10 +256,11 @@ def cmd_validate_components(args) -> int:
     if args.sample_fraction < 1.0:
         chosen = sample_ids(ids, args.sample_fraction, args.seed)
         ids = [rid for rid in ids if rid in chosen]
+    chosen_ids = set(ids)
     predicted = {
         r.response_id: r.representation
         for r in result.records
-        if r.response_id in set(ids)
+        if r.response_id in chosen_ids
     }
     gold_subset = {rid: gold[rid] for rid in ids if rid in gold}
     reliability = validate_components(predicted, gold_subset, schema)

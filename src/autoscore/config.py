@@ -12,7 +12,7 @@ from pathlib import Path
 import yaml
 
 from . import agents
-from .backend import CachingBackend, RemoteBackend, ReplayBackend, ScriptedBackend
+from .backend import CachingBackend, RemoteBackend, ScriptedBackend
 from .core import AutoscoreError, ScoreRange, TaskContext
 from .ingest import DatasetSpec
 from .pipeline import TemplateSet
@@ -181,9 +181,7 @@ def build_backend(config: Config, kind_override: str | None = None):
             max_in_flight=settings.get("max_in_flight"),
         )
     elif kind == "replay":
-        backend = ReplayBackend(
-            fixture_path=resolve("replay_path"), model_name=model_name
-        )
+        backend = CachingBackend(None, resolve("replay_path"), model_name)
     else:
         import json as _json
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import agents
+from .backend import read_jsonl
 from .core import AutoscoreError, ScoredRecord, StudentResponse, TaskContext
 from .ingest import Dataset
 from .schema import ComponentSchema
@@ -27,6 +28,13 @@ from .schema import ComponentSchema
 logger = logging.getLogger(__name__)
 
 PROGRESS_EVERY = 25
+
+# each mode is an ordered chain of agents; a stage name is also the agent
+# name in transcripts and the TemplateSet field holding its prompt
+STAGES = {
+    "autoscore": ("extraction", "scoring"),
+    "baseline": ("baseline",),
+}
 
 
 class ManifestMismatch(AutoscoreError):
@@ -74,7 +82,7 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         self.run_dir = Path(self.run_dir)
-        if self.mode not in ("autoscore", "baseline"):
+        if self.mode not in STAGES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
@@ -144,118 +152,76 @@ def _timing_path(run_dir: Path) -> Path:
 
 
 def _score_one(config: RunConfig, response: StudentResponse):
-    """Run both agents (or the baseline) for one response. Domain errors
-    become failure entries (or floor-imputed records, if configured);
-    anything else propagates and aborts the run."""
-    token_caps = (
-        {"max_output_tokens": config.max_output_tokens}
-        if config.max_output_tokens
-        else {}
-    )
+    """Run the mode's stages in order for one response and assemble its
+    record. Domain errors become failure entries (or, for a scoring stage
+    under the "floor" policy, a record of the rubric minimum that keeps the
+    failed attempts); anything else propagates and aborts the run."""
+    options = {"max_retries": config.max_retries}
+    if config.max_output_tokens:
+        options["max_output_tokens"] = config.max_output_tokens
+    done: list[tuple[str, agents.AttemptHistory]] = []
+    representation = None
     try:
-        if config.mode == "autoscore":
-            extraction = agents.run_extraction(
-                config.backend,
-                config.context,
-                response,
-                config.schema,
-                template=config.templates.extraction,
-                max_retries=config.max_retries,
-                **token_caps,
-            )
-            try:
-                scoring = agents.run_scoring(
-                    config.backend,
-                    extraction.value,
-                    config.context,
-                    response,
-                    template=config.templates.scoring,
-                    max_retries=config.max_retries,
-                    **token_caps,
+        for stage in STAGES[config.mode]:
+            template = getattr(config.templates, stage)
+            if stage == "extraction":
+                outcome = agents.run_extraction(
+                    config.backend, config.context, response, config.schema,
+                    template=template, **options,
                 )
-            except agents.ScoringFailed as exc:
-                if config.imputation != "floor":
-                    raise
-                return ("record", _floor_record(config, response, exc, extraction))
-            record = ScoredRecord(
-                response_id=response.response_id,
-                mode="autoscore",
-                gold_score=response.gold_score,
-                predicted_score=scoring.value.value,
-                representation=extraction.value,
-                transcripts=tuple(
-                    extraction.transcripts("extraction")
-                    + scoring.transcripts("scoring")
-                ),
-                wall_time_ms=extraction.wall_time_ms + scoring.wall_time_ms,
-                retries=extraction.retries + scoring.retries,
-            )
-        else:
-            try:
-                baseline = agents.run_baseline(
-                    config.backend,
-                    config.context,
-                    response,
-                    template=config.templates.baseline,
-                    max_retries=config.max_retries,
-                    **token_caps,
+                representation = outcome.value
+            elif stage == "scoring":
+                outcome = agents.run_scoring(
+                    config.backend, representation, config.context, response,
+                    template=template, **options,
                 )
-            except agents.ScoringFailed as exc:
-                if config.imputation != "floor":
-                    raise
-                return ("record", _floor_record(config, response, exc, None))
-            record = ScoredRecord(
-                response_id=response.response_id,
-                mode="baseline",
-                gold_score=response.gold_score,
-                predicted_score=baseline.value.value,
-                representation=None,
-                transcripts=tuple(baseline.transcripts("baseline")),
-                wall_time_ms=baseline.wall_time_ms,
-                retries=baseline.retries,
-            )
-        return ("record", record)
+            else:
+                outcome = agents.run_baseline(
+                    config.backend, config.context, response,
+                    template=template, **options,
+                )
+            done.append((stage, outcome))
+        predicted = outcome.value.value
     except AutoscoreError as exc:
-        return ("failure", f"{type(exc).__name__}: {exc}")
-
-
-def _floor_record(
-    config: RunConfig,
-    response: StudentResponse,
-    failure: agents.ScoringFailed,
-    extraction: "agents.AgentOutcome | None",
-) -> ScoredRecord:
-    """Record the rubric's minimum score for a response whose scoring agent
-    exhausted its retries; the failed attempts stay in the transcripts."""
-    agent_name = "scoring" if config.mode == "autoscore" else "baseline"
-    transcripts = list(
-        extraction.transcripts("extraction") if extraction is not None else []
-    )
-    transcripts += failure.transcripts(agent_name)
-    head_wall = extraction.wall_time_ms if extraction is not None else 0
-    head_retries = extraction.retries if extraction is not None else 0
-    return ScoredRecord(
+        floor = (
+            isinstance(exc, agents.ScoringFailed) and config.imputation == "floor"
+        )
+        if not floor:
+            return ("failure", f"{type(exc).__name__}: {exc}")
+        done.append((stage, exc))
+        predicted = config.context.score_range.min
+    transcripts: list = []
+    wall_time_ms = retries = 0
+    for stage, history in done:
+        transcripts += history.transcripts(stage)
+        wall_time_ms += history.wall_time_ms
+        retries += history.retries
+    return ("record", ScoredRecord(
         response_id=response.response_id,
         mode=config.mode,
         gold_score=response.gold_score,
-        predicted_score=config.context.score_range.min,
-        representation=extraction.value if extraction is not None else None,
+        predicted_score=predicted,
+        representation=representation,
         transcripts=tuple(transcripts),
-        wall_time_ms=head_wall + failure.wall_time_ms,
-        retries=head_retries + len(failure.attempts) - 1,
-    )
+        wall_time_ms=wall_time_ms,
+        retries=retries,
+    ))
 
 
 class _OrderedWriter:
     """Flushes completed outcomes in response_id order, one fsync'd line per
     record, buffering anything that completes early."""
 
-    def __init__(self, run_dir: Path, ordered_ids: list[str], skip: int):
+    def __init__(self, run_dir: Path, ordered_ids: list[str], skip: int,
+                 intact: tuple[int, int]):
         self._ordered_ids = ordered_ids
         self._next = skip
         self._pending: dict[str, tuple] = {}
         self._records = _records_path(run_dir).open("a", encoding="utf-8")
         self._failures = _failures_path(run_dir).open("a", encoding="utf-8")
+        # cut torn tails off, so the next line does not glue onto them
+        self._records.truncate(intact[0])
+        self._failures.truncate(intact[1])
         self._written = 0
 
     def offer(self, response_id: str, outcome) -> None:
@@ -290,41 +256,26 @@ class _OrderedWriter:
         self._failures.close()
 
 
-def _read_done(run_dir: Path) -> tuple[list[ScoredRecord], list[tuple[str, str]]]:
-    """Read back persisted outcomes, tolerating one torn trailing record
-    line (a crash mid-append); the torn line is dropped from disk."""
-    records: list[ScoredRecord] = []
-    failures: list[tuple[str, str]] = []
-    records_file = _records_path(run_dir)
-    if records_file.exists():
-        lines = records_file.read_text(encoding="utf-8").splitlines()
-        good: list[str] = []
-        for i, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                records.append(ScoredRecord.from_jsonl_line(line))
-                good.append(line)
-            except (json.JSONDecodeError, KeyError):
-                if i == len(lines) - 1:
-                    logger.warning("dropping torn trailing record line")
-                    records_file.write_text(
-                        "".join(l + "\n" for l in good), encoding="utf-8"
-                    )
-                    break
-                raise
-    failures_file = _failures_path(run_dir)
-    if failures_file.exists():
-        for line in failures_file.read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            entry = json.loads(line)
-            failures.append((entry["response_id"], entry["error"]))
-    return records, failures
+def _failure_from_line(line: str) -> tuple[str, str]:
+    entry = json.loads(line)
+    return entry["response_id"], entry["error"]
+
+
+def _read_done(run_dir: Path):
+    """Read back persisted records and failures, skipping a torn trailing
+    line in either file. Also returns the intact byte length of each file,
+    where the next append must start."""
+    records, records_end = read_jsonl(
+        _records_path(run_dir), ScoredRecord.from_jsonl_line
+    )
+    failures, failures_end = read_jsonl(
+        _failures_path(run_dir), _failure_from_line
+    )
+    return records, failures, (records_end, failures_end)
 
 
 def _execute(config: RunConfig, dataset: Dataset, manifest: dict) -> RunResult:
-    done_records, done_failures = _read_done(config.run_dir)
+    done_records, done_failures, intact = _read_done(config.run_dir)
     done_ids = {r.response_id for r in done_records} | {
         rid for rid, _ in done_failures
     }
@@ -346,7 +297,7 @@ def _execute(config: RunConfig, dataset: Dataset, manifest: dict) -> RunResult:
         )
 
     todo = ordered[prefix_len:]
-    writer = _OrderedWriter(config.run_dir, ordered_ids, prefix_len)
+    writer = _OrderedWriter(config.run_dir, ordered_ids, prefix_len, intact)
     try:
         if todo:
             with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
@@ -375,7 +326,7 @@ def _execute(config: RunConfig, dataset: Dataset, manifest: dict) -> RunResult:
     finally:
         writer.close()
 
-    records, failures = _read_done(config.run_dir)
+    records, failures, _ = _read_done(config.run_dir)
     records.sort(key=lambda r: r.response_id)
     failures.sort(key=lambda f: f[0])
     if len(records) + len(failures) != len(dataset):
@@ -460,7 +411,7 @@ def load_run(run_dir) -> RunResult:
     if not manifest_file.exists():
         raise ManifestMismatch(f"{run_dir} has no manifest")
     manifest = json.loads(manifest_file.read_text(encoding="utf-8"))
-    records, failures = _read_done(run_dir)
+    records, failures, _ = _read_done(run_dir)
     records.sort(key=lambda r: r.response_id)
     failures.sort(key=lambda f: f[0])
     return RunResult(records=records, failures=failures, manifest=manifest)

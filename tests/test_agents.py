@@ -105,8 +105,8 @@ class TestRunExtraction:
         )
         outcome = agents.run_extraction(backend, context, response, SCIENCE)
         assert outcome.retries == 1
-        assert len(outcome.raw_attempts) == 2
-        assert outcome.wall_time_ms == sum(outcome.attempt_latencies_ms)
+        assert len(outcome.attempts) == 2
+        assert outcome.wall_time_ms == sum(a.latency_ms for a in outcome.attempts)
 
     def test_prose_three_times_exhausts_retries(self, context, response):
         backend = ScriptedBackend(responses=["prose"] * 3)
@@ -151,7 +151,7 @@ class TestRunExtraction:
             "design_count": 1,
             "validity_count": 1,
         }
-        from autoscore.backend import CachingBackend, ReplayBackend
+        from autoscore.backend import CachingBackend
 
         fixture = tmp_path / "fixture.jsonl"
         recorder = CachingBackend(
@@ -159,7 +159,7 @@ class TestRunExtraction:
         )
         recorded = agents.run_extraction(recorder, context, response, SCIENCE)
 
-        replay = ReplayBackend(fixture_path=fixture, model_name="gpt")
+        replay = CachingBackend(None, fixture, "gpt")
         replayed = agents.run_extraction(replay, context, response, SCIENCE)
         assert replayed.value == recorded.value
         assert len(replayed.value.values["design_improvements"]) >= 1

@@ -9,7 +9,6 @@ from autoscore.backend import (
     ChatResponse,
     RateLimited,
     RemoteBackend,
-    ReplayBackend,
     ReplayMiss,
     ScriptedBackend,
     ScriptExhausted,
@@ -80,28 +79,33 @@ class TestReplayBackend:
         fixture.write_text(
             json.dumps({"digest": digest, "text": "ok", "latency_ms": 250}) + "\n"
         )
-        backend = ReplayBackend(fixture_path=fixture, model_name="m1")
+        backend = CachingBackend(None, fixture, "m1")
         response = backend.complete(request)
         assert (response.text, response.latency_ms, response.from_cache) == (
             "ok", 250, False,
         )
 
-    def test_unknown_digest_is_a_miss(self):
-        backend = ReplayBackend(mapping={"deadbeef": "x"}, model_name="m1")
+    def test_unknown_digest_is_a_miss(self, tmp_path):
+        fixture = tmp_path / "fixture.jsonl"
+        fixture.write_text(json.dumps({"digest": "deadbeef", "text": "x"}) + "\n")
+        backend = CachingBackend(None, fixture, "m1")
         with pytest.raises(ReplayMiss):
             backend.complete(_req())
 
-    def test_bit_deterministic_across_repetitions(self):
+    def test_bit_deterministic_across_repetitions(self, tmp_path):
         request = _req()
-        backend = ReplayBackend(
-            mapping={request_digest(request).digest: "same"}, model_name="m1"
+        fixture = tmp_path / "fixture.jsonl"
+        fixture.write_text(
+            json.dumps({"digest": request_digest(request).digest, "text": "same"})
+            + "\n"
         )
+        backend = CachingBackend(None, fixture, "m1")
         texts = {backend.complete(request).text for _ in range(20)}
         assert texts == {"same"}
 
     def test_missing_fixture_file_is_fatal(self, tmp_path):
         with pytest.raises(BackendUnavailable):
-            ReplayBackend(fixture_path=tmp_path / "nope.jsonl")
+            CachingBackend(None, tmp_path / "nope.jsonl")
 
 
 class TestScriptedBackend:
@@ -293,11 +297,23 @@ class TestCachingBackend:
         CachingBackend(ScriptedBackend(responses=["kept"]), path).complete(_req())
         with path.open("a") as handle:
             handle.write('{"digest": "abc", "te')
-        reloaded = CachingBackend(ScriptedBackend(responses=[]), path)
+        reloaded = CachingBackend(ScriptedBackend(responses=["added"]), path)
         assert reloaded.complete(_req()).text == "kept"
+        # the next append starts a line of its own instead of gluing onto
+        # the fragment, so a fresh load still serves it
+        other = _req(temperature=0.5)
+        assert reloaded.complete(other).text == "added"
+        idle = ScriptedBackend(responses=[])
+        assert CachingBackend(idle, path).complete(other).text == "added"
+        assert idle.call_count == 0
+        # replay skips a torn tail as well
+        with path.open("a") as handle:
+            handle.write('{"digest": "abc", "te')
+        replay = CachingBackend(None, path, "m1")
+        assert replay.complete(other).text == "added"
 
     def test_cache_file_is_a_valid_replay_fixture(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         CachingBackend(ScriptedBackend(responses=["recorded"]), path).complete(_req())
-        replay = ReplayBackend(fixture_path=path, model_name="m1")
+        replay = CachingBackend(None, path, "m1")
         assert replay.complete(_req()).text == "recorded"

@@ -3,7 +3,7 @@ import threading
 
 import pytest
 
-from autoscore.backend import CachingBackend, ReplayBackend, ScriptedBackend
+from autoscore.backend import CachingBackend, ScriptedBackend
 from autoscore.pipeline import (
     ManifestMismatch,
     RunConfig,
@@ -106,7 +106,7 @@ class TestScoreDataset:
         fixture = tmp_path / "fixture.jsonl"
         fixture.write_text("".join(line + "\n" for line in kept))
 
-        replay = ReplayBackend(fixture_path=fixture, model_name="synth-model")
+        replay = CachingBackend(None, fixture, "synth-model")
         config2 = make_config(
             tmp_path, replay, schema=science_schema, context=synth_context,
             name="replay-run",
@@ -409,3 +409,34 @@ class TestRunDirLayout:
         result = resume(config.run_dir, again, synth_dataset)
         assert (config.run_dir / "records.jsonl").read_bytes() == pristine
         assert len(result.records) == 12
+
+    def test_torn_trailing_failure_line_recovered_on_resume(
+        self, tmp_path, synth_dataset, synth_context, science_schema,
+    ):
+        def refuse_r03(request):
+            blob = "\n".join(c for _, c in request.messages)
+            if "synthetic response r03" in blob:
+                return "I refuse to answer."
+            return synth_script(request)
+
+        config = make_config(
+            tmp_path, ScriptedBackend(script=refuse_r03), schema=science_schema,
+            context=synth_context,
+        )
+        score_dataset(config, synth_dataset)
+        records_file = config.run_dir / "records.jsonl"
+        failures_file = config.run_dir / "failures.jsonl"
+        pristine = (records_file.read_bytes(), failures_file.read_bytes())
+        # simulate a crash mid-append of r03's failure: r01 and r02 are on
+        # disk, r03's failure line is half written
+        records_file.write_bytes(b"".join(pristine[0].splitlines(True)[:2]))
+        failures_file.write_bytes(pristine[1][:20])
+
+        again = make_config(
+            tmp_path, ScriptedBackend(script=refuse_r03), schema=science_schema,
+            context=synth_context,
+        )
+        result = resume(config.run_dir, again, synth_dataset)
+        assert (records_file.read_bytes(), failures_file.read_bytes()) == pristine
+        assert [rid for rid, _ in result.failures] == ["r03"]
+        assert load_run(config.run_dir).failures == result.failures

@@ -1,7 +1,9 @@
 """Wider-scale determinism and concurrency checks than the unit suites."""
 
 import json
+import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 from autoscore.backend import CachingBackend, ChatRequest, ScriptedBackend
@@ -68,20 +70,29 @@ def test_sixty_responses_deterministic_at_high_parallelism(tmp_path):
 
 
 def test_cache_under_concurrent_identical_requests(tmp_path):
-    backend = CachingBackend(
-        ScriptedBackend(script=lambda request: "constant"),
-        tmp_path / "cache.jsonl",
-    )
-    barrier = threading.Barrier(8)
+    def slow(request):
+        time.sleep(0.05)  # long enough for every caller to miss at once
+        return "constant"
+
+    inner = ScriptedBackend(script=slow)
+    backend = CachingBackend(inner, tmp_path / "cache.jsonl")
+    barrier = threading.Barrier(8, timeout=10)
     request = ChatRequest("m", (("user", "same prompt"),))
 
     def hit():
         barrier.wait()
         return backend.complete(request).text
 
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        texts = list(pool.map(lambda _: hit(), range(8)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            texts = list(pool.map(lambda _: hit(), range(8), timeout=10))
+    finally:
+        sys.setswitchinterval(interval)
     assert set(texts) == {"constant"}
+    # single-flight: the concurrent misses asked the model once
+    assert inner.call_count == 1
     # the cache file holds the digest exactly once
     lines = (tmp_path / "cache.jsonl").read_text().splitlines()
     assert len(lines) == 1
