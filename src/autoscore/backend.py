@@ -295,14 +295,17 @@ class ScriptedBackend:
         raise ScriptExhausted("no scripted rule matched the request")
 
 
-def read_jsonl(path: str | Path, parse: Callable[[str], T]) -> tuple[list[T], int]:
+def read_jsonl(
+    path: str | Path, parse: Callable[[str], T], corrupt: type[AutoscoreError]
+) -> tuple[list[T], int]:
     """Parse the lines of an append-only JSONL file, one `parse` per line.
 
     Every append writes one whole line ending in a newline, so bytes after
     the last newline are a torn append (a crash mid-write) and are left
-    out; a complete line that does not parse raises `parse`'s error.
-    Returns the entries and the byte length of the intact prefix, where a
-    writer must start its next append. A missing file reads as empty.
+    out; a complete line that does not parse raises `corrupt`, naming the
+    file and the line. Returns the entries and the byte length of the
+    intact prefix, where a writer must start its next append. A missing
+    file reads as empty.
     """
     try:
         data = Path(path).read_bytes()
@@ -311,14 +314,21 @@ def read_jsonl(path: str | Path, parse: Callable[[str], T]) -> tuple[list[T], in
     end = data.rfind(b"\n") + 1
     if end < len(data):
         logger.warning("ignoring a torn last line in %s", path)
-    lines = data[:end].decode("utf-8").split("\n")
-    return [parse(line) for line in lines if line.strip()], end
+    entries = []
+    for number, line in enumerate(data[:end].split(b"\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            entries.append(parse(line.decode("utf-8")))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise corrupt(f"{path} line {number} does not parse: {exc!r}")
+    return entries, end
 
 
 class CachingBackend:
     """Digest store: request digest -> recorded completion text, kept as an
-    append-only JSONL of {"digest", "text"} (optional "latency_ms") and an
-    in-memory index.
+    append-only JSONL of {"digest", "text", "latency_ms"} ("latency_ms"
+    optional when read) and an in-memory index.
 
     CachingBackend(inner, path) is a write-through cache around any
     backend: hits return the recorded text with from_cache=True and zero
@@ -336,16 +346,17 @@ class CachingBackend:
         self._path = Path(cache_path)
         if inner is None and not self._path.exists():
             raise BackendUnavailable(f"replay fixture not found: {self._path}")
-        entries, end = read_jsonl(self._path, json.loads)
-        # digest -> the (text, latency_ms, from_cache) a hit returns
-        self._index: dict[str, tuple[str, int, bool]] = {
-            entry["digest"]: (
-                (entry["text"], max(1, int(entry.get("latency_ms", 1))), False)
-                if inner is None
-                else (entry["text"], 0, True)
-            )
-            for entry in entries
-        }
+
+        def parse(line: str) -> tuple[str, tuple[str, int, bool]]:
+            # digest -> the (text, latency_ms, from_cache) a hit returns
+            entry = json.loads(line)
+            if inner is not None:
+                return entry["digest"], (entry["text"], 0, True)
+            latency_ms = max(1, int(entry.get("latency_ms", 1)))
+            return entry["digest"], (entry["text"], latency_ms, False)
+
+        entries, end = read_jsonl(self._path, parse, BackendUnavailable)
+        self._index: dict[str, tuple[str, int, bool]] = dict(entries)
         self._flights: dict[str, threading.Event] = {}
         self._lock = threading.Lock()
         if inner is not None:
@@ -381,7 +392,9 @@ class CachingBackend:
         try:
             response = self.inner.complete(request)
             line = json.dumps(
-                {"digest": digest, "text": response.text}, ensure_ascii=True
+                {"digest": digest, "text": response.text,
+                 "latency_ms": response.latency_ms},
+                ensure_ascii=True,
             )
             with self._lock:
                 with self._path.open("a", encoding="utf-8") as handle:

@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Exit codes: 0 success (even with per-record failures, which are reported
-in the summary), 2 configuration error, 3 dataset error, 4 backend
-unavailable. Logs go to stderr; data goes to files and stdout.
+in the summary), 2 configuration error, 3 dataset error or corrupt run
+directory, 4 backend unavailable (a corrupt cache or replay file too).
+Logs go to stderr; data goes to files and stdout.
 """
 
 from __future__ import annotations

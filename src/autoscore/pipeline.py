@@ -1,12 +1,12 @@
 """Run orchestration: fan a dataset out over a worker pool, time and
 persist each record, and assemble a deterministic result.
 
-Records are flushed to records.jsonl strictly in response_id order (a
-reorder buffer holds out-of-order completions), so the file on disk is
-always a prefix of the final ordering and two runs of the same config are
-byte-identical regardless of parallelism. Failures go to failures.jsonl
-under the same ordering discipline, which makes the set of persisted ids
-a prefix of the sorted id list; resuming skips exactly that prefix.
+Outcomes are appended to records.jsonl (failures to failures.jsonl) in
+response_id order while the run goes on: the executor waits for the
+oldest pending response, takes every finished one queued right behind it,
+writes them and fsyncs before it waits again. So the files on disk are
+always a prefix of the final ordering, two runs of the same config are
+byte-identical regardless of parallelism, and resuming skips that prefix.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ import json
 import logging
 import os
 import time
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -38,7 +39,7 @@ STAGES = {
 
 
 class ManifestMismatch(AutoscoreError):
-    """The run directory belongs to an incompatible run."""
+    """The run directory is corrupt or belongs to an incompatible run."""
 
 
 class RunDirConflict(AutoscoreError):
@@ -187,7 +188,8 @@ def _score_one(config: RunConfig, response: StudentResponse):
             isinstance(exc, agents.ScoringFailed) and config.imputation == "floor"
         )
         if not floor:
-            return ("failure", f"{type(exc).__name__}: {exc}")
+            error = f"{type(exc).__name__}: {exc}"
+            return ("failure", (response.response_id, error))
         done.append((stage, exc))
         predicted = config.context.score_range.min
     transcripts: list = []
@@ -208,54 +210,6 @@ def _score_one(config: RunConfig, response: StudentResponse):
     ))
 
 
-class _OrderedWriter:
-    """Flushes completed outcomes in response_id order, one fsync'd line per
-    record, buffering anything that completes early."""
-
-    def __init__(self, run_dir: Path, ordered_ids: list[str], skip: int,
-                 intact: tuple[int, int]):
-        self._ordered_ids = ordered_ids
-        self._next = skip
-        self._pending: dict[str, tuple] = {}
-        self._records = _records_path(run_dir).open("a", encoding="utf-8")
-        self._failures = _failures_path(run_dir).open("a", encoding="utf-8")
-        # cut torn tails off, so the next line does not glue onto them
-        self._records.truncate(intact[0])
-        self._failures.truncate(intact[1])
-        self._written = 0
-
-    def offer(self, response_id: str, outcome) -> None:
-        self._pending[response_id] = outcome
-        while (
-            self._next < len(self._ordered_ids)
-            and self._ordered_ids[self._next] in self._pending
-        ):
-            rid = self._ordered_ids[self._next]
-            kind, payload = self._pending.pop(rid)
-            if kind == "record":
-                self._records.write(payload.to_jsonl_line() + "\n")
-                self._records.flush()
-                os.fsync(self._records.fileno())
-            else:
-                self._failures.write(
-                    json.dumps({"response_id": rid, "error": payload}) + "\n"
-                )
-                self._failures.flush()
-                os.fsync(self._failures.fileno())
-            self._next += 1
-            self._written += 1
-            if self._written % PROGRESS_EVERY == 0:
-                logger.info(
-                    "persisted %d/%d responses",
-                    self._next,
-                    len(self._ordered_ids),
-                )
-
-    def close(self) -> None:
-        self._records.close()
-        self._failures.close()
-
-
 def _failure_from_line(line: str) -> tuple[str, str]:
     entry = json.loads(line)
     return entry["response_id"], entry["error"]
@@ -266,19 +220,23 @@ def _read_done(run_dir: Path):
     line in either file. Also returns the intact byte length of each file,
     where the next append must start."""
     records, records_end = read_jsonl(
-        _records_path(run_dir), ScoredRecord.from_jsonl_line
+        _records_path(run_dir), ScoredRecord.from_jsonl_line, ManifestMismatch
     )
     failures, failures_end = read_jsonl(
-        _failures_path(run_dir), _failure_from_line
+        _failures_path(run_dir), _failure_from_line, ManifestMismatch
     )
     return records, failures, (records_end, failures_end)
 
 
+def _sync(handles) -> None:
+    for handle in handles:
+        handle.flush()
+        os.fsync(handle.fileno())
+
+
 def _execute(config: RunConfig, dataset: Dataset, manifest: dict) -> RunResult:
-    done_records, done_failures, intact = _read_done(config.run_dir)
-    done_ids = {r.response_id for r in done_records} | {
-        rid for rid, _ in done_failures
-    }
+    records, failures, intact = _read_done(config.run_dir)
+    done_ids = {r.response_id for r in records} | {rid for rid, _ in failures}
     ordered = sorted(dataset.responses, key=lambda r: r.response_id)
     ordered_ids = [r.response_id for r in ordered]
 
@@ -288,7 +246,7 @@ def _execute(config: RunConfig, dataset: Dataset, manifest: dict) -> RunResult:
             f"run dir contains ids not present in the dataset: "
             f"{sorted(stale)[:5]}"
         )
-    # the ordered writer guarantees persisted ids form a prefix
+    # outcomes are persisted in response_id order, so they form a prefix
     prefix_len = len(done_ids)
     if set(ordered_ids[:prefix_len]) != done_ids:
         raise ManifestMismatch(
@@ -296,39 +254,47 @@ def _execute(config: RunConfig, dataset: Dataset, manifest: dict) -> RunResult:
             "the run dir is corrupt or belongs to another dataset"
         )
 
-    todo = ordered[prefix_len:]
-    writer = _OrderedWriter(config.run_dir, ordered_ids, prefix_len, intact)
-    try:
-        if todo:
-            with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-                futures = {
-                    pool.submit(_score_one, config, response): response.response_id
-                    for response in todo
-                }
-                done, not_done = wait(futures, return_when=FIRST_EXCEPTION)
-                if any(f.exception() for f in done if not f.cancelled()):
-                    for future in not_done:
-                        future.cancel()
-                pending_error = None
-                # consume in submission (= response_id) order; completed
-                # records beyond the first failure stay buffered, so the
-                # persisted prefix never contains a gap
-                for future, rid in futures.items():
-                    if future.cancelled():
-                        continue
-                    exc = future.exception()
-                    if exc is not None:
-                        pending_error = exc
-                        continue
-                    writer.offer(rid, future.result())
-                if pending_error is not None:
-                    raise pending_error
-    finally:
-        writer.close()
+    with _records_path(config.run_dir).open("a", encoding="utf-8") as rec, \
+            _failures_path(config.run_dir).open("a", encoding="utf-8") as fail:
+        # cut torn tails off, so the next line does not glue onto them
+        rec.truncate(intact[0])
+        fail.truncate(intact[1])
+        unsynced: set = set()
+        pool = ThreadPoolExecutor(max_workers=config.parallelism)
+        try:
+            futures = deque(
+                pool.submit(_score_one, config, response)
+                for response in ordered[prefix_len:]
+            )
+            while futures:
+                # block on the oldest outcome, then take every later one at
+                # the front that is already done; the batch is synced before
+                # the next wait, and only then counts as persisted
+                outcomes = [futures.popleft().result()]
+                while futures and futures[0].done():
+                    outcomes.append(futures.popleft().result())
+                for kind, payload in outcomes:
+                    if kind == "record":
+                        records.append(payload)
+                        handle, line = rec, payload.to_jsonl_line()
+                    else:
+                        failures.append(payload)
+                        rid, error = payload
+                        handle = fail
+                        line = json.dumps({"response_id": rid, "error": error})
+                    handle.write(line + "\n")
+                    unsynced.add(handle)
+                _sync(unsynced)
+                unsynced.clear()
+                persisted = len(records) + len(failures)
+                if persisted % PROGRESS_EVERY < len(outcomes):
+                    logger.info(
+                        "persisted %d/%d responses", persisted, len(ordered)
+                    )
+        finally:
+            pool.shutdown(cancel_futures=True)
+            _sync(unsynced)  # lines an abort left written but unsynced
 
-    records, failures, _ = _read_done(config.run_dir)
-    records.sort(key=lambda r: r.response_id)
-    failures.sort(key=lambda f: f[0])
     if len(records) + len(failures) != len(dataset):
         raise AutoscoreError(
             "conservation violated: "

@@ -209,14 +209,16 @@ def extract_json_block(raw_model_output: str) -> str:
     """Return the first balanced top-level JSON object embedded in the text.
 
     Code fences and surrounding prose are ignored by construction: every
-    "{" is tried as the start of an object until one parses. No repair
-    beyond that is attempted.
+    "{" is tried as the start of an object until one parses. Nesting too
+    deep for the parser ends the search. No repair is attempted.
     """
     for match in re.finditer(r"\{", raw_model_output):
         try:
             obj, end = _JSON_DECODER.raw_decode(raw_model_output, match.start())
         except json.JSONDecodeError:
             continue
+        except RecursionError:
+            raise NoJsonFound("model output nests JSON too deeply to parse")
         if isinstance(obj, dict):
             return raw_model_output[match.start():end]
     raise NoJsonFound("no balanced JSON object found in model output")

@@ -317,3 +317,22 @@ class TestCachingBackend:
         CachingBackend(ScriptedBackend(responses=["recorded"]), path).complete(_req())
         replay = CachingBackend(None, path, "m1")
         assert replay.complete(_req()).text == "recorded"
+
+    def test_replay_of_a_cache_file_reports_recorded_latency(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        recorder = CachingBackend(
+            ScriptedBackend(responses=["recorded"], latency_ms=250), path
+        )
+        assert recorder.complete(_req()).latency_ms == 250
+        assert recorder.complete(_req()) == ChatResponse("recorded", 0, True)
+        replay = CachingBackend(None, path, "m1")
+        assert replay.complete(_req()) == ChatResponse("recorded", 250, False)
+
+    def test_corrupt_line_names_file_and_line(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        CachingBackend(ScriptedBackend(responses=["kept"]), path).complete(_req())
+        with path.open("a") as handle:
+            handle.write('{"digest": "abc", "te\n')
+        for inner in (ScriptedBackend(responses=[]), None):
+            with pytest.raises(BackendUnavailable, match=r"cache.jsonl line 2"):
+                CachingBackend(inner, path, "m1")

@@ -148,6 +148,27 @@ class TestScoreCommand:
         )
         assert code == 4
 
+    def test_corrupt_replay_fixture_exits_4(self, workspace, tmp_path, caplog):
+        fixture = workspace.parent / "missing-fixture.jsonl"
+        fixture.write_text('{"digest": "abc", "text": "ok"}\n{"digest": \n')
+        code = _score(
+            workspace, "baseline", tmp_path / "y", extra=["--backend", "replay"]
+        )
+        assert code == 4
+        assert f"{fixture} line 2" in caplog.text
+
+    def test_corrupt_run_dir_exits_3(self, workspace, tmp_path, caplog):
+        out = tmp_path / "corrupt"
+        assert _score(workspace, "baseline", out) == 0
+        records = out / "records.jsonl"
+        lines = records.read_text().splitlines(True)
+        lines[4] = lines[4][:30] + "\n"
+        records.write_text("".join(lines))
+        assert _score(workspace, "baseline", out, extra=["--resume"]) == 3
+        assert f"{records} line 5" in caplog.text
+        reports = str(tmp_path / "reports")
+        assert main(["evaluate", "--run", str(out), "--out", reports]) == 3
+
     def test_resume_finished_run_is_idempotent(self, workspace, tmp_path):
         out = tmp_path / "resumable"
         assert _score(workspace, "baseline", out) == 0

@@ -117,6 +117,28 @@ class TestScoreDataset:
         assert result.failures[0][0] == "r07"
         assert "ReplayMiss" in result.failures[0][1]
 
+    def test_deeply_nested_reply_is_reprompted(
+        self, tmp_path, synth_dataset, synth_context,
+    ):
+        deep = '{"score": ' + "[" * 100_000 + "]" * 100_000 + "}"
+
+        def deep_first(request):
+            blob = "\n".join(c for _, c in request.messages)
+            if len(request.messages) == 2 and "synthetic response r02" in blob:
+                return deep
+            return synth_script(request)
+
+        config = make_config(
+            tmp_path, ScriptedBackend(script=deep_first), mode="baseline",
+            context=synth_context,
+        )
+        result = score_dataset(config, synth_dataset)
+        assert not result.failures
+        r02 = result.records[1]
+        assert (r02.response_id, r02.retries) == ("r02", 1)
+        assert r02.predicted_score == SYNTH_PRED["r02"]
+        assert r02.transcripts[0].raw_output == deep
+
     def test_refuses_to_overwrite_existing_run(
         self, tmp_path, synth_dataset, synth_context, science_schema,
         scripted_backend_factory,

@@ -6,11 +6,13 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
+import pytest
+
 from autoscore.backend import CachingBackend, ChatRequest, ScriptedBackend
 from autoscore.core import ScoreRange, StudentResponse, TaskContext
 from autoscore.ingest import Dataset, DatasetSpec
 from autoscore.pipeline import RunConfig, score_dataset
-from autoscore.schema import compile_schema, extract_json_block
+from autoscore.schema import NoJsonFound, compile_schema, extract_json_block
 
 from conftest import SCIENCE_SCHEMA_DEF
 
@@ -112,6 +114,12 @@ def test_extract_json_survives_pathological_text():
     )
     block = extract_json_block(noisy)
     assert json.loads(block)["payload"][1]["nested"]["deep"] == [1, 2, 3]
+
+
+def test_extract_json_rejects_nesting_too_deep_to_parse():
+    deep = '{"score": ' + "[" * 100_000 + "]" * 100_000 + "}"
+    with pytest.raises(NoJsonFound, match="too deeply"):
+        extract_json_block("prose " + deep + ' then {"score": 1}')
 
 
 def test_extract_json_first_object_wins_among_many():
