@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import prompts
-from .backend import ChatRequest, request_digest
+# request_digest stays importable here: bench/spans.py traces it per module
+from .backend import ChatRequest, request_digest  # noqa: F401
 from .core import (
     AutoscoreError,
     OutOfRange,
@@ -247,9 +248,8 @@ def _run_with_retries(
             max_output_tokens=max_output_tokens,
             force_json=True,
         )
-        digest = request_digest(request).digest
         response = backend.complete(request)
-        attempts.append(Attempt(digest, response.text, response.latency_ms))
+        attempts.append(Attempt(request.digest, response.text, response.latency_ms))
         try:
             value = parse(response.text)
         except (SchemaError, NonInteger, OutOfRange, json.JSONDecodeError) as exc:

@@ -20,6 +20,7 @@ import logging
 import os
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, TypeVar
@@ -69,13 +70,20 @@ class ScriptExhausted(BackendError):
 
 @dataclass(frozen=True)
 class ChatRequest:
-    """One chat-completion request; the cache/replay key covers every field."""
+    """One chat-completion request; the cache/replay key covers every field.
+
+    `digest` is `request_digest` of the request, computed once here: the
+    agents record it and the digest store looks it up. (A
+    `functools.cached_property` would serialise every first read behind
+    one lock shared by all instances on Python 3.11.)
+    """
 
     model_name: str
     messages: tuple[tuple[str, str], ...]  # (role, content), role in {system,user}
     temperature: float = 0.0
     max_output_tokens: int = 1024
     force_json: bool = False
+    digest: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.messages:
@@ -87,6 +95,7 @@ class ChatRequest:
             raise ValueError("temperature must lie in [0, 2]")
         if self.max_output_tokens <= 0:
             raise ValueError("max_output_tokens must be positive")
+        object.__setattr__(self, "digest", request_digest(self).digest)
 
 
 @dataclass(frozen=True)
@@ -126,16 +135,89 @@ def request_digest(request: ChatRequest) -> RequestDigest:
     return RequestDigest(hashlib.sha256(canonical.encode("utf-8")).hexdigest())
 
 
+class _KeptAlive(dict):
+    """One thread's open connections by (scheme, host:port, proxy,
+    timeout); closed when the thread ends and its thread-local storage is
+    dropped."""
+
+    def __del__(self) -> None:
+        for conn in self.values():
+            conn.close()
+
+
+_thread_connections = threading.local()
+
+
 def _default_transport(
     url: str, headers: dict, body: dict, timeout_s: float
 ) -> tuple[int, str]:
-    import requests
+    """POST `body` as JSON and return (status, text), or (0, reason) when
+    no response came back.
 
+    Each thread keeps one connection alive per (scheme, host:port, proxy,
+    timeout). A kept-alive connection the server closed while it sat idle
+    fails on send or on the status line; that one failure is retried at
+    once on a fresh connection. Proxies come from the standard environment
+    variables (http_proxy, https_proxy, no_proxy); https goes through a
+    CONNECT tunnel and verifies certificates against the system trust
+    store.
+    """
+    # imported on first use, so only runs that reach a remote model pay it
+    import http.client
+    from urllib.parse import urlsplit
+    from urllib.request import getproxies, proxy_bypass
+
+    parts = urlsplit(url)
+    proxy = getproxies().get(parts.scheme)
+    if proxy and proxy_bypass(parts.netloc):
+        proxy = None
+    key = (parts.scheme, parts.netloc, proxy, timeout_s)
+    pool = getattr(_thread_connections, "pool", None)
+    if pool is None:
+        pool = _thread_connections.pool = _KeptAlive()
+    payload = json.dumps(body).encode("utf-8")
+    target = parts.path or "/"
+    if parts.query:
+        target += "?" + parts.query
+    if proxy and parts.scheme == "http":
+        target = url  # a plain-http proxy takes the absolute URI
+
+    def connect() -> http.client.HTTPConnection:
+        host, port = parts.hostname, parts.port
+        if proxy:
+            proxy_parts = urlsplit(proxy if "://" in proxy else "http://" + proxy)
+            host, port = proxy_parts.hostname, proxy_parts.port or 80
+        if parts.scheme == "https":
+            conn = http.client.HTTPSConnection(host, port, timeout=timeout_s)
+            if proxy:
+                conn.set_tunnel(parts.hostname, parts.port or 443)
+            return conn
+        return http.client.HTTPConnection(host, port, timeout=timeout_s)
+
+    def exchange(conn: http.client.HTTPConnection) -> http.client.HTTPResponse:
+        conn.request("POST", target, payload, headers)
+        return conn.getresponse()
+
+    conn = pool.pop(key, None)
     try:
-        resp = requests.post(url, headers=headers, json=body, timeout=timeout_s)
-    except requests.RequestException as exc:
+        if conn is not None:
+            try:
+                resp = exchange(conn)
+            except (ConnectionError, http.client.BadStatusLine):
+                # the server closed it while idle: once more, on a fresh one
+                conn.close()
+                conn = None
+        if conn is None:
+            conn = connect()
+            resp = exchange(conn)
+        text = resp.read().decode("utf-8", errors="replace")
+    except (OSError, http.client.HTTPException) as exc:
+        if conn is not None:
+            conn.close()
         return 0, f"connection failure: {exc}"
-    return resp.status_code, resp.text
+    if not resp.will_close:  # on Connection: close, http.client closed it
+        pool[key] = conn
+    return resp.status, text
 
 
 class RemoteBackend:
@@ -361,9 +443,11 @@ class CachingBackend:
         self._lock = threading.Lock()
         if inner is not None:
             self._path.parent.mkdir(parents=True, exist_ok=True)
+            # one append handle for the store's lifetime, closed with it
+            self._handle = self._path.open("a", encoding="utf-8")
+            weakref.finalize(self, self._handle.close)
             # cut a torn tail off, so the next entry starts a line of its own
-            with self._path.open("a", encoding="utf-8") as handle:
-                handle.truncate(end)
+            self._handle.truncate(end)
 
     @property
     def identity(self) -> str:
@@ -372,7 +456,7 @@ class CachingBackend:
         return self.inner.identity
 
     def complete(self, request: ChatRequest) -> ChatResponse:
-        digest = request_digest(request).digest
+        digest = request.digest
         hit = self._index.get(digest)
         if hit is not None:
             return ChatResponse(*hit)
@@ -397,9 +481,8 @@ class CachingBackend:
                 ensure_ascii=True,
             )
             with self._lock:
-                with self._path.open("a", encoding="utf-8") as handle:
-                    handle.write(line + "\n")
-                    handle.flush()
+                self._handle.write(line + "\n")
+                self._handle.flush()
                 self._index[digest] = (response.text, 0, True)
         finally:
             with self._lock:

@@ -154,10 +154,13 @@ def load_config(path) -> Config:
 
 
 def build_backend(config: Config, kind_override: str | None = None):
-    """Instantiate the configured backend, optionally wrapped in the cache.
+    """Instantiate the configured backend; with `cache_path` set, a remote or
+    scripted backend is wrapped in the write-through cache.
 
-    kind: remote | replay | scripted. Relative fixture/cache paths resolve
-    against the config file's directory.
+    kind: remote | replay | scripted. Replay is never cached: it already
+    answers from its store, and a cache over it would turn every recorded
+    answer into a 0 ms hit. Relative fixture/cache paths resolve against
+    the config file's directory.
     """
     settings = config.backend_settings
     kind = kind_override or settings.get("kind")
@@ -195,10 +198,6 @@ def build_backend(config: Config, kind_override: str | None = None):
         ]
         backend = ScriptedBackend(rules=rules, model_name=model_name)
 
-    cache_path = settings.get("cache_path")
-    if cache_path:
-        p = Path(cache_path)
-        if not p.is_absolute():
-            p = config_dir / p
-        backend = CachingBackend(backend, p)
+    if kind != "replay" and settings.get("cache_path"):
+        backend = CachingBackend(backend, resolve("cache_path"))
     return backend

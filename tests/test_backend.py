@@ -1,4 +1,8 @@
+import http.server
 import json
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -13,6 +17,7 @@ from autoscore.backend import (
     ScriptedBackend,
     ScriptExhausted,
     Transport,
+    _default_transport,
     request_digest,
 )
 
@@ -336,3 +341,152 @@ class TestCachingBackend:
         for inner in (ScriptedBackend(responses=[]), None):
             with pytest.raises(BackendUnavailable, match=r"cache.jsonl line 2"):
                 CachingBackend(inner, path, "m1")
+
+
+class _Handler(http.server.BaseHTTPRequestHandler):
+    """Counts connections and records each request line's target; the
+    server's `respond(handler)` writes the reply."""
+
+    protocol_version = "HTTP/1.1"
+
+    def setup(self):
+        super().setup()
+        self.server.connections += 1
+
+    def finish(self):
+        super().finish()
+        self.server.closed.set()
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        self.server.targets.append(self.path)
+        self.server.respond(self)
+
+    def do_CONNECT(self):
+        self.server.targets.append(f"CONNECT {self.path}")
+        _reply(self, 502, "no tunnel", ("Connection", "close"))
+
+    def log_message(self, *args):
+        pass
+
+
+def _reply(handler, status, body, *headers):
+    data = body.encode("utf-8")
+    handler.send_response(status)
+    handler.send_header("Content-Length", str(len(data)))
+    for name, value in headers:
+        handler.send_header(name, value)
+    handler.end_headers()
+    handler.wfile.write(data)
+
+
+@pytest.fixture
+def serve():
+    """serve(respond) starts a loopback HTTP/1.1 server; returns it with
+    `url`, `connections` and `targets`."""
+    servers = []
+
+    def start(respond):
+        server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
+        server.respond = respond
+        server.connections, server.targets = 0, []
+        server.closed = threading.Event()
+        server.handle_error = lambda request, address: None
+        server.url = f"http://127.0.0.1:{server.server_address[1]}"
+        threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True).start()
+        servers.append(server)
+        return server
+
+    yield start
+    for server in servers:
+        server.shutdown()
+        server.server_close()
+
+
+def _on_fresh_thread(fn):
+    """Runs fn on a thread of its own, so its kept-alive connections
+    close when the thread ends instead of lingering into other tests."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn).result(timeout=10)
+
+
+def _post(url, timeout_s=5.0):
+    return _default_transport(url + "/chat/completions", {}, {"n": 1}, timeout_s)
+
+
+class TestDefaultTransport:
+    def test_sequential_calls_share_one_connection(self, serve):
+        server = serve(lambda h: _reply(h, 200, "ok"))
+        results = _on_fresh_thread(lambda: [_post(server.url) for _ in range(5)])
+        assert results == [(200, "ok")] * 5
+        assert server.connections == 1
+        assert server.targets == ["/chat/completions"] * 5
+        # the thread's connection closed when the thread ended
+        assert server.closed.wait(5)
+
+    def test_idle_connection_dropped_by_server_reconnects_once(self, serve):
+        def respond_then_hang_up(handler):
+            _reply(handler, 200, _ok_body())
+            handler.close_connection = True  # no Connection: close header
+
+        server = serve(respond_then_hang_up)
+        sleeps = []
+        backend = RemoteBackend(
+            base_url=server.url, model_name="m1", api_key="k",
+            sleeper=sleeps.append,
+        )
+        texts = _on_fresh_thread(
+            lambda: [backend.complete(_req()).text for _ in range(3)]
+        )
+        assert texts == ["fine"] * 3
+        assert sleeps == []
+        assert server.connections == 3
+        assert len(server.targets) == 3
+
+    @pytest.mark.parametrize("status,body", [(429, "slow down"), (500, "boom")])
+    def test_error_status_and_body_pass_through(self, serve, status, body):
+        server = serve(lambda h: _reply(h, status, body))
+        assert _on_fresh_thread(lambda: _post(server.url)) == (status, body)
+
+    def test_connection_close_response_is_honoured(self, serve):
+        def say_close_but_stay_open(handler):
+            _reply(handler, 200, "ok", ("Connection", "close"))
+            handler.close_connection = False
+
+        server = serve(say_close_but_stay_open)
+        results = _on_fresh_thread(lambda: [_post(server.url) for _ in range(2)])
+        assert results == [(200, "ok")] * 2
+        assert server.connections == 2
+
+    def test_read_timeout_is_status_0(self, serve):
+        def slow(handler):
+            time.sleep(0.3)
+            _reply(handler, 200, "late")
+
+        server = serve(slow)
+        status, body = _on_fresh_thread(lambda: _post(server.url, timeout_s=0.05))
+        assert status == 0
+        assert "connection failure" in body
+
+    def test_proxy_from_environment_and_no_proxy_bypass(self, serve, monkeypatch):
+        for name in ("http_proxy", "https_proxy", "no_proxy"):
+            monkeypatch.delenv(name, raising=False)
+            monkeypatch.delenv(name.upper(), raising=False)
+        proxy = serve(lambda h: _reply(h, 200, "via proxy"))
+        origin = serve(lambda h: _reply(h, 200, "direct"))
+        monkeypatch.setenv("http_proxy", proxy.url)
+        monkeypatch.setenv("https_proxy", proxy.url)
+        assert _on_fresh_thread(lambda: _post("http://model.invalid/v1")) == (
+            200, "via proxy",
+        )
+        # https tunnels through CONNECT; this proxy refuses the tunnel
+        status, _ = _on_fresh_thread(lambda: _post("https://model.invalid/v1"))
+        assert status == 0
+        assert proxy.targets == [
+            "http://model.invalid/v1/chat/completions",
+            "CONNECT model.invalid:443",
+        ]
+        monkeypatch.setenv("no_proxy", "127.0.0.1")
+        assert _on_fresh_thread(lambda: _post(origin.url)) == (200, "direct")
+        assert origin.targets == ["/chat/completions"]
+        assert len(proxy.targets) == 2

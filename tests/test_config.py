@@ -1,3 +1,5 @@
+import json
+
 import pytest
 import yaml
 
@@ -133,6 +135,24 @@ def test_build_backend_cache_wrap(tmp_path):
     backend = build_backend(config)
     assert isinstance(backend, CachingBackend)
     assert backend.identity == "scripted:m"
+
+
+def test_build_backend_replay_ignores_cache_path(tmp_path):
+    from autoscore.backend import ChatRequest, request_digest
+
+    request = ChatRequest("m", (("user", "hello"),))
+    entry = {"digest": request_digest(request).digest, "text": "recorded",
+             "latency_ms": 250}
+    (tmp_path / "fixture.jsonl").write_text(json.dumps(entry) + "\n")
+    config_dict = _config_dict()
+    config_dict["backend"].update(
+        kind="replay", replay_path="fixture.jsonl", cache_path="cache.jsonl")
+    backend = build_backend(load_config(_write(tmp_path, config_dict)))
+    for _ in range(2):
+        response = backend.complete(request)
+        assert (response.text, response.latency_ms, response.from_cache) == (
+            "recorded", 250, False)
+    assert not (tmp_path / "cache.jsonl").exists()
 
 
 def test_build_backend_unknown_kind(tmp_path):
