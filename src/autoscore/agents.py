@@ -3,9 +3,10 @@
 run_extraction turns a response into a validated structured representation;
 run_scoring turns that representation (plus the original inputs) into a
 score; run_baseline scores directly from rubric and response, with no
-component schema anywhere in its prompts. All three share one retry policy:
-on a parse or validation failure the agent re-prompts with the error
-appended, up to max_retries total model calls.
+component schema anywhere in its prompts. STAGES holds what sets each one
+apart; run_stage is the one retry loop they all share: on a parse or
+validation failure the agent re-prompts with the error appended, up to
+max_retries total model calls.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import prompts
 # request_digest stays importable here: bench/spans.py traces it per module
@@ -117,20 +118,8 @@ class ScoringFailed(RetriesExhausted):
 class PromptTemplate:
     """System/user text pair with {name} placeholders."""
 
-    name: str
     system_text: str
     user_text: str
-
-
-DEFAULT_EXTRACTION_TEMPLATE = PromptTemplate(
-    "extraction", prompts.EXTRACTION_SYSTEM, prompts.EXTRACTION_USER
-)
-DEFAULT_SCORING_TEMPLATE = PromptTemplate(
-    "scoring", prompts.SCORING_SYSTEM, prompts.SCORING_USER
-)
-DEFAULT_BASELINE_TEMPLATE = PromptTemplate(
-    "baseline", prompts.BASELINE_SYSTEM, prompts.BASELINE_USER
-)
 
 
 @dataclass
@@ -222,19 +211,70 @@ def parse_score(raw_text: str, score_range: ScoreRange) -> Score:
     return validate_score(value, score_range)
 
 
-def _run_with_retries(
+def _parse_representation(
+    raw: str, context: TaskContext, schema: ComponentSchema
+) -> StructuredRepresentation:
+    return validate_representation(extract_json_block(raw), schema)
+
+
+def _parse_score(raw: str, context: TaskContext, _input) -> Score:
+    return parse_score(raw, context.score_range)
+
+
+class Stage(NamedTuple):
+    """What sets one agent apart: its default prompt, the bindings its
+    input adds, how a reply is parsed, the failure raised when retries run
+    out, and the default output budget."""
+
+    template: PromptTemplate
+    bindings: Callable[[object], dict[str, str]]
+    parse: Callable[[str, TaskContext, object], object]
+    failure: type[RetriesExhausted]
+    max_output_tokens: int
+
+
+# parse functions look parse_score & co. up at call time, so a wrapper set
+# on this module's attribute sees every call
+STAGES = {
+    "extraction": Stage(
+        PromptTemplate(prompts.EXTRACTION_SYSTEM, prompts.EXTRACTION_USER),
+        lambda schema: {"schema_description": describe_schema(schema)},
+        _parse_representation, ExtractionFailed, 1024,
+    ),
+    "scoring": Stage(
+        PromptTemplate(prompts.SCORING_SYSTEM, prompts.SCORING_USER),
+        lambda rep: {"representation_json": representation_block(rep)},
+        _parse_score, ScoringFailed, 128,
+    ),
+    "baseline": Stage(
+        PromptTemplate(prompts.BASELINE_SYSTEM, prompts.BASELINE_USER),
+        lambda _input: {}, _parse_score, ScoringFailed, 128,
+    ),
+}
+
+
+def run_stage(
+    name: str,
     backend,
-    template: PromptTemplate,
-    bindings: dict[str, str],
-    parse,
-    failure_cls,
-    max_retries: int,
-    max_output_tokens: int,
-):
-    """Shared retry loop: call, parse, and on failure re-prompt with the
-    error appended, up to max_retries model calls in total."""
+    context: TaskContext,
+    response: StudentResponse,
+    input,
+    *,
+    template: PromptTemplate | None = None,
+    max_retries: int = DEFAULT_MAX_RETRIES,
+    max_output_tokens: int | None = None,
+) -> AgentOutcome:
+    """Run stage `name` on one response: call, parse, and on failure
+    re-prompt with the error appended, up to max_retries model calls in
+    total. `input` is what the stage works from (extraction: the schema,
+    scoring: the representation, baseline: nothing); a missing template or
+    output budget falls back to the stage's default."""
+    stage = STAGES[name]
     if max_retries < 1:
         raise ValueError("max_retries must be at least 1")
+    template = template or stage.template
+    max_output_tokens = max_output_tokens or stage.max_output_tokens
+    bindings = {**_context_bindings(context, response), **stage.bindings(input)}
     system_text = render(template.system_text, bindings)
     user_text = render(template.user_text, bindings)
     messages: list[tuple[str, str]] = [("system", system_text), ("user", user_text)]
@@ -248,20 +288,20 @@ def _run_with_retries(
             max_output_tokens=max_output_tokens,
             force_json=True,
         )
-        response = backend.complete(request)
-        attempts.append(Attempt(request.digest, response.text, response.latency_ms))
+        reply = backend.complete(request)
+        attempts.append(Attempt(request.digest, reply.text, reply.latency_ms))
         try:
-            value = parse(response.text)
+            value = stage.parse(reply.text, context, input)
         except (SchemaError, NonInteger, OutOfRange, json.JSONDecodeError) as exc:
             last_error = exc
             repair = render(
                 prompts.RETRY_USER,
-                {**bindings, "previous_output": response.text, "error": _describe(exc)},
+                {**bindings, "previous_output": reply.text, "error": _describe(exc)},
             )
             messages.append(("user", repair))
             continue
         return AgentOutcome(value=value, attempts=attempts)
-    raise failure_cls(last_error, attempts)
+    raise stage.failure(last_error, attempts)
 
 
 def _describe(exc: Exception) -> str:
@@ -275,65 +315,16 @@ def _describe(exc: Exception) -> str:
     return str(exc)
 
 
-def run_extraction(
-    backend,
-    context: TaskContext,
-    response: StudentResponse,
-    schema: ComponentSchema,
-    template: PromptTemplate = DEFAULT_EXTRACTION_TEMPLATE,
-    max_retries: int = DEFAULT_MAX_RETRIES,
-    max_output_tokens: int = 1024,
-) -> AgentOutcome:
-    """Extract the structured component representation from one response."""
-    bindings = _context_bindings(context, response)
-    bindings["schema_description"] = describe_schema(schema)
-
-    def parse(raw: str) -> StructuredRepresentation:
-        return validate_representation(extract_json_block(raw), schema)
-
-    return _run_with_retries(
-        backend, template, bindings, parse, ExtractionFailed,
-        max_retries, max_output_tokens,
-    )
+def run_extraction(backend, context, response, input, **options) -> AgentOutcome:
+    """Extract the structured representation (input: the schema)."""
+    return run_stage("extraction", backend, context, response, input, **options)
 
 
-def run_scoring(
-    backend,
-    representation: StructuredRepresentation,
-    context: TaskContext,
-    response: StudentResponse,
-    template: PromptTemplate = DEFAULT_SCORING_TEMPLATE,
-    max_retries: int = DEFAULT_MAX_RETRIES,
-    max_output_tokens: int = 128,
-) -> AgentOutcome:
-    """Assign the final score from the representation, context and response."""
-    bindings = _context_bindings(context, response)
-    bindings["representation_json"] = representation_block(representation)
-
-    def parse(raw: str) -> Score:
-        return parse_score(raw, context.score_range)
-
-    return _run_with_retries(
-        backend, template, bindings, parse, ScoringFailed,
-        max_retries, max_output_tokens,
-    )
+def run_scoring(backend, context, response, input, **options) -> AgentOutcome:
+    """Score from the representation (input), the context and the response."""
+    return run_stage("scoring", backend, context, response, input, **options)
 
 
-def run_baseline(
-    backend,
-    context: TaskContext,
-    response: StudentResponse,
-    template: PromptTemplate = DEFAULT_BASELINE_TEMPLATE,
-    max_retries: int = DEFAULT_MAX_RETRIES,
-    max_output_tokens: int = 128,
-) -> AgentOutcome:
-    """Single-agent ablation: score directly from rubric and response."""
-    bindings = _context_bindings(context, response)
-
-    def parse(raw: str) -> Score:
-        return parse_score(raw, context.score_range)
-
-    return _run_with_retries(
-        backend, template, bindings, parse, ScoringFailed,
-        max_retries, max_output_tokens,
-    )
+def run_baseline(backend, context, response, input=None, **options) -> AgentOutcome:
+    """Single-agent ablation: score from rubric and response; input unused."""
+    return run_stage("baseline", backend, context, response, input, **options)

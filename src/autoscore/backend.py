@@ -95,7 +95,7 @@ class ChatRequest:
             raise ValueError("temperature must lie in [0, 2]")
         if self.max_output_tokens <= 0:
             raise ValueError("max_output_tokens must be positive")
-        object.__setattr__(self, "digest", request_digest(self).digest)
+        object.__setattr__(self, "digest", request_digest(self))
 
 
 @dataclass(frozen=True)
@@ -111,13 +111,8 @@ class ChatResponse:
             raise ValueError("zero latency is only permitted for cache hits")
 
 
-@dataclass(frozen=True)
-class RequestDigest:
-    digest: str
-
-
-def request_digest(request: ChatRequest) -> RequestDigest:
-    """Deterministic cross-platform digest of the full request.
+def request_digest(request: ChatRequest) -> str:
+    """Deterministic cross-platform digest (hex SHA-256) of the full request.
 
     Canonical form sorts the payload keys; message content is hashed
     verbatim, with no whitespace normalization anywhere.
@@ -132,7 +127,7 @@ def request_digest(request: ChatRequest) -> RequestDigest:
     canonical = json.dumps(
         payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False
     )
-    return RequestDigest(hashlib.sha256(canonical.encode("utf-8")).hexdigest())
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 class _KeptAlive(dict):

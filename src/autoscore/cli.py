@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Exit codes: 0 success (even with per-record failures, which are reported
-in the summary), 2 configuration error, 3 dataset error or corrupt run
-directory, 4 backend unavailable (a corrupt cache or replay file too).
+in the summary), 2 configuration error (a bad scripted rules line too), 3
+dataset error or corrupt run directory (a missing or bad gold annotations
+file too), 4 backend unavailable (a corrupt cache or replay file too).
 Logs go to stderr; data goes to files and stdout.
 """
 

@@ -6,6 +6,7 @@ the AUTOSCORE_API_KEY environment variable only.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -15,7 +16,6 @@ from . import agents
 from .backend import CachingBackend, RemoteBackend, ScriptedBackend
 from .core import AutoscoreError, ScoreRange, TaskContext
 from .ingest import DatasetSpec
-from .pipeline import TemplateSet
 from .schema import ComponentSchema, compile_schema
 
 
@@ -31,7 +31,7 @@ class ItemConfig:
     dataset_spec: DatasetSpec
     context: TaskContext
     schema: ComponentSchema | None
-    templates: TemplateSet
+    templates: dict[str, agents.PromptTemplate]  # keyed by stage name
 
 
 @dataclass
@@ -56,23 +56,21 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
-def _load_template_pair(
-    base: agents.PromptTemplate,
-    overrides: dict,
-    name: str,
-    config_dir: Path,
+def _load_template(
+    stage: str, overrides: dict, config_dir: Path
 ) -> agents.PromptTemplate:
-    system_key = f"{name}_system"
-    user_key = f"{name}_user"
-    system_text = base.system_text
-    user_text = base.user_text
-    if system_key in overrides:
-        system_text = (config_dir / overrides[system_key]).read_text(
+    """The stage's shipped prompt, with the text of any `<stage>_system` or
+    `<stage>_user` override file in place of that part."""
+    def read(part: str, default: str) -> str:
+        path = overrides.get(f"{stage}_{part}")
+        return default if path is None else (config_dir / path).read_text(
             encoding="utf-8"
         )
-    if user_key in overrides:
-        user_text = (config_dir / overrides[user_key]).read_text(encoding="utf-8")
-    return agents.PromptTemplate(name, system_text, user_text)
+
+    default = agents.STAGES[stage].template
+    return agents.PromptTemplate(
+        read("system", default.system_text), read("user", default.user_text)
+    )
 
 
 def _parse_item(item_id: str, raw: dict, config_dir: Path) -> ItemConfig:
@@ -110,23 +108,15 @@ def _parse_item(item_id: str, raw: dict, config_dir: Path) -> ItemConfig:
         schema = compile_schema(item_id, raw["schema"])
 
     overrides = raw.get("templates", {}) or {}
-    templates = TemplateSet(
-        extraction=_load_template_pair(
-            agents.DEFAULT_EXTRACTION_TEMPLATE, overrides, "extraction", config_dir
-        ),
-        scoring=_load_template_pair(
-            agents.DEFAULT_SCORING_TEMPLATE, overrides, "scoring", config_dir
-        ),
-        baseline=_load_template_pair(
-            agents.DEFAULT_BASELINE_TEMPLATE, overrides, "baseline", config_dir
-        ),
-    )
     return ItemConfig(
         item_id=item_id,
         dataset_spec=dataset_spec,
         context=context,
         schema=schema,
-        templates=templates,
+        templates={
+            name: _load_template(name, overrides, config_dir)
+            for name in agents.STAGES
+        },
     )
 
 
@@ -151,6 +141,30 @@ def load_config(path) -> Config:
         run_settings=raw.get("run") or {},
         items=items,
     )
+
+
+def _load_rules(path: Path) -> list[dict]:
+    """Scripted rules, one JSON object with `match` and `text` per line, the
+    last one too (a hand-written file may end without a newline); a bad
+    line is a ConfigError naming the file and the line."""
+    if not path.exists():
+        raise ConfigError(f"scripted rules file not found: {path}")
+    rules = []
+    for number, line in enumerate(
+        path.read_text(encoding="utf-8").splitlines(), start=1
+    ):
+        if not line.strip():
+            continue
+        try:
+            rule = json.loads(line)
+        except ValueError as exc:
+            raise ConfigError(f"{path} line {number} does not parse: {exc}") from None
+        if not isinstance(rule, dict) or not {"match", "text"} <= rule.keys():
+            raise ConfigError(
+                f'{path} line {number}: a rule needs "match" and "text"'
+            )
+        rules.append(rule)
+    return rules
 
 
 def build_backend(config: Config, kind_override: str | None = None):
@@ -186,17 +200,9 @@ def build_backend(config: Config, kind_override: str | None = None):
     elif kind == "replay":
         backend = CachingBackend(None, resolve("replay_path"), model_name)
     else:
-        import json as _json
-
-        rules_path = resolve("script_path")
-        if not rules_path.exists():
-            raise ConfigError(f"scripted rules file not found: {rules_path}")
-        rules = [
-            _json.loads(line)
-            for line in rules_path.read_text(encoding="utf-8").splitlines()
-            if line.strip()
-        ]
-        backend = ScriptedBackend(rules=rules, model_name=model_name)
+        backend = ScriptedBackend(
+            rules=_load_rules(resolve("script_path")), model_name=model_name
+        )
 
     if kind != "replay" and settings.get("cache_path"):
         backend = CachingBackend(backend, resolve("cache_path"))

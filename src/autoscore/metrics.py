@@ -24,9 +24,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 from .core import AutoscoreError, ScoreRange
+from .ingest import DatasetError
 from .schema import ComponentSchema, StructuredRepresentation
 
 
@@ -366,27 +368,7 @@ class ReliabilityReport:
     overall_exact_match_rate: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "boolean_fields": {
-                name: {
-                    "accuracy": s.accuracy,
-                    "f1": s.f1,
-                    "cohen_kappa": s.cohen_kappa,
-                }
-                for name, s in self.boolean_fields.items()
-            },
-            "count_fields": {
-                name: {
-                    "mae": s.mae,
-                    "rmse": s.rmse,
-                    "pearson": s.pearson,
-                    "exact_match_rate": s.exact_match_rate,
-                }
-                for name, s in self.count_fields.items()
-            },
-            "overall_exact_match_rate": self.overall_exact_match_rate,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -491,12 +473,26 @@ def validate_components(
 
 
 def load_gold_annotations(path) -> dict[str, dict]:
-    """Gold component annotations: JSONL of {response_id, values{...}}."""
+    """Gold component annotations: JSONL of {response_id, values{...}}. A
+    missing file, or a line that does not parse, lacks either key or has
+    `values` that is not an object, raises DatasetError naming the file
+    (and the line)."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except FileNotFoundError:
+        raise DatasetError(f"gold annotations file not found: {path}") from None
     annotations: dict[str, dict] = {}
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            if not line.strip():
-                continue
+    for number, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
             entry = json.loads(line)
-            annotations[entry["response_id"]] = entry["values"]
+            values = entry["values"]
+            if not isinstance(values, dict):
+                raise TypeError(f"values is {type(values).__name__}, not an object")
+            annotations[entry["response_id"]] = values
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DatasetError(
+                f"{path} line {number} is not a gold annotation: {exc!r}"
+            ) from None
     return annotations

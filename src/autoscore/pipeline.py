@@ -30,8 +30,8 @@ logger = logging.getLogger(__name__)
 
 PROGRESS_EVERY = 25
 
-# each mode is an ordered chain of agents; a stage name is also the agent
-# name in transcripts and the TemplateSet field holding its prompt
+# each mode is an ordered chain of agents.STAGES; a stage name is also the
+# agent name in transcripts and the key of its prompt in RunConfig.templates
 STAGES = {
     "autoscore": ("extraction", "scoring"),
     "baseline": ("baseline",),
@@ -44,15 +44,6 @@ class ManifestMismatch(AutoscoreError):
 
 class RunDirConflict(AutoscoreError):
     """score_dataset refuses to write into an already-started run dir."""
-
-
-@dataclass
-class TemplateSet:
-    """Per-run prompt templates; None falls back to the shipped defaults."""
-
-    extraction: agents.PromptTemplate = agents.DEFAULT_EXTRACTION_TEMPLATE
-    scoring: agents.PromptTemplate = agents.DEFAULT_SCORING_TEMPLATE
-    baseline: agents.PromptTemplate = agents.DEFAULT_BASELINE_TEMPLATE
 
 
 @dataclass
@@ -76,7 +67,8 @@ class RunConfig:
     parallelism: int = 1
     max_retries: int = agents.DEFAULT_MAX_RETRIES
     seed: int = 0
-    templates: TemplateSet = field(default_factory=TemplateSet)
+    # stage name -> prompt; a stage left out uses its shipped default
+    templates: dict[str, agents.PromptTemplate] = field(default_factory=dict)
     dataset_ref: str = ""
     imputation: str = "fail"
     max_output_tokens: int | None = None  # None keeps per-agent defaults
@@ -157,31 +149,20 @@ def _score_one(config: RunConfig, response: StudentResponse):
     record. Domain errors become failure entries (or, for a scoring stage
     under the "floor" policy, a record of the rubric minimum that keeps the
     failed attempts); anything else propagates and aborts the run."""
-    options = {"max_retries": config.max_retries}
-    if config.max_output_tokens:
-        options["max_output_tokens"] = config.max_output_tokens
     done: list[tuple[str, agents.AttemptHistory]] = []
-    representation = None
+    value = config.schema  # each stage works from the value of the one before
     try:
         for stage in STAGES[config.mode]:
-            template = getattr(config.templates, stage)
-            if stage == "extraction":
-                outcome = agents.run_extraction(
-                    config.backend, config.context, response, config.schema,
-                    template=template, **options,
-                )
-                representation = outcome.value
-            elif stage == "scoring":
-                outcome = agents.run_scoring(
-                    config.backend, representation, config.context, response,
-                    template=template, **options,
-                )
-            else:
-                outcome = agents.run_baseline(
-                    config.backend, config.context, response,
-                    template=template, **options,
-                )
+            # entered through the module attribute, looked up per call, so a
+            # wrapper set on agents.run_<stage> sees it
+            outcome = getattr(agents, f"run_{stage}")(
+                config.backend, config.context, response, value,
+                template=config.templates.get(stage),
+                max_retries=config.max_retries,
+                max_output_tokens=config.max_output_tokens,
+            )
             done.append((stage, outcome))
+            value = outcome.value
         predicted = outcome.value.value
     except AutoscoreError as exc:
         floor = (
@@ -192,6 +173,9 @@ def _score_one(config: RunConfig, response: StudentResponse):
             return ("failure", (response.response_id, error))
         done.append((stage, exc))
         predicted = config.context.score_range.min
+    # each mode ends in a stage that scores; a stage before it extracted the
+    # representation the record keeps
+    representation = done[0][1].value if len(done) > 1 else None
     transcripts: list = []
     wall_time_ms = retries = 0
     for stage, history in done:

@@ -63,10 +63,8 @@ primary evidence. The score must be a single integer from {score_min} to \
 Output exactly: {"score": <integer>}
 """
 
-BASELINE_SYSTEM = """\
-You are a strict rater applying an official scoring rubric. Align with the rubric \
-guidelines and resolve any ambiguity in favor of the rubric definitions. You reply \
-with a single JSON object and nothing else."""
+# the baseline rater gets the scoring agent's system prompt verbatim
+BASELINE_SYSTEM = SCORING_SYSTEM
 
 BASELINE_USER = """\
 Assessment question:

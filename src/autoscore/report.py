@@ -21,7 +21,6 @@ from .metrics import MetricsReport
 
 logger = logging.getLogger(__name__)
 
-HIGHER_IS_BETTER = ("qwk", "accuracy", "pearson", "spearman")
 LOWER_IS_BETTER = ("mae", "rmse")
 METRIC_ORDER = ("qwk", "accuracy", "pearson", "spearman", "mae", "rmse")
 
@@ -65,14 +64,7 @@ class ComparisonRow:
 
 
 def _metric_cells(report: MetricsReport) -> dict:
-    return {
-        "qwk": report.qwk,
-        "accuracy": report.accuracy,
-        "pearson": report.pearson,
-        "spearman": report.spearman,
-        "mae": report.mae,
-        "rmse": report.rmse,
-    }
+    return {m: getattr(report, m) for m in METRIC_ORDER}
 
 
 def build_comparison_row(

@@ -281,7 +281,8 @@ def validate_representation(
     if not isinstance(parsed, dict):
         raise TypeMismatch("$", "object", _json_type_name(parsed))
 
-    unknown = [k for k in parsed if k not in set(schema.field_names())]
+    known = set(schema.field_names())
+    unknown = [k for k in parsed if k not in known]
     if unknown:
         logger.warning(
             "dropping unknown keys %s for schema %s", unknown, schema.item_id

@@ -172,7 +172,7 @@ class TestRunScoring:
 
     def test_clean_score(self, context, response):
         backend = ScriptedBackend(responses=['{"score": 2}'])
-        outcome = agents.run_scoring(backend, self.rep(), context, response)
+        outcome = agents.run_scoring(backend, context, response, self.rep())
         assert outcome.value == Score(2)
         assert outcome.retries == 0
 
@@ -184,7 +184,7 @@ class TestRunScoring:
             return '{"score": 5}' if len(seen) == 1 else '{"score": 3}'
 
         backend = ScriptedBackend(script=script)
-        outcome = agents.run_scoring(backend, self.rep(), context, response)
+        outcome = agents.run_scoring(backend, context, response, self.rep())
         assert outcome.value == Score(3)
         assert outcome.retries == 1
         repair = seen[1][2][1]
@@ -193,7 +193,7 @@ class TestRunScoring:
     def test_unparseable_three_times_fails(self, context, response):
         backend = ScriptedBackend(responses=["two points"] * 3)
         with pytest.raises(agents.ScoringFailed):
-            agents.run_scoring(backend, self.rep(), context, response)
+            agents.run_scoring(backend, context, response, self.rep())
 
     def test_inconsistency_note_rendered_into_prompt(self, context, response):
         rep = StructuredRepresentation(
@@ -205,7 +205,7 @@ class TestRunScoring:
             seen.append(request.messages)
             return '{"score": 1}'
 
-        agents.run_scoring(ScriptedBackend(script=script), rep, context, response)
+        agents.run_scoring(ScriptedBackend(script=script), context, response, rep)
         user_text = seen[0][1][1]
         assert "corrected to the list lengths: design_count" in user_text
 
@@ -213,12 +213,12 @@ class TestRunScoring:
         digests = []
 
         def script(request):
-            digests.append(request_digest(request).digest)
+            digests.append(request_digest(request))
             return '{"score": 1}'
 
         rep = self.rep()
-        agents.run_scoring(ScriptedBackend(script=script), rep, context, response)
-        agents.run_scoring(ScriptedBackend(script=script), rep, context, response)
+        agents.run_scoring(ScriptedBackend(script=script), context, response, rep)
+        agents.run_scoring(ScriptedBackend(script=script), context, response, rep)
         assert digests[0] == digests[1]
 
 

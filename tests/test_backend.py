@@ -51,7 +51,7 @@ class TestRequestDigest:
     def test_digest_is_stable_across_processes(self):
         # frozen value pins the canonical serialization; if this changes,
         # every recorded replay fixture and cache file is invalidated
-        assert request_digest(_req()).digest == (
+        assert request_digest(_req()) == (
             "012fbdabdf7c1c73493b5c03c60815c161708d9755357f6b26ac5572784fe8ef"
         )
 
@@ -79,7 +79,7 @@ def test_chat_response_zero_latency_only_from_cache():
 class TestReplayBackend:
     def test_replays_recorded_text(self, tmp_path):
         request = _req()
-        digest = request_digest(request).digest
+        digest = request_digest(request)
         fixture = tmp_path / "fixture.jsonl"
         fixture.write_text(
             json.dumps({"digest": digest, "text": "ok", "latency_ms": 250}) + "\n"
@@ -101,7 +101,7 @@ class TestReplayBackend:
         request = _req()
         fixture = tmp_path / "fixture.jsonl"
         fixture.write_text(
-            json.dumps({"digest": request_digest(request).digest, "text": "same"})
+            json.dumps({"digest": request_digest(request), "text": "same"})
             + "\n"
         )
         backend = CachingBackend(None, fixture, "m1")

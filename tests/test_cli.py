@@ -169,6 +169,21 @@ class TestScoreCommand:
         reports = str(tmp_path / "reports")
         assert main(["evaluate", "--run", str(out), "--out", reports]) == 3
 
+    def test_cut_short_rules_line_exits_2(self, workspace, tmp_path, caplog):
+        rules = workspace.parent / "rules.jsonl"
+        lines = rules.read_text().splitlines(True)
+        lines[2] = lines[2][:30] + "\n"
+        rules.write_text("".join(lines))
+        assert _score(workspace, "baseline", tmp_path / "x") == 2
+        assert f"{rules} line 3" in caplog.text
+
+    def test_rule_without_text_exits_2(self, workspace, tmp_path, caplog):
+        rules = workspace.parent / "rules.jsonl"
+        # a hand-written last line may lack its newline; it is still checked
+        rules.write_text(rules.read_text() + '{"match": "synthetic response"}')
+        assert _score(workspace, "baseline", tmp_path / "x") == 2
+        assert f"{rules} line 25" in caplog.text
+
     def test_resume_finished_run_is_idempotent(self, workspace, tmp_path):
         out = tmp_path / "resumable"
         assert _score(workspace, "baseline", out) == 0
@@ -305,6 +320,33 @@ class TestValidateComponentsCommand:
         assert code == 0
         report = json.loads((out / "reliability.json").read_text())
         assert report["n"] == 6
+
+    def test_missing_gold_file_exits_3(self, workspace, tmp_path, caplog):
+        run_dir = tmp_path / "auto"
+        _score(workspace, "autoscore", run_dir)
+        gold = tmp_path / "absent.jsonl"
+        code = main(
+            ["validate-components", "--run", str(run_dir), "--gold", str(gold)]
+        )
+        assert code == 3
+        assert str(gold) in caplog.text
+
+    @pytest.mark.parametrize("bad_line", [
+        '{"response_id": "r03", "val', '{"response_id": "r03"}', "[1, 2]",
+        '{"response_id": "r03", "values": 5}',
+    ], ids=["cut_short", "no_values", "not_an_object", "values_not_an_object"])
+    def test_bad_gold_line_exits_3(self, workspace, tmp_path, caplog, bad_line):
+        run_dir = tmp_path / "auto"
+        _score(workspace, "autoscore", run_dir)
+        gold = workspace.parent / "gold.jsonl"
+        lines = gold.read_text().splitlines(True)
+        lines[2] = bad_line + "\n"
+        gold.write_text("".join(lines))
+        code = main(
+            ["validate-components", "--run", str(run_dir), "--gold", str(gold)]
+        )
+        assert code == 3
+        assert f"{gold} line 3" in caplog.text
 
     def test_baseline_run_exits_2(self, workspace, tmp_path):
         run_dir = tmp_path / "base"

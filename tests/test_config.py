@@ -6,7 +6,7 @@ import yaml
 from autoscore.backend import CachingBackend, ScriptedBackend
 from autoscore.config import ConfigError, build_backend, load_config
 
-from conftest import RUBRIC_TEXT, SCIENCE_SCHEMA_DEF
+from conftest import RUBRIC_TEXT, SCIENCE_SCHEMA_DEF, z_payload
 
 
 def _config_dict(**overrides):
@@ -86,39 +86,49 @@ def test_template_override_from_file(tmp_path):
     )
     config = load_config(_write(tmp_path, config_dict))
     templates = config.item("synth").templates
-    assert templates.baseline.user_text.startswith("Custom instructions.")
+    assert templates["baseline"].user_text.startswith("Custom instructions.")
     # untouched templates keep the shipped defaults
-    from autoscore.agents import DEFAULT_SCORING_TEMPLATE
+    from autoscore.agents import STAGES
 
-    assert templates.scoring.user_text == DEFAULT_SCORING_TEMPLATE.user_text
+    assert templates["scoring"].user_text == STAGES["scoring"].template.user_text
 
 
-def test_overridden_template_drives_the_agent(tmp_path):
-    from autoscore.agents import run_baseline
+@pytest.mark.parametrize("stage", ["extraction", "scoring", "baseline"])
+def test_overridden_template_drives_the_agent(tmp_path, stage):
+    from autoscore import agents
     from autoscore.core import StudentResponse
+    from autoscore.schema import StructuredRepresentation
 
     config_dict = _config_dict()
     config_dict["items"]["synth"]["templates"] = {
-        "baseline_user": "baseline_user.txt",
+        f"{stage}_user": "override_user.txt",
     }
-    (tmp_path / "baseline_user.txt").write_text(
+    (tmp_path / "override_user.txt").write_text(
         "OVERRIDE MARKER {response} range {score_min}-{score_max}\n"
     )
     config = load_config(_write(tmp_path, config_dict))
     item = config.item("synth")
+    stage_input = {
+        "extraction": item.schema,
+        "scoring": StructuredRepresentation("synth", z_payload("r01")),
+        "baseline": None,
+    }[stage]
     seen = []
 
     def script(request):
         seen.append("\n".join(c for _, c in request.messages))
-        return '{"score": 1}'
+        # one reply every stage accepts: extraction drops the extra key
+        return json.dumps({**z_payload("r01"), "score": 1})
 
-    run_baseline(
+    getattr(agents, f"run_{stage}")(
         ScriptedBackend(script=script),
         item.context,
         StudentResponse("r1", "synth", "some answer"),
-        template=item.templates.baseline,
+        stage_input,
+        template=item.templates[stage],
     )
     assert "OVERRIDE MARKER some answer range 0-3" in seen[0]
+    assert len(seen) == 1
 
 
 def test_build_backend_scripted(tmp_path):
@@ -141,7 +151,7 @@ def test_build_backend_replay_ignores_cache_path(tmp_path):
     from autoscore.backend import ChatRequest, request_digest
 
     request = ChatRequest("m", (("user", "hello"),))
-    entry = {"digest": request_digest(request).digest, "text": "recorded",
+    entry = {"digest": request_digest(request), "text": "recorded",
              "latency_ms": 250}
     (tmp_path / "fixture.jsonl").write_text(json.dumps(entry) + "\n")
     config_dict = _config_dict()
