@@ -30,8 +30,8 @@ from .core import (
     validate_score,
 )
 from .schema import (
+    KINDS,
     ComponentSchema,
-    FieldKind,
     MissingField,
     NoJsonFound,
     SchemaError,
@@ -153,19 +153,11 @@ def render(template_text: str, bindings: dict[str, str]) -> str:
     )
 
 
-_KIND_PROMPT_LABEL = {
-    FieldKind.BOOLEAN: "true or false",
-    FieldKind.TEXT_LIST: "list of text spans copied from the response",
-    FieldKind.COUNT: "integer",
-    FieldKind.TEXT: "string",
-}
-
-
 def describe_schema(schema: ComponentSchema) -> str:
     """Render the schema's fields as prompt-ready bullet lines."""
     lines = []
     for f in schema.fields:
-        label = _KIND_PROMPT_LABEL[f.kind]
+        label = KINDS[f.kind][0]
         if f.derived_from is not None:
             label += f', must equal the number of entries in "{f.derived_from}"'
         desc = f": {f.description}" if f.description else ""
@@ -273,7 +265,8 @@ def run_stage(
     if max_retries < 1:
         raise ValueError("max_retries must be at least 1")
     template = template or stage.template
-    max_output_tokens = max_output_tokens or stage.max_output_tokens
+    if max_output_tokens is None:
+        max_output_tokens = stage.max_output_tokens
     bindings = {**_context_bindings(context, response), **stage.bindings(input)}
     system_text = render(template.system_text, bindings)
     user_text = render(template.user_text, bindings)

@@ -8,8 +8,10 @@ All backends expose the same surface: a `model_name` attribute, an
 Latency is measured around the network call only; cache hits report zero
 latency so timing reports measure inference alone.
 
-`read_jsonl` is the one reader of the package's append-only JSONL files:
-the store, records.jsonl and failures.jsonl.
+`parse_jsonl` is the one line loop over the package's JSONL files: through
+`read_jsonl` for the append-only ones (the store, records.jsonl and
+failures.jsonl), directly for the hand-written scripted rules and gold
+annotations.
 """
 
 from __future__ import annotations
@@ -372,18 +374,33 @@ class ScriptedBackend:
         raise ScriptExhausted("no scripted rule matched the request")
 
 
+def parse_jsonl(
+    path: str | Path, data: bytes, parse: Callable[[str], T],
+    corrupt: type[AutoscoreError],
+) -> list[T]:
+    """Parse `data`, the bytes of JSONL file `path`, one `parse` per line;
+    blank lines are skipped. Lines end at b"\\n" only, so a U+2028 inside
+    a JSON string stays in its line. A line that is not UTF-8 or does not
+    parse raises `corrupt`, naming the file and the 1-based line."""
+    entries = []
+    for number, line in enumerate(data.split(b"\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            entries.append(parse(line.decode("utf-8")))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise corrupt(f"{path} line {number} does not parse: {exc!r}") from None
+    return entries
+
+
 def read_jsonl(
     path: str | Path, parse: Callable[[str], T], corrupt: type[AutoscoreError]
 ) -> tuple[list[T], int]:
-    """Parse the lines of an append-only JSONL file, one `parse` per line.
-
-    Every append writes one whole line ending in a newline, so bytes after
-    the last newline are a torn append (a crash mid-write) and are left
-    out; a complete line that does not parse raises `corrupt`, naming the
-    file and the line. Returns the entries and the byte length of the
-    intact prefix, where a writer must start its next append. A missing
-    file reads as empty.
-    """
+    """`parse_jsonl` over an append-only JSONL file. Every append writes one
+    whole line ending in a newline, so bytes after the last newline are a
+    torn append (a crash mid-write) and are left out. Returns the entries
+    and the byte length of the intact prefix, where a writer must start
+    its next append. A missing file reads as empty."""
     try:
         data = Path(path).read_bytes()
     except FileNotFoundError:
@@ -391,15 +408,7 @@ def read_jsonl(
     end = data.rfind(b"\n") + 1
     if end < len(data):
         logger.warning("ignoring a torn last line in %s", path)
-    entries = []
-    for number, line in enumerate(data[:end].split(b"\n"), start=1):
-        if not line.strip():
-            continue
-        try:
-            entries.append(parse(line.decode("utf-8")))
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
-            raise corrupt(f"{path} line {number} does not parse: {exc!r}")
-    return entries, end
+    return parse_jsonl(path, data[:end], parse, corrupt), end
 
 
 class CachingBackend:

@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Exit codes: 0 success (even with per-record failures, which are reported
-in the summary), 2 configuration error (a bad scripted rules line too), 3
-dataset error or corrupt run directory (a missing or bad gold annotations
-file too), 4 backend unavailable (a corrupt cache or replay file too).
+in the summary), 2 configuration error (a bad scripted rules line, template
+override, run setting or --sample-fraction too), 3 dataset error or corrupt
+run directory (a missing or bad gold annotations file too), 4 backend
+unavailable (a corrupt cache or replay file too).
 Logs go to stderr; data goes to files and stdout.
 """
 
@@ -138,21 +139,25 @@ def cmd_score(args) -> int:
         )
     dataset = load_dataset(item.dataset_spec)
     backend = build_backend(config, args.backend)
-    run_settings = config.run_settings
-    run_config = pipeline.RunConfig(
-        mode=args.mode,
-        run_dir=Path(args.out),
-        backend=backend,
-        context=item.context,
-        schema=item.schema if args.mode == "autoscore" else None,
-        parallelism=args.parallelism or int(run_settings.get("parallelism", 1)),
-        max_retries=int(run_settings.get("max_retries", 3)),
-        seed=int(run_settings.get("seed", 0)),
-        templates=item.templates,
-        dataset_ref=args.item,
-        imputation=run_settings.get("imputation", "fail"),
-        max_output_tokens=config.backend_settings.get("max_output_tokens"),
-    )
+    # only the run keys the file sets: RunConfig holds the defaults and checks
+    settings = {key: value for key, value in config.run_settings.items()
+                if key in ("parallelism", "max_retries", "seed", "imputation")}
+    if args.parallelism is not None:
+        settings["parallelism"] = args.parallelism
+    try:
+        run_config = pipeline.RunConfig(
+            mode=args.mode,
+            run_dir=Path(args.out),
+            backend=backend,
+            context=item.context,
+            schema=item.schema if args.mode == "autoscore" else None,
+            templates=item.templates,
+            dataset_ref=args.item,
+            max_output_tokens=config.backend_settings.get("max_output_tokens"),
+            **settings,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"run settings: {exc}") from None
     if args.resume:
         result = pipeline.resume(Path(args.out), run_config, dataset)
     else:
@@ -245,6 +250,10 @@ def _comparison_pairs(runs, reports):
 
 
 def cmd_validate_components(args) -> int:
+    if not 0.0 < args.sample_fraction <= 1.0:
+        raise ConfigError(
+            f"--sample-fraction must lie in (0, 1], got {args.sample_fraction}"
+        )
     result = pipeline.load_run(Path(args.run))
     if result.manifest.get("mode") != "autoscore":
         raise ConfigError("component validation needs an autoscore run")

@@ -13,7 +13,7 @@ from pathlib import Path
 import yaml
 
 from . import agents
-from .backend import CachingBackend, RemoteBackend, ScriptedBackend
+from .backend import CachingBackend, RemoteBackend, ScriptedBackend, parse_jsonl
 from .core import AutoscoreError, ScoreRange, TaskContext
 from .ingest import DatasetSpec
 from .schema import ComponentSchema, compile_schema
@@ -57,15 +57,20 @@ def _require(mapping: dict, key: str, where: str):
 
 
 def _load_template(
-    stage: str, overrides: dict, config_dir: Path
+    stage: str, overrides: dict, config_dir: Path, where: str
 ) -> agents.PromptTemplate:
     """The stage's shipped prompt, with the text of any `<stage>_system` or
     `<stage>_user` override file in place of that part."""
     def read(part: str, default: str) -> str:
-        path = overrides.get(f"{stage}_{part}")
-        return default if path is None else (config_dir / path).read_text(
-            encoding="utf-8"
-        )
+        key = f"{stage}_{part}"
+        if key not in overrides:
+            return default
+        try:
+            return (config_dir / overrides[key]).read_text(encoding="utf-8")
+        except (OSError, TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"{where}.templates.{key}: cannot read {overrides[key]}: {exc}"
+            ) from None
 
     default = agents.STAGES[stage].template
     return agents.PromptTemplate(
@@ -107,14 +112,24 @@ def _parse_item(item_id: str, raw: dict, config_dir: Path) -> ItemConfig:
     if "schema" in raw:
         schema = compile_schema(item_id, raw["schema"])
 
-    overrides = raw.get("templates", {}) or {}
+    overrides = raw.get("templates") or {}
+    accepted = [f"{stage}_{part}" for stage in agents.STAGES
+                for part in ("system", "user")]
+    if not isinstance(overrides, dict):
+        raise ConfigError(f"{where}.templates must map keys to file paths")
+    unknown = [key for key in overrides if key not in accepted]
+    if unknown:
+        raise ConfigError(
+            f"{where}.templates: unknown keys {unknown}; the accepted keys "
+            f"are {', '.join(accepted)}"
+        )
     return ItemConfig(
         item_id=item_id,
         dataset_spec=dataset_spec,
         context=context,
         schema=schema,
         templates={
-            name: _load_template(name, overrides, config_dir)
+            name: _load_template(name, overrides, config_dir, where)
             for name in agents.STAGES
         },
     )
@@ -143,28 +158,12 @@ def load_config(path) -> Config:
     )
 
 
-def _load_rules(path: Path) -> list[dict]:
-    """Scripted rules, one JSON object with `match` and `text` per line, the
-    last one too (a hand-written file may end without a newline); a bad
-    line is a ConfigError naming the file and the line."""
-    if not path.exists():
-        raise ConfigError(f"scripted rules file not found: {path}")
-    rules = []
-    for number, line in enumerate(
-        path.read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        if not line.strip():
-            continue
-        try:
-            rule = json.loads(line)
-        except ValueError as exc:
-            raise ConfigError(f"{path} line {number} does not parse: {exc}") from None
-        if not isinstance(rule, dict) or not {"match", "text"} <= rule.keys():
-            raise ConfigError(
-                f'{path} line {number}: a rule needs "match" and "text"'
-            )
-        rules.append(rule)
-    return rules
+def _rule(line: str) -> dict:
+    """One scripted rule: a JSON object with `match` and `text`."""
+    rule = json.loads(line)
+    if not isinstance(rule, dict) or not {"match", "text"} <= rule.keys():
+        raise ValueError('a rule needs "match" and "text"')
+    return rule
 
 
 def build_backend(config: Config, kind_override: str | None = None):
@@ -200,9 +199,12 @@ def build_backend(config: Config, kind_override: str | None = None):
     elif kind == "replay":
         backend = CachingBackend(None, resolve("replay_path"), model_name)
     else:
-        backend = ScriptedBackend(
-            rules=_load_rules(resolve("script_path")), model_name=model_name
-        )
+        path = resolve("script_path")
+        if not path.exists():
+            raise ConfigError(f"scripted rules file not found: {path}")
+        # a hand-written last line may lack its newline: read all the bytes
+        rules = parse_jsonl(path, path.read_bytes(), _rule, ConfigError)
+        backend = ScriptedBackend(rules=rules, model_name=model_name)
 
     if kind != "replay" and settings.get("cache_path"):
         backend = CachingBackend(backend, resolve("cache_path"))

@@ -1,6 +1,9 @@
-"""Loaders for the tab-separated short-answer and essay scoring dumps, gold
-score resolution, and reproducible subsampling.
+"""Loading the tab-separated short-answer (sas) and essay (aes) scoring
+dumps, gold score resolution, and reproducible subsampling.
 
+FAMILIES describes each family's TSV layout once: the columns a file must
+have, the id/set/text columns, and the gold column for each gold rule.
+load_dataset is the one loader and reads any family through that table.
 Response text is taken verbatim (no cleaning), and every gold score must
 validate against the item's score range or the row is rejected. Files are
 decoded as UTF-8 with a per-line Latin-1 fallback, since the public dumps
@@ -37,15 +40,21 @@ class EmptySelection(DatasetError):
     pass
 
 
-SAS_COLUMNS = ("Id", "EssaySet", "Score1", "Score2", "EssayText")
-AES_COLUMNS = (
-    "essay_id",
-    "essay_set",
-    "essay",
-    "rater1_domain1",
-    "rater2_domain1",
-    "domain1_score",
-)
+# family -> (required columns, (id, set, text) columns, gold column per gold
+# rule); a gold rule the family's layout lacks has no entry
+FAMILIES = {
+    "sas": (
+        ("Id", "EssaySet", "Score1", "Score2", "EssayText"),
+        ("Id", "EssaySet", "EssayText"),
+        {"first_rater": "Score1"},
+    ),
+    "aes": (
+        ("essay_id", "essay_set", "essay", "rater1_domain1", "rater2_domain1",
+         "domain1_score"),
+        ("essay_id", "essay_set", "essay"),
+        {"first_rater": "rater1_domain1", "resolved_column": "domain1_score"},
+    ),
+}
 
 GOLD_RULES = ("first_rater", "resolved_column")
 
@@ -62,7 +71,7 @@ class DatasetSpec:
     gold_rule: str = "first_rater"
 
     def __post_init__(self) -> None:
-        if self.family not in ("sas", "aes"):
+        if self.family not in FAMILIES:
             raise ValueError(f"unknown dataset family {self.family!r}")
         if self.essay_set <= 0:
             raise ValueError("essay_set must be positive")
@@ -113,14 +122,15 @@ def _parse_int(text: str, line_no: int, what: str) -> int:
         raise MalformedRow(line_no, f"{what} is not an integer: {text!r}") from None
 
 
-def _load_tsv(
-    spec: DatasetSpec,
-    required: tuple[str, ...],
-    id_col: str,
-    set_col: str,
-    text_col: str,
-    gold_col: str,
-) -> Dataset:
+def load_dataset(spec: DatasetSpec) -> Dataset:
+    """Load the rows of `spec.essay_set` from a TSV in the family's layout,
+    with gold from the column the spec's gold rule names there."""
+    required, (id_col, set_col, text_col), gold_cols = FAMILIES[spec.family]
+    gold_col = gold_cols.get(spec.gold_rule)
+    if gold_col is None:
+        raise MissingColumn(
+            f"{spec.gold_rule} gold score (not in the {spec.family} layout)"
+        )
     path = Path(spec.tsv_path)
     if not path.exists():
         raise DatasetError(f"dataset file not found: {path}")
@@ -175,40 +185,6 @@ def _load_tsv(
             f"no rows with {set_col}={spec.essay_set} in {path}"
         )
     return Dataset(spec=spec, responses=tuple(responses))
-
-
-def load_sas(spec: DatasetSpec) -> Dataset:
-    """Load a short-answer subset; gold defaults to the first human rater."""
-    if spec.gold_rule == "resolved_column":
-        # the short-answer dump carries Score1/Score2 only
-        raise MissingColumn("resolved score (not present in Score1/Score2 layout)")
-    return _load_tsv(
-        spec,
-        required=SAS_COLUMNS,
-        id_col="Id",
-        set_col="EssaySet",
-        text_col="EssayText",
-        gold_col="Score1",
-    )
-
-
-def load_aes(spec: DatasetSpec) -> Dataset:
-    """Load an essay set; gold is rater 1 or the resolved domain score."""
-    gold_col = (
-        "rater1_domain1" if spec.gold_rule == "first_rater" else "domain1_score"
-    )
-    return _load_tsv(
-        spec,
-        required=AES_COLUMNS,
-        id_col="essay_id",
-        set_col="essay_set",
-        text_col="essay",
-        gold_col=gold_col,
-    )
-
-
-def load_dataset(spec: DatasetSpec) -> Dataset:
-    return load_sas(spec) if spec.family == "sas" else load_aes(spec)
 
 
 def sample_size(total: int, fraction: float) -> int:

@@ -27,6 +27,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from .backend import parse_jsonl
 from .core import AutoscoreError, ScoreRange
 from .ingest import DatasetError
 from .schema import ComponentSchema, StructuredRepresentation
@@ -472,27 +473,22 @@ def validate_components(
     )
 
 
+def _gold_annotation(line: str) -> tuple[str, dict]:
+    entry = json.loads(line)
+    values = entry["values"]
+    if not isinstance(values, dict):
+        raise TypeError(f"values is {type(values).__name__}, not an object")
+    return entry["response_id"], values
+
+
 def load_gold_annotations(path) -> dict[str, dict]:
     """Gold component annotations: JSONL of {response_id, values{...}}. A
     missing file, or a line that does not parse, lacks either key or has
     `values` that is not an object, raises DatasetError naming the file
     (and the line)."""
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        data = Path(path).read_bytes()
     except FileNotFoundError:
         raise DatasetError(f"gold annotations file not found: {path}") from None
-    annotations: dict[str, dict] = {}
-    for number, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            entry = json.loads(line)
-            values = entry["values"]
-            if not isinstance(values, dict):
-                raise TypeError(f"values is {type(values).__name__}, not an object")
-            annotations[entry["response_id"]] = values
-        except (ValueError, KeyError, TypeError) as exc:
-            raise DatasetError(
-                f"{path} line {number} is not a gold annotation: {exc!r}"
-            ) from None
-    return annotations
+    # a hand-written last line may lack its newline: parse all the bytes
+    return dict(parse_jsonl(path, data, _gold_annotation, DatasetError))

@@ -77,8 +77,14 @@ class RunConfig:
         self.run_dir = Path(self.run_dir)
         if self.mode not in STAGES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
+        counts = {"parallelism": self.parallelism, "max_retries": self.max_retries}
+        if self.max_output_tokens is not None:
+            counts["max_output_tokens"] = self.max_output_tokens
+        for name, value in counts.items():
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if type(self.seed) is not int:
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.mode == "autoscore" and self.schema is None:
             raise ValueError("autoscore runs need a compiled schema")
         if self.imputation not in ("fail", "floor"):

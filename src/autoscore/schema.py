@@ -224,46 +224,24 @@ def extract_json_block(raw_model_output: str) -> str:
     raise NoJsonFound("no balanced JSON object found in model output")
 
 
-_KIND_LABEL = {
-    FieldKind.BOOLEAN: "boolean",
-    FieldKind.TEXT_LIST: "list of strings",
-    FieldKind.COUNT: "non-negative integer",
-    FieldKind.TEXT: "string",
+# kind -> (label in the extraction prompt, label in a TypeMismatch, check)
+KINDS = {
+    FieldKind.BOOLEAN: ("true or false", "boolean", lambda v: type(v) is bool),
+    FieldKind.TEXT_LIST: (
+        "list of text spans copied from the response", "list of strings",
+        lambda v: type(v) is list and all(type(x) is str for x in v),
+    ),
+    FieldKind.COUNT: (
+        "integer", "non-negative integer", lambda v: type(v) is int and v >= 0
+    ),
+    FieldKind.TEXT: ("string", "string", lambda v: type(v) is str),
 }
 
-
-def _json_type_name(value) -> str:
-    if isinstance(value, bool):
-        return "boolean"
-    if isinstance(value, int):
-        return "integer"
-    if isinstance(value, float):
-        return "number"
-    if isinstance(value, str):
-        return "string"
-    if isinstance(value, list):
-        return "array"
-    if isinstance(value, dict):
-        return "object"
-    return "null"
-
-
-def _check_kind(f: ComponentField, value) -> None:
-    kind = f.kind
-    if kind is FieldKind.BOOLEAN:
-        if not isinstance(value, bool):
-            raise TypeMismatch(f.name, _KIND_LABEL[kind], _json_type_name(value))
-    elif kind is FieldKind.TEXT_LIST:
-        if not isinstance(value, list) or not all(
-            isinstance(x, str) for x in value
-        ):
-            raise TypeMismatch(f.name, _KIND_LABEL[kind], _json_type_name(value))
-    elif kind is FieldKind.COUNT:
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-            raise TypeMismatch(f.name, _KIND_LABEL[kind], _json_type_name(value))
-    elif kind is FieldKind.TEXT:
-        if not isinstance(value, str):
-            raise TypeMismatch(f.name, _KIND_LABEL[kind], _json_type_name(value))
+# the JSON type of a json.loads value; the one left out, NoneType, is "null"
+_JSON_TYPE = {
+    bool: "boolean", int: "integer", float: "number", str: "string",
+    list: "array", dict: "object",
+}
 
 
 def validate_representation(
@@ -279,7 +257,7 @@ def validate_representation(
     """
     parsed = json.loads(json_text)
     if not isinstance(parsed, dict):
-        raise TypeMismatch("$", "object", _json_type_name(parsed))
+        raise TypeMismatch("$", "object", _JSON_TYPE.get(type(parsed), "null"))
 
     known = set(schema.field_names())
     unknown = [k for k in parsed if k not in known]
@@ -294,7 +272,9 @@ def validate_representation(
         if f.name not in parsed:
             raise MissingField(f.name)
         value = parsed[f.name]
-        _check_kind(f, value)
+        _, expected, check = KINDS[f.kind]
+        if not check(value):
+            raise TypeMismatch(f.name, expected, _JSON_TYPE.get(type(value), "null"))
         values[f.name] = value
 
     for f in schema.fields:

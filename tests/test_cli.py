@@ -184,6 +184,45 @@ class TestScoreCommand:
         assert _score(workspace, "baseline", tmp_path / "x") == 2
         assert f"{rules} line 25" in caplog.text
 
+    def test_rule_with_raw_line_separator_parses(self, workspace, tmp_path):
+        rules = workspace.parent / "rules.jsonl"
+        # U+2028 breaks a line for str.splitlines, not in a JSONL file
+        extra = json.dumps({"match": "a\u2028b", "text": "x"}, ensure_ascii=False)
+        assert "\u2028" in extra
+        rules.write_text(rules.read_text() + extra + "\n", encoding="utf-8")
+        assert _score(workspace, "baseline", tmp_path / "x") == 0
+
+    def test_non_utf8_rules_line_exits_2(self, workspace, tmp_path, caplog):
+        rules = workspace.parent / "rules.jsonl"
+        lines = rules.read_bytes().splitlines(True)
+        lines[2] = b'{"match": "caf\xe9", "text": "y"}\n'
+        rules.write_bytes(b"".join(lines))
+        assert _score(workspace, "baseline", tmp_path / "x") == 2
+        assert f"{rules} line 3" in caplog.text
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("flag", "--parallelism", "0"),
+        ("flag", "--parallelism", "-1"),
+        ("run", "parallelism", "four"),
+        ("run", "imputation", "flor"),
+        ("run", "max_retries", 0),
+        ("backend", "max_output_tokens", -5),
+        ("backend", "max_output_tokens", 0),
+    ])
+    def test_bad_run_setting_exits_2_before_writing(
+        self, workspace, tmp_path, section, key, value
+    ):
+        extra = []
+        if section == "flag":
+            extra = [key, value]
+        else:
+            config = yaml.safe_load(workspace.read_text())
+            config[section][key] = value
+            workspace.write_text(yaml.safe_dump(config))
+        out = tmp_path / "x"
+        assert _score(workspace, "baseline", out, extra=extra) == 2
+        assert not (out / "manifest.json").exists()
+
     def test_resume_finished_run_is_idempotent(self, workspace, tmp_path):
         out = tmp_path / "resumable"
         assert _score(workspace, "baseline", out) == 0
@@ -332,21 +371,52 @@ class TestValidateComponentsCommand:
         assert str(gold) in caplog.text
 
     @pytest.mark.parametrize("bad_line", [
-        '{"response_id": "r03", "val', '{"response_id": "r03"}', "[1, 2]",
-        '{"response_id": "r03", "values": 5}',
-    ], ids=["cut_short", "no_values", "not_an_object", "values_not_an_object"])
+        b'{"response_id": "r03", "val', b'{"response_id": "r03"}', b"[1, 2]",
+        b'{"response_id": "r03", "values": 5}',
+        b'{"response_id": "r03\xe9", "values": {}}',
+    ], ids=["cut_short", "no_values", "not_an_object", "values_not_an_object",
+            "not_utf8"])
     def test_bad_gold_line_exits_3(self, workspace, tmp_path, caplog, bad_line):
         run_dir = tmp_path / "auto"
         _score(workspace, "autoscore", run_dir)
         gold = workspace.parent / "gold.jsonl"
-        lines = gold.read_text().splitlines(True)
-        lines[2] = bad_line + "\n"
-        gold.write_text("".join(lines))
+        lines = gold.read_bytes().splitlines(True)
+        lines[2] = bad_line + b"\n"
+        gold.write_bytes(b"".join(lines))
         code = main(
             ["validate-components", "--run", str(run_dir), "--gold", str(gold)]
         )
         assert code == 3
         assert f"{gold} line 3" in caplog.text
+
+    def test_gold_line_with_raw_line_separator_parses(self, workspace, tmp_path):
+        run_dir = tmp_path / "auto"
+        _score(workspace, "autoscore", run_dir)
+        gold = workspace.parent / "gold.jsonl"
+        lines = gold.read_text().splitlines(True)
+        entry = {**json.loads(lines[2]), "note": "a\u2028b"}
+        lines[2] = json.dumps(entry, ensure_ascii=False) + "\n"
+        gold.write_text("".join(lines), encoding="utf-8")
+        code = main(
+            ["validate-components", "--run", str(run_dir), "--gold", str(gold)]
+        )
+        assert code == 0
+
+    @pytest.mark.parametrize("fraction", ["0", "1.5"])
+    def test_sample_fraction_outside_unit_interval_exits_2(
+        self, workspace, tmp_path, fraction
+    ):
+        run_dir = tmp_path / "auto"
+        _score(workspace, "autoscore", run_dir)
+        code = main(
+            [
+                "validate-components",
+                "--run", str(run_dir),
+                "--gold", str(workspace.parent / "gold.jsonl"),
+                "--sample-fraction", fraction,
+            ]
+        )
+        assert code == 2
 
     def test_baseline_run_exits_2(self, workspace, tmp_path):
         run_dir = tmp_path / "base"

@@ -93,6 +93,27 @@ def test_template_override_from_file(tmp_path):
     assert templates["scoring"].user_text == STAGES["scoring"].template.user_text
 
 
+def test_unknown_template_key_is_a_config_error(tmp_path):
+    config_dict = _config_dict()
+    config_dict["items"]["synth"]["templates"] = {"baseline_usr": "b.txt"}
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(_write(tmp_path, config_dict))
+    message = str(excinfo.value)
+    assert "'baseline_usr'" in message
+    for stage in ("extraction", "scoring", "baseline"):
+        assert f"{stage}_system" in message and f"{stage}_user" in message
+
+
+def test_missing_template_file_is_a_config_error(tmp_path):
+    config_dict = _config_dict()
+    config_dict["items"]["synth"]["templates"] = {"scoring_user": "missing.txt"}
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(_write(tmp_path, config_dict))
+    message = str(excinfo.value)
+    assert "items.synth.templates.scoring_user" in message
+    assert "missing.txt" in message
+
+
 @pytest.mark.parametrize("stage", ["extraction", "scoring", "baseline"])
 def test_overridden_template_drives_the_agent(tmp_path, stage):
     from autoscore import agents

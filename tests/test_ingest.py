@@ -6,8 +6,7 @@ from autoscore.ingest import (
     EmptySelection,
     MalformedRow,
     MissingColumn,
-    load_aes,
-    load_sas,
+    load_dataset,
     sample,
     sample_ids,
     sample_size,
@@ -52,14 +51,14 @@ class TestLoadSas:
             tmp_path,
             ["1\t1\t2\t3\tanswer one", "2\t2\t1\t1\tother set"],
         )
-        dataset = load_sas(spec)
+        dataset = load_dataset(spec)
         assert dataset.response_ids() == ["1"]
         assert dataset.responses[0].gold_score == 2
         assert dataset.responses[0].text == "answer one"
 
     def test_gold_is_first_rater_by_default(self, tmp_path):
         spec = _sas_spec(tmp_path, ["1\t1\t1\t3\ttext"])
-        assert load_sas(spec).responses[0].gold_score == 1
+        assert load_dataset(spec).responses[0].gold_score == 1
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "bad.tsv"
@@ -69,41 +68,41 @@ class TestLoadSas:
             item_id="science", score_range=ScoreRange(0, 3),
         )
         with pytest.raises(MissingColumn):
-            load_sas(spec)
+            load_dataset(spec)
 
     def test_gold_outside_range_is_malformed(self, tmp_path):
         spec = _sas_spec(tmp_path, ["1\t1\t7\t3\ttext"])
         with pytest.raises(MalformedRow):
-            load_sas(spec)
+            load_dataset(spec)
 
     def test_non_integer_score_is_malformed(self, tmp_path):
         spec = _sas_spec(tmp_path, ["1\t1\ttwo\t3\ttext"])
         with pytest.raises(MalformedRow):
-            load_sas(spec)
+            load_dataset(spec)
 
     def test_short_row_is_malformed(self, tmp_path):
         spec = _sas_spec(tmp_path, ["1\t1\t2\ttext"])
         with pytest.raises(MalformedRow):
-            load_sas(spec)
+            load_dataset(spec)
 
     def test_duplicate_ids_rejected(self, tmp_path):
         spec = _sas_spec(tmp_path, ["1\t1\t2\t2\ta", "1\t1\t1\t1\tb"])
         with pytest.raises(MalformedRow):
-            load_sas(spec)
+            load_dataset(spec)
 
     def test_no_rows_for_set(self, tmp_path):
         spec = _sas_spec(tmp_path, ["1\t2\t2\t2\ttext"])
         with pytest.raises(EmptySelection):
-            load_sas(spec)
+            load_dataset(spec)
 
     def test_resolved_rule_unavailable_for_sas(self, tmp_path):
         spec = _sas_spec(tmp_path, ["1\t1\t2\t2\ttext"], gold_rule="resolved_column")
         with pytest.raises(MissingColumn):
-            load_sas(spec)
+            load_dataset(spec)
 
     def test_text_taken_verbatim(self, tmp_path):
         spec = _sas_spec(tmp_path, ["1\t1\t2\t2\t  The TRIALS, were UNEVEN.  "])
-        assert load_sas(spec).responses[0].text == "  The TRIALS, were UNEVEN.  "
+        assert load_dataset(spec).responses[0].text == "  The TRIALS, were UNEVEN.  "
 
     def test_crlf_line_endings(self, tmp_path):
         path = tmp_path / "crlf.tsv"
@@ -116,7 +115,7 @@ class TestLoadSas:
             family="sas", tsv_path=str(path), essay_set=1,
             item_id="science", score_range=ScoreRange(0, 3),
         )
-        dataset = load_sas(spec)
+        dataset = load_dataset(spec)
         assert [r.text for r in dataset.responses] == [
             "first answer", "second answer",
         ]
@@ -130,14 +129,14 @@ class TestLoadSas:
             family="sas", tsv_path=str(path), essay_set=1,
             item_id="science", score_range=ScoreRange(0, 3),
         )
-        dataset = load_sas(spec)
+        dataset = load_dataset(spec)
         assert [r.text for r in dataset.responses] == ["café utf8", "café latin1"]
 
     def test_loading_is_order_stable(self, tmp_path):
         rows = [f"{i}\t1\t{i % 4}\t1\tresponse {i}" for i in range(1, 30)]
         spec = _sas_spec(tmp_path, rows)
-        first = load_sas(spec)
-        second = load_sas(spec)
+        first = load_dataset(spec)
+        second = load_dataset(spec)
         assert first == second
         assert first.digest() == second.digest()
 
@@ -145,14 +144,14 @@ class TestLoadSas:
 class TestLoadAes:
     def test_first_rater_gold(self, tmp_path):
         spec = _aes_spec(tmp_path, ["10\t1\tan essay\t4\t5\t8"])
-        dataset = load_aes(spec)
+        dataset = load_dataset(spec)
         assert dataset.responses[0].gold_score == 4
 
     def test_resolved_column_gold(self, tmp_path):
         spec = _aes_spec(
             tmp_path, ["10\t1\tan essay\t4\t5\t6"], gold_rule="resolved_column"
         )
-        assert load_aes(spec).responses[0].gold_score == 6
+        assert load_dataset(spec).responses[0].gold_score == 6
 
     def test_missing_essay_column(self, tmp_path):
         path = tmp_path / "bad.tsv"
@@ -162,7 +161,7 @@ class TestLoadAes:
             item_id="essay1", score_range=ScoreRange(1, 6),
         )
         with pytest.raises(MissingColumn):
-            load_aes(spec)
+            load_dataset(spec)
 
     def test_extra_columns_tolerated(self, tmp_path):
         path = tmp_path / "wide.tsv"
@@ -173,7 +172,7 @@ class TestLoadAes:
             family="aes", tsv_path=str(path), essay_set=1,
             item_id="essay1", score_range=ScoreRange(1, 6),
         )
-        assert load_aes(spec).responses[0].gold_score == 3
+        assert load_dataset(spec).responses[0].gold_score == 3
 
 
 class TestSample:

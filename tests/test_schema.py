@@ -200,6 +200,32 @@ def test_negative_count_is_a_type_mismatch(science_schema):
         validate_representation(_z(validity_count=-1), science_schema)
 
 
+# one wrong value of each JSON type; a boolean has no wrong boolean and a
+# string field no wrong string
+_WRONG_JSON = {
+    "boolean": "true", "integer": "-1", "number": "1.5", "string": '"s"',
+    "array": "[1]", "object": "{}", "null": "null",
+}
+_EXPECTED = {
+    "boolean": "boolean", "text_list": "list of strings",
+    "count": "non-negative integer", "text": "string",
+}
+
+
+@pytest.mark.parametrize("kind,json_type", [
+    (kind, json_type) for kind in _EXPECTED for json_type in _WRONG_JSON
+    if (kind, json_type) not in {("boolean", "boolean"), ("text", "string")}
+])
+def test_type_mismatch_text(kind, json_type):
+    # the message is the error the repair prompt quotes back to the model
+    schema = compile_schema("k", {"fields": [{"name": "f", "kind": kind}]})
+    with pytest.raises(TypeMismatch) as excinfo:
+        validate_representation(f'{{"f": {_WRONG_JSON[json_type]}}}', schema)
+    assert str(excinfo.value) == (
+        f"field 'f' expected {_EXPECTED[kind]}, found {json_type}"
+    )
+
+
 def test_unknown_keys_dropped_with_warning(science_schema, caplog):
     payload = json.loads(_z())
     payload["commentary"] = "great essay!"
