@@ -7,6 +7,7 @@ the AUTOSCORE_API_KEY environment variable only.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -54,6 +55,15 @@ def _require(mapping: dict, key: str, where: str):
     if key not in mapping:
         raise ConfigError(f"{where}: missing required key {key!r}")
     return mapping[key]
+
+
+def _mapping(value, where: str) -> dict:
+    """A config section: left empty it reads as {}; it must be a mapping."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a mapping, got {value!r}")
+    return value
 
 
 def _load_template(
@@ -112,11 +122,9 @@ def _parse_item(item_id: str, raw: dict, config_dir: Path) -> ItemConfig:
     if "schema" in raw:
         schema = compile_schema(item_id, raw["schema"])
 
-    overrides = raw.get("templates") or {}
+    overrides = _mapping(raw.get("templates"), f"{where}.templates")
     accepted = [f"{stage}_{part}" for stage in agents.STAGES
                 for part in ("system", "user")]
-    if not isinstance(overrides, dict):
-        raise ConfigError(f"{where}.templates must map keys to file paths")
     unknown = [key for key in overrides if key not in accepted]
     if unknown:
         raise ConfigError(
@@ -146,14 +154,16 @@ def load_config(path) -> Config:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping")
 
-    items = {}
-    for item_id, item_raw in (raw.get("items") or {}).items():
-        items[item_id] = _parse_item(item_id, item_raw or {}, path.parent)
-
+    items = {
+        item_id: _parse_item(
+            item_id, _mapping(item_raw, f"items.{item_id}"), path.parent
+        )
+        for item_id, item_raw in _mapping(raw.get("items"), "items").items()
+    }
     return Config(
         path=path,
-        backend_settings=raw.get("backend") or {},
-        run_settings=raw.get("run") or {},
+        backend_settings=_mapping(raw.get("backend"), "backend"),
+        run_settings=_mapping(raw.get("run"), "run"),
         items=items,
     )
 
@@ -190,11 +200,25 @@ def build_backend(config: Config, kind_override: str | None = None):
         return p if p.is_absolute() else config_dir / p
 
     if kind == "remote":
+        timeout_s = settings.get("timeout_s", 120.0)
+        if type(timeout_s) not in (int, float) or not 0 < timeout_s < math.inf:
+            raise ConfigError(
+                f"backend.timeout_s must be a positive number of seconds, "
+                f"got {timeout_s!r}"
+            )
+        max_in_flight = settings.get("max_in_flight")
+        if max_in_flight is not None and (
+            type(max_in_flight) is not int or max_in_flight < 1
+        ):
+            raise ConfigError(
+                f"backend.max_in_flight must be an integer >= 1, "
+                f"got {max_in_flight!r}"
+            )
         backend = RemoteBackend(
             base_url=_require(settings, "base_url", "backend"),
             model_name=model_name,
-            timeout_s=float(settings.get("timeout_s", 120.0)),
-            max_in_flight=settings.get("max_in_flight"),
+            timeout_s=timeout_s,
+            max_in_flight=max_in_flight,
         )
     elif kind == "replay":
         backend = CachingBackend(None, resolve("replay_path"), model_name)

@@ -1,12 +1,13 @@
-"""Run orchestration: fan a dataset out over a worker pool, time and
+"""Run orchestration: fan a dataset out over worker threads, time and
 persist each record, and assemble a deterministic result.
 
 Outcomes are appended to records.jsonl (failures to failures.jsonl) in
-response_id order while the run goes on: the executor waits for the
-oldest pending response, takes every finished one queued right behind it,
-writes them and fsyncs before it waits again. So the files on disk are
-always a prefix of the final ordering, two runs of the same config are
-byte-identical regardless of parallelism, and resuming skips that prefix.
+response_id order while the run goes on: whichever worker finishes the
+oldest unwritten response writes and flushes every finished line at the
+head, and the calling thread fsyncs them before they count as persisted.
+So the files on disk are always a prefix of the final ordering, two runs
+of the same config are byte-identical regardless of parallelism, and
+resuming skips that prefix.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ from __future__ import annotations
 import json
 import logging
 import os
+import threading
 import time
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -151,10 +151,10 @@ def _timing_path(run_dir: Path) -> Path:
 
 
 def _score_one(config: RunConfig, response: StudentResponse):
-    """Run the mode's stages in order for one response and assemble its
-    record. Domain errors become failure entries (or, for a scoring stage
-    under the "floor" policy, a record of the rubric minimum that keeps the
-    failed attempts); anything else propagates and aborts the run."""
+    """Run the mode's stages for one response: ("record" | "failure", its
+    JSON line, the value). Domain errors become failure entries (or, for a
+    scoring stage under the "floor" policy, a record of the rubric minimum
+    that keeps the failed attempts); anything else aborts the run."""
     done: list[tuple[str, agents.AttemptHistory]] = []
     value = config.schema  # each stage works from the value of the one before
     try:
@@ -176,7 +176,8 @@ def _score_one(config: RunConfig, response: StudentResponse):
         )
         if not floor:
             error = f"{type(exc).__name__}: {exc}"
-            return ("failure", (response.response_id, error))
+            line = json.dumps({"response_id": response.response_id, "error": error})
+            return "failure", line, (response.response_id, error)
         done.append((stage, exc))
         predicted = config.context.score_range.min
     # each mode ends in a stage that scores; a stage before it extracted the
@@ -188,7 +189,7 @@ def _score_one(config: RunConfig, response: StudentResponse):
         transcripts += history.transcripts(stage)
         wall_time_ms += history.wall_time_ms
         retries += history.retries
-    return ("record", ScoredRecord(
+    record = ScoredRecord(
         response_id=response.response_id,
         mode=config.mode,
         gold_score=response.gold_score,
@@ -197,7 +198,8 @@ def _score_one(config: RunConfig, response: StudentResponse):
         transcripts=tuple(transcripts),
         wall_time_ms=wall_time_ms,
         retries=retries,
-    ))
+    )
+    return "record", record.to_jsonl_line(), record
 
 
 def _failure_from_line(line: str) -> tuple[str, str]:
@@ -216,12 +218,6 @@ def _read_done(run_dir: Path):
         _failures_path(run_dir), _failure_from_line, ManifestMismatch
     )
     return records, failures, (records_end, failures_end)
-
-
-def _sync(handles) -> None:
-    for handle in handles:
-        handle.flush()
-        os.fsync(handle.fileno())
 
 
 def _execute(config: RunConfig, dataset: Dataset, manifest: dict) -> RunResult:
@@ -243,47 +239,76 @@ def _execute(config: RunConfig, dataset: Dataset, manifest: dict) -> RunResult:
             "persisted ids are not a prefix of the dataset ordering; "
             "the run dir is corrupt or belongs to another dataset"
         )
+    todo = ordered[prefix_len:]
 
     with _records_path(config.run_dir).open("a", encoding="utf-8") as rec, \
             _failures_path(config.run_dir).open("a", encoding="utf-8") as fail:
         # cut torn tails off, so the next line does not glue onto them
         rec.truncate(intact[0])
         fail.truncate(intact[1])
-        unsynced: set = set()
-        pool = ThreadPoolExecutor(max_workers=config.parallelism)
+        files = {"record": (rec, records, rec.fileno()),
+                 "failure": (fail, failures, fail.fileno())}
+        lock = threading.Condition()
+        # under the lock: parked outcomes, kinds written since the calling
+        # thread took them, next position to claim (all claimed: stop) and write
+        parked: dict[int, tuple] = {}
+        dirty: set[str] = set()
+        claimed, head, error = 0, 0, None
+
+        def work() -> None:
+            nonlocal claimed, head, error
+            position = None
+            try:
+                while True:
+                    with lock:
+                        if position is not None:
+                            parked[position] = outcome
+                            while head in parked:
+                                kind, line, payload = parked.pop(head)
+                                files[kind][0].write(line + "\n")
+                                files[kind][0].flush()
+                                files[kind][1].append(payload)
+                                dirty.add(kind)
+                                head += 1
+                            if position < head:  # this worker moved the head
+                                lock.notify()
+                        if claimed == len(todo):
+                            return
+                        position, claimed = claimed, claimed + 1
+                    outcome = _score_one(config, todo[position])
+            except BaseException as exc:  # re-raised by the calling thread
+                with lock:
+                    error, claimed = error or exc, len(todo)
+                    lock.notify()
+
+        workers, synced, taken, started = [], 0, set(), time.monotonic()
         try:
-            futures = deque(
-                pool.submit(_score_one, config, response)
-                for response in ordered[prefix_len:]
-            )
-            while futures:
-                # block on the oldest outcome, then take every later one at
-                # the front that is already done; the batch is synced before
-                # the next wait, and only then counts as persisted
-                outcomes = [futures.popleft().result()]
-                while futures and futures[0].done():
-                    outcomes.append(futures.popleft().result())
-                for kind, payload in outcomes:
-                    if kind == "record":
-                        records.append(payload)
-                        handle, line = rec, payload.to_jsonl_line()
-                    else:
-                        failures.append(payload)
-                        rid, error = payload
-                        handle = fail
-                        line = json.dumps({"response_id": rid, "error": error})
-                    handle.write(line + "\n")
-                    unsynced.add(handle)
-                _sync(unsynced)
-                unsynced.clear()
-                persisted = len(records) + len(failures)
-                if persisted % PROGRESS_EVERY < len(outcomes):
-                    logger.info(
-                        "persisted %d/%d responses", persisted, len(ordered)
-                    )
+            for _ in range(config.parallelism):
+                workers.append(threading.Thread(target=work))
+                workers[-1].start()
+            while synced < len(todo) and error is None:
+                with lock:
+                    lock.wait_for(lambda: head > synced or error is not None)
+                    written, taken = head, set(dirty)
+                    dirty.clear()
+                for kind in taken:  # lines count as persisted once fsync'd
+                    os.fsync(files[kind][2])
+                done = prefix_len + written
+                if done // PROGRESS_EVERY > (prefix_len + synced) // PROGRESS_EVERY:
+                    rate = written / (time.monotonic() - started)
+                    logger.info("persisted %d/%d responses (%.1f responses/s, "
+                                "ETA %.0f s)", done, len(ordered), rate,
+                                (len(todo) - written) / rate)
+                synced = written
         finally:
-            pool.shutdown(cancel_futures=True)
-            _sync(unsynced)  # lines an abort left written but unsynced
+            with lock:
+                claimed = len(todo)
+            for worker in filter(threading.Thread.is_alive, workers):
+                worker.join()
+            for kind in dirty | taken:  # lines an abort left written but unsynced
+                os.fsync(files[kind][2])
+        if error is not None:
+            raise error
 
     if len(records) + len(failures) != len(dataset):
         raise AutoscoreError(

@@ -223,6 +223,51 @@ class TestScoreCommand:
         assert _score(workspace, "baseline", out, extra=extra) == 2
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("key,value", [
+        ("timeout_s", "abc"),
+        ("timeout_s", 0),
+        ("timeout_s", -1.5),
+        ("timeout_s", True),
+        ("max_in_flight", -1),
+        ("max_in_flight", 0),
+        ("max_in_flight", 2.5),
+        ("max_in_flight", "two"),
+    ])
+    def test_bad_remote_setting_exits_2_before_writing(
+        self, workspace, tmp_path, monkeypatch, key, value
+    ):
+        monkeypatch.setenv("AUTOSCORE_API_KEY", "k")
+        config = yaml.safe_load(workspace.read_text())
+        config["backend"].update(
+            {"kind": "remote", "base_url": "http://127.0.0.1:9/v1", key: value}
+        )
+        workspace.write_text(yaml.safe_dump(config))
+        out = tmp_path / "x"
+        assert _score(workspace, "baseline", out) == 2
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("section", ["run", "backend", "items"])
+    @pytest.mark.parametrize("value", [5, "fast", [1, 2]])
+    def test_section_that_is_not_a_mapping_exits_2(
+        self, workspace, tmp_path, caplog, section, value
+    ):
+        config = yaml.safe_load(workspace.read_text())
+        config[section] = value
+        workspace.write_text(yaml.safe_dump(config))
+        out = tmp_path / "x"
+        assert _score(workspace, "baseline", out) == 2
+        assert f"{section} must be a mapping" in caplog.text
+        assert not (out / "manifest.json").exists()
+
+    def test_item_that_is_not_a_mapping_exits_2(self, workspace, tmp_path, caplog):
+        config = yaml.safe_load(workspace.read_text())
+        config["items"]["synth"] = 5
+        workspace.write_text(yaml.safe_dump(config))
+        out = tmp_path / "x"
+        assert _score(workspace, "baseline", out) == 2
+        assert "items.synth must be a mapping" in caplog.text
+        assert not (out / "manifest.json").exists()
+
     def test_resume_finished_run_is_idempotent(self, workspace, tmp_path):
         out = tmp_path / "resumable"
         assert _score(workspace, "baseline", out) == 0

@@ -202,6 +202,7 @@ def test_build_backend_remote(tmp_path, monkeypatch):
         "model": "gpt-4o",
         "base_url": "https://api.example/v1",
         "timeout_s": 30,
+        "max_in_flight": 2,
     }
     backend = build_backend(load_config(_write(tmp_path, config_dict)))
     assert isinstance(backend, RemoteBackend)

@@ -1,9 +1,15 @@
+import _thread
 import json
+import logging
+import re
+import sys
 import threading
 
 import pytest
 
 from autoscore.backend import CachingBackend, ScriptedBackend
+from autoscore.core import ScoreRange, StudentResponse
+from autoscore.ingest import Dataset, DatasetSpec
 from autoscore.pipeline import (
     ManifestMismatch,
     RunConfig,
@@ -368,6 +374,138 @@ class TestResume:
         )
         with pytest.raises(ManifestMismatch):
             resume(config.run_dir, again, edited)
+
+
+MANY_IDS = [f"m{k:03d}" for k in range(60)]
+
+
+def _many(n):
+    """A baseline-ready dataset of the first n of MANY_IDS."""
+    spec = DatasetSpec(
+        family="sas", tsv_path="(synthetic)", essay_set=1, item_id="synth",
+        score_range=ScoreRange(0, 3),
+    )
+    return Dataset(spec=spec, responses=tuple(
+        StudentResponse(rid, "synth", f"many response {rid}.", k % 4)
+        for k, rid in enumerate(MANY_IDS[:n])
+    ))
+
+
+def _asked_about(request) -> str:
+    blob = "\n".join(content for _, content in request.messages)
+    return re.search(r"many response (m\d{3})\.", blob).group(1)
+
+
+def _score_many(request) -> str:
+    k = int(_asked_about(request)[1:])
+    return "I refuse to answer." if k % 5 == 3 else json.dumps({"score": k % 4})
+
+
+class TestExecutor:
+    def _run(self, tmp_path, context, script, n, parallelism, name="run"):
+        config = make_config(
+            tmp_path, ScriptedBackend(script=script), mode="baseline",
+            context=context, parallelism=parallelism, name=name,
+        )
+        return config, score_dataset(config, _many(n))
+
+    def test_each_line_is_on_disk_before_the_next_response_is_scored(
+        self, tmp_path, synth_context,
+    ):
+        records = tmp_path / "run" / "records.jsonl"
+        lines_seen = {}
+
+        def script(request):
+            lines_seen[_asked_about(request)] = records.read_bytes().count(b"\n")
+            return json.dumps({"score": 1})
+
+        self._run(tmp_path, synth_context, script, 20, parallelism=1)
+        assert lines_seen == {rid: k for k, rid in enumerate(MANY_IDS[:20])}
+
+    def test_records_and_failures_under_contention_match_a_serial_run(
+        self, tmp_path, synth_context,
+    ):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [
+                self._run(tmp_path, synth_context, _score_many, 60, p, f"p{p}")
+                for p in (1, 8)
+            ]
+        finally:
+            sys.setswitchinterval(interval)
+        files = [
+            tuple((config.run_dir / name).read_bytes()
+                  for name in ("records.jsonl", "failures.jsonl"))
+            for config, _ in runs
+        ]
+        assert files[0] == files[1]
+        assert files[0][1].count(b"\n") == 12
+        assert [len(r.records) + len(r.failures) for _, r in runs] == [60, 60]
+
+    def test_worker_error_keeps_its_type_and_leaves_a_prefix(
+        self, tmp_path, synth_context,
+    ):
+        full, _ = self._run(tmp_path, synth_context, _score_many, 20, 3, "full")
+        expected = (full.run_dir / "records.jsonl").read_bytes()
+
+        def crash_on_m009(request):
+            if _asked_about(request) == "m009":
+                raise RuntimeError("model crashed on m009")
+            return _score_many(request)
+
+        with pytest.raises(RuntimeError, match="model crashed on m009"):
+            self._run(tmp_path, synth_context, crash_on_m009, 20, 3, "broken")
+        partial = (tmp_path / "broken" / "records.jsonl").read_bytes()
+        assert expected.startswith(partial)
+        assert b"m009" not in partial
+
+    @pytest.mark.parametrize("ending,raised", [
+        ("finished", None),
+        ("worker_error", RuntimeError),
+        ("interrupt", KeyboardInterrupt),
+    ])
+    def test_no_worker_thread_outlives_the_run(
+        self, tmp_path, synth_context, ending, raised,
+    ):
+        before = set(threading.enumerate())
+
+        def script(request):
+            if _asked_about(request) == "m005" and ending == "worker_error":
+                raise RuntimeError("model crashed")
+            if _asked_about(request) == "m005" and ending == "interrupt":
+                _thread.interrupt_main()  # Ctrl-C in the calling thread
+            return json.dumps({"score": 1})
+
+        if raised is None:
+            self._run(tmp_path, synth_context, script, 20, parallelism=4)
+        else:
+            with pytest.raises(raised):
+                self._run(tmp_path, synth_context, script, 20, parallelism=4)
+        assert set(threading.enumerate()) <= before
+
+    def test_progress_line_with_rate_and_eta_during_the_run(
+        self, tmp_path, synth_context, caplog,
+    ):
+        caplog.set_level(logging.INFO, logger="autoscore.pipeline")
+        progress = re.compile(
+            r"persisted \d+/60 responses \(\d+\.\d responses/s, ETA \d+ s\)"
+        )
+        seen_while_running = threading.Event()
+
+        def script(request):
+            if _asked_about(request) == MANY_IDS[-1]:
+                # the last response waits (at most 10 s) for a progress line
+                # about the ones before it
+                for _ in range(1000):
+                    if any(progress.fullmatch(m) for m in caplog.messages):
+                        seen_while_running.set()
+                        break
+                    threading.Event().wait(0.01)
+            return json.dumps({"score": 1})
+
+        self._run(tmp_path, synth_context, script, 60, parallelism=2)
+        assert seen_while_running.is_set()
 
 
 class TestRunDirLayout:
