@@ -68,41 +68,30 @@ class NonInteger(AgentError):
     """The score field is present but is not a JSON integer."""
 
 
-class Attempt(NamedTuple):
-    """One model call: the request digest, the raw text that came back,
-    and the call's latency."""
+@dataclass
+class AgentOutcome:
+    """What one stage leaves behind, whether it succeeds or fails: its value
+    (None when retries ran out), one Transcript per model call in order,
+    and the summed latency of those calls."""
 
-    digest: str
-    text: str
-    latency_ms: int
-
-
-class AttemptHistory:
-    """What follows from `attempts`, one Attempt per model call."""
-
-    attempts: list[Attempt]
+    value: "StructuredRepresentation | Score | None"
+    transcripts: list[Transcript]
+    wall_time_ms: int = 0
 
     @property
     def retries(self) -> int:
-        return len(self.attempts) - 1
-
-    @property
-    def wall_time_ms(self) -> int:
-        return sum(a.latency_ms for a in self.attempts)
-
-    def transcripts(self, agent_name: str) -> list[Transcript]:
-        return [Transcript(agent_name, a.digest, a.text) for a in self.attempts]
+        return len(self.transcripts) - 1
 
 
-class RetriesExhausted(AttemptHistory, AgentError):
-    """Every model call failed to parse/validate; carries the full attempt
-    history so callers can persist transcripts or impute a floor score."""
+class RetriesExhausted(AgentError):
+    """Every model call failed to parse/validate; carries the stage's
+    outcome so callers can persist transcripts or impute a floor score."""
 
-    def __init__(self, last_error: Exception, attempts: list[Attempt]):
+    def __init__(self, last_error: Exception, outcome: AgentOutcome):
         self.last_error = last_error
-        self.attempts = attempts
+        self.outcome = outcome
         super().__init__(
-            f"gave up after {len(attempts)} attempts: {last_error}"
+            f"gave up after {len(outcome.transcripts)} attempts: {last_error}"
         )
 
 
@@ -120,14 +109,6 @@ class PromptTemplate:
 
     system_text: str
     user_text: str
-
-
-@dataclass
-class AgentOutcome(AttemptHistory):
-    """Result of one agent invocation, retries included."""
-
-    value: "StructuredRepresentation | Score"
-    attempts: list[Attempt]
 
 
 _PLACEHOLDER_RE = re.compile(
@@ -272,7 +253,7 @@ def run_stage(
     user_text = render(template.user_text, bindings)
     messages: list[tuple[str, str]] = [("system", system_text), ("user", user_text)]
 
-    attempts: list[Attempt] = []
+    outcome = AgentOutcome(value=None, transcripts=[])
     last_error: Exception | None = None
     for _ in range(max_retries):
         request = ChatRequest(
@@ -282,9 +263,10 @@ def run_stage(
             force_json=True,
         )
         reply = backend.complete(request)
-        attempts.append(Attempt(request.digest, reply.text, reply.latency_ms))
+        outcome.transcripts.append(Transcript(name, request.digest, reply.text))
+        outcome.wall_time_ms += reply.latency_ms
         try:
-            value = stage.parse(reply.text, context, input)
+            outcome.value = stage.parse(reply.text, context, input)
         except (SchemaError, NonInteger, OutOfRange, json.JSONDecodeError) as exc:
             last_error = exc
             repair = render(
@@ -293,8 +275,8 @@ def run_stage(
             )
             messages.append(("user", repair))
             continue
-        return AgentOutcome(value=value, attempts=attempts)
-    raise stage.failure(last_error, attempts)
+        return outcome
+    raise stage.failure(last_error, outcome)
 
 
 def _describe(exc: Exception) -> str:

@@ -38,6 +38,17 @@ STAGES = {
 }
 
 
+# the manifest keys a resumed run must share with the run that started the
+# directory, checked in this order so the first difference named is the
+# most specific one (a changed model also changes the backend identity);
+# parallelism and seed may change without changing any outcome
+RESUME_KEYS = (
+    "mode", "item_id", "n_responses", "dataset_digest",
+    "model_name", "backend_identity", "score_range",
+    "max_retries", "imputation", "context", "schema",
+)
+
+
 class ManifestMismatch(AutoscoreError):
     """The run directory is corrupt or belongs to an incompatible run."""
 
@@ -146,8 +157,29 @@ def _manifest_path(run_dir: Path) -> Path:
     return run_dir / "manifest.json"
 
 
-def _timing_path(run_dir: Path) -> Path:
-    return run_dir / "timing.csv"
+def _write_manifest(run_dir: Path, manifest: dict) -> None:
+    """Replace manifest.json atomically (write a temporary file, fsync it,
+    rename it over the old one), so a crash leaves the old manifest or the
+    new one, never a torn mix."""
+    temporary = run_dir / "manifest.json.tmp"
+    with temporary.open("w", encoding="utf-8") as handle:
+        handle.write(json.dumps(manifest, indent=2) + "\n")
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(temporary, _manifest_path(run_dir))
+
+
+def _read_manifest(run_dir: Path) -> dict:
+    path = _manifest_path(run_dir)
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise ManifestMismatch(f"{run_dir} has no manifest") from None
+    except ValueError as exc:  # not UTF-8 or not JSON
+        raise ManifestMismatch(f"{path} does not parse: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ManifestMismatch(f"{path} is not a JSON object")
+    return manifest
 
 
 def _score_one(config: RunConfig, response: StudentResponse):
@@ -155,7 +187,7 @@ def _score_one(config: RunConfig, response: StudentResponse):
     JSON line, the value). Domain errors become failure entries (or, for a
     scoring stage under the "floor" policy, a record of the rubric minimum
     that keeps the failed attempts); anything else aborts the run."""
-    done: list[tuple[str, agents.AttemptHistory]] = []
+    outcomes: list[agents.AgentOutcome] = []
     value = config.schema  # each stage works from the value of the one before
     try:
         for stage in STAGES[config.mode]:
@@ -167,9 +199,9 @@ def _score_one(config: RunConfig, response: StudentResponse):
                 max_retries=config.max_retries,
                 max_output_tokens=config.max_output_tokens,
             )
-            done.append((stage, outcome))
+            outcomes.append(outcome)
             value = outcome.value
-        predicted = outcome.value.value
+        predicted = value.value
     except AutoscoreError as exc:
         floor = (
             isinstance(exc, agents.ScoringFailed) and config.imputation == "floor"
@@ -178,26 +210,20 @@ def _score_one(config: RunConfig, response: StudentResponse):
             error = f"{type(exc).__name__}: {exc}"
             line = json.dumps({"response_id": response.response_id, "error": error})
             return "failure", line, (response.response_id, error)
-        done.append((stage, exc))
+        outcomes.append(exc.outcome)
         predicted = config.context.score_range.min
     # each mode ends in a stage that scores; a stage before it extracted the
     # representation the record keeps
-    representation = done[0][1].value if len(done) > 1 else None
-    transcripts: list = []
-    wall_time_ms = retries = 0
-    for stage, history in done:
-        transcripts += history.transcripts(stage)
-        wall_time_ms += history.wall_time_ms
-        retries += history.retries
+    representation = outcomes[0].value if len(outcomes) > 1 else None
     record = ScoredRecord(
         response_id=response.response_id,
         mode=config.mode,
         gold_score=response.gold_score,
         predicted_score=predicted,
         representation=representation,
-        transcripts=tuple(transcripts),
-        wall_time_ms=wall_time_ms,
-        retries=retries,
+        transcripts=tuple(t for o in outcomes for t in o.transcripts),
+        wall_time_ms=sum(o.wall_time_ms for o in outcomes),
+        retries=sum(o.retries for o in outcomes),
     )
     return "record", record.to_jsonl_line(), record
 
@@ -319,21 +345,8 @@ def _execute(config: RunConfig, dataset: Dataset, manifest: dict) -> RunResult:
 
     manifest = dict(manifest)
     manifest["finished_at"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    _manifest_path(config.run_dir).write_text(
-        json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
-    )
-    _write_timing(config.run_dir, records)
+    _write_manifest(config.run_dir, manifest)
     return RunResult(records=records, failures=failures, manifest=manifest)
-
-
-def _write_timing(run_dir: Path, records: list[ScoredRecord]) -> None:
-    lines = ["response_id,wall_time_ms,retries"]
-    lines += [
-        f"{r.response_id},{r.wall_time_ms},{r.retries}" for r in records
-    ]
-    _timing_path(run_dir).write_text(
-        "".join(line + "\n" for line in lines), encoding="utf-8"
-    )
 
 
 def score_dataset(config: RunConfig, dataset: Dataset) -> RunResult:
@@ -349,9 +362,7 @@ def score_dataset(config: RunConfig, dataset: Dataset) -> RunResult:
             f"{run_dir} already contains a run; use resume instead"
         )
     manifest = _manifest_for(config, dataset)
-    _manifest_path(run_dir).write_text(
-        json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_manifest(run_dir, manifest)
     logger.info(
         "scoring %d responses (mode=%s, parallelism=%d)",
         len(dataset),
@@ -367,17 +378,10 @@ def resume(run_dir, config: RunConfig, dataset: Dataset) -> RunResult:
     deterministic backend)."""
     run_dir = Path(run_dir)
     config.run_dir = run_dir
-    manifest_file = _manifest_path(run_dir)
-    if not manifest_file.exists():
-        raise ManifestMismatch(f"{run_dir} has no manifest to resume from")
-    manifest = json.loads(manifest_file.read_text(encoding="utf-8"))
-    expected = {
-        "mode": config.mode,
-        "backend_identity": config.backend.identity,
-        "dataset_digest": dataset.digest(),
-    }
-    for key, want in expected.items():
-        got = manifest.get(key)
+    manifest = _read_manifest(run_dir)
+    current = _manifest_for(config, dataset)
+    for key in RESUME_KEYS:
+        got, want = manifest.get(key), current[key]
         if got != want:
             raise ManifestMismatch(
                 f"manifest {key} is {got!r}, current run has {want!r}"
@@ -388,10 +392,7 @@ def resume(run_dir, config: RunConfig, dataset: Dataset) -> RunResult:
 def load_run(run_dir) -> RunResult:
     """Read a completed run directory back into a RunResult."""
     run_dir = Path(run_dir)
-    manifest_file = _manifest_path(run_dir)
-    if not manifest_file.exists():
-        raise ManifestMismatch(f"{run_dir} has no manifest")
-    manifest = json.loads(manifest_file.read_text(encoding="utf-8"))
+    manifest = _read_manifest(run_dir)
     records, failures, _ = _read_done(run_dir)
     records.sort(key=lambda r: r.response_id)
     failures.sort(key=lambda f: f[0])

@@ -105,8 +105,10 @@ class TestRunExtraction:
         )
         outcome = agents.run_extraction(backend, context, response, SCIENCE)
         assert outcome.retries == 1
-        assert len(outcome.attempts) == 2
-        assert outcome.wall_time_ms == sum(a.latency_ms for a in outcome.attempts)
+        assert [t.agent_name for t in outcome.transcripts] == ["extraction"] * 2
+        assert len({t.prompt_digest for t in outcome.transcripts}) == 2
+        assert outcome.transcripts[0].raw_output == "I will not comply."
+        assert outcome.wall_time_ms == 2  # one scripted millisecond per call
 
     def test_prose_three_times_exhausts_retries(self, context, response):
         backend = ScriptedBackend(responses=["prose"] * 3)
