@@ -33,7 +33,6 @@ from .schema import (
     KINDS,
     ComponentSchema,
     MissingField,
-    NoJsonFound,
     SchemaError,
     StructuredRepresentation,
     extract_json_block,
@@ -56,15 +55,11 @@ PLACEHOLDER_NAMES = (
 )
 
 
-class AgentError(AutoscoreError):
-    """Base class for agent-level failures."""
-
-
-class UnboundPlaceholder(AgentError):
+class UnboundPlaceholder(AutoscoreError):
     pass
 
 
-class NonInteger(AgentError):
+class NonInteger(AutoscoreError):
     """The score field is present but is not a JSON integer."""
 
 
@@ -83,7 +78,7 @@ class AgentOutcome:
         return len(self.transcripts) - 1
 
 
-class RetriesExhausted(AgentError):
+class RetriesExhausted(AutoscoreError):
     """Every model call failed to parse/validate; carries the stage's
     outcome so callers can persist transcripts or impute a floor score."""
 
@@ -267,7 +262,7 @@ def run_stage(
         outcome.wall_time_ms += reply.latency_ms
         try:
             outcome.value = stage.parse(reply.text, context, input)
-        except (SchemaError, NonInteger, OutOfRange, json.JSONDecodeError) as exc:
+        except (SchemaError, NonInteger, OutOfRange) as exc:
             last_error = exc
             repair = render(
                 prompts.RETRY_USER,
@@ -285,8 +280,6 @@ def _describe(exc: Exception) -> str:
         return (
             f"{exc} -- the score must be an integer from {rng.min} to {rng.max}"
         )
-    if isinstance(exc, json.JSONDecodeError):
-        return f"output is not valid JSON ({exc})"
     return str(exc)
 
 

@@ -36,15 +36,11 @@ API_KEY_ENV = "AUTOSCORE_API_KEY"
 T = TypeVar("T")
 
 
-class BackendError(AutoscoreError):
-    """Base class for completion-backend failures."""
-
-
-class BackendUnavailable(BackendError):
+class BackendUnavailable(AutoscoreError):
     """The backend cannot be constructed or reached at all (fatal)."""
 
 
-class Transport(BackendError):
+class Transport(AutoscoreError):
     """HTTP-level failure surfaced after the retry policy is exhausted."""
 
     def __init__(self, status: int, body: str):
@@ -57,7 +53,7 @@ class RateLimited(Transport):
     """Still rate limited after exponential backoff ran out of attempts."""
 
 
-class ReplayMiss(BackendError):
+class ReplayMiss(AutoscoreError):
     """A replay fixture has no entry for the request digest; fixtures never
     fall through to the network."""
 
@@ -66,7 +62,7 @@ class ReplayMiss(BackendError):
         super().__init__(f"no replay fixture for request digest {digest}")
 
 
-class ScriptExhausted(BackendError):
+class ScriptExhausted(AutoscoreError):
     """The scripted backend has no response left (or no rule matched)."""
 
 
@@ -299,7 +295,9 @@ class RemoteBackend:
             if status == 200:
                 try:
                     content = json.loads(text)["choices"][0]["message"]["content"]
-                except (json.JSONDecodeError, KeyError, IndexError, TypeError):
+                except (ValueError, RecursionError, KeyError, IndexError, TypeError):
+                    content = None
+                if not isinstance(content, str):  # null content too
                     raise Transport(status, f"malformed completion body: {text[:200]}")
                 return ChatResponse(content, latency_total_ms, from_cache=False)
             if 400 <= status < 500 and status != 429:

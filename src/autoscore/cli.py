@@ -1,10 +1,12 @@
 """Command-line entry point.
 
 Exit codes: 0 success (even with per-record failures, which are reported
-in the summary), 2 configuration error (a bad scripted rules line, template
-override, run setting or --sample-fraction too), 3 dataset error or corrupt
-run directory (a missing or bad gold annotations file too), 4 backend
-unavailable (a corrupt cache or replay file too).
+in the summary), 2 configuration error (an unknown run or backend key, a
+bad scripted rules line, template override, run setting or
+--sample-fraction too), 3 dataset error or corrupt run directory (a
+manifest that lacks a key, a case pair evaluate would not compare, a
+missing or bad gold annotations file too), 4 backend unavailable (a
+corrupt cache or replay file too).
 Logs go to stderr; data goes to files and stdout.
 """
 
@@ -139,9 +141,8 @@ def cmd_score(args) -> int:
         )
     dataset = load_dataset(item.dataset_spec)
     backend = build_backend(config, args.backend)
-    # only the run keys the file sets: RunConfig holds the defaults and checks
-    settings = {key: value for key, value in config.run_settings.items()
-                if key in ("parallelism", "max_retries", "seed", "imputation")}
+    # load_config admits only RunConfig's own keys; RunConfig checks values
+    settings = dict(config.run_settings)
     if args.parallelism is not None:
         settings["parallelism"] = args.parallelism
     try:
@@ -215,8 +216,8 @@ def cmd_evaluate(args) -> int:
     if pairs:
         rows = [
             report.build_comparison_row(
-                dataset_label=base_run.manifest.get("dataset_ref", "dataset"),
-                model_label=base_run.manifest.get("model_name", "model"),
+                dataset_label=base_run.manifest["dataset_ref"],
+                model_label=base_run.manifest["model_name"],
                 baseline=base_rep,
                 autoscore=auto_rep,
             )
@@ -236,10 +237,7 @@ def _comparison_pairs(runs, reports):
     pairs = []
     by_key = {}
     for result, rep in zip(runs, reports):
-        key = (
-            result.manifest["dataset_digest"],
-            result.manifest.get("backend_identity"),
-        )
+        key = (result.manifest["dataset_digest"], result.manifest["backend_identity"])
         by_key.setdefault(key, {})[result.manifest["mode"]] = (result, rep)
     for group in by_key.values():
         if "baseline" in group and "autoscore" in group:
@@ -255,9 +253,9 @@ def cmd_validate_components(args) -> int:
             f"--sample-fraction must lie in (0, 1], got {args.sample_fraction}"
         )
     result = pipeline.load_run(Path(args.run))
-    if result.manifest.get("mode") != "autoscore":
+    if result.manifest["mode"] != "autoscore":
         raise ConfigError("component validation needs an autoscore run")
-    schema_def = result.manifest.get("schema")
+    schema_def = result.manifest["schema"]
     if not schema_def:
         raise ConfigError("run manifest carries no schema definition")
     schema = compile_schema(result.manifest["item_id"], schema_def)
@@ -307,7 +305,7 @@ def cmd_tradeoff(args) -> int:
 def cmd_case(args) -> int:
     config = load_config(args.config)
     autoscore_run = pipeline.load_run(Path(args.run_autoscore))
-    item_id = autoscore_run.manifest.get("item_id")
+    item_id = autoscore_run.manifest["item_id"]
     item = config.item(item_id)
     dataset = load_dataset(item.dataset_spec)
     text_by_id = {r.response_id: r.text for r in dataset.responses}
@@ -316,8 +314,8 @@ def cmd_case(args) -> int:
             f"response {args.response_id!r} not present in dataset {item_id!r}"
         )
     record = report.case_record(
-        Path(args.run_autoscore),
-        Path(args.run_baseline),
+        autoscore_run,
+        pipeline.load_run(Path(args.run_baseline)),
         args.response_id,
         response_text=text_by_id[args.response_id],
     )
@@ -354,7 +352,8 @@ def main(argv=None) -> int:
     except (ConfigError, SchemaError) as exc:
         logger.error("configuration error: %s", exc)
         return EXIT_CONFIG
-    except (DatasetError, pipeline.ManifestMismatch, report.NotFound) as exc:
+    except (DatasetError, pipeline.ManifestMismatch, report.NotFound,
+            report.Unpaired) as exc:
         logger.error("dataset error: %s", exc)
         return EXIT_DATASET
     except BackendUnavailable as exc:

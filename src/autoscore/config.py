@@ -24,6 +24,12 @@ class ConfigError(AutoscoreError):
     pass
 
 
+# the keys the backend: and run: sections accept; any other key is refused
+BACKEND_KEYS = ("kind", "model", "base_url", "timeout_s", "max_in_flight",
+                "cache_path", "replay_path", "script_path", "max_output_tokens")
+RUN_KEYS = ("parallelism", "max_retries", "seed", "imputation")
+
+
 @dataclass
 class ItemConfig:
     """Everything registered for one item id."""
@@ -57,12 +63,17 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
-def _mapping(value, where: str) -> dict:
-    """A config section: left empty it reads as {}; it must be a mapping."""
+def _mapping(value, where: str, accepted=None) -> dict:
+    """A config section: left empty it reads as {}; it must be a mapping,
+    with no key outside `accepted` when that is given."""
     if value is None:
         return {}
     if not isinstance(value, dict):
         raise ConfigError(f"{where} must be a mapping, got {value!r}")
+    unknown = [key for key in value if accepted is not None and key not in accepted]
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {unknown}; the accepted keys "
+                          f"are {', '.join(accepted)}")
     return value
 
 
@@ -122,15 +133,9 @@ def _parse_item(item_id: str, raw: dict, config_dir: Path) -> ItemConfig:
     if "schema" in raw:
         schema = compile_schema(item_id, raw["schema"])
 
-    overrides = _mapping(raw.get("templates"), f"{where}.templates")
     accepted = [f"{stage}_{part}" for stage in agents.STAGES
                 for part in ("system", "user")]
-    unknown = [key for key in overrides if key not in accepted]
-    if unknown:
-        raise ConfigError(
-            f"{where}.templates: unknown keys {unknown}; the accepted keys "
-            f"are {', '.join(accepted)}"
-        )
+    overrides = _mapping(raw.get("templates"), f"{where}.templates", accepted)
     return ItemConfig(
         item_id=item_id,
         dataset_spec=dataset_spec,
@@ -162,8 +167,8 @@ def load_config(path) -> Config:
     }
     return Config(
         path=path,
-        backend_settings=_mapping(raw.get("backend"), "backend"),
-        run_settings=_mapping(raw.get("run"), "run"),
+        backend_settings=_mapping(raw.get("backend"), "backend", BACKEND_KEYS),
+        run_settings=_mapping(raw.get("run"), "run", RUN_KEYS),
         items=items,
     )
 

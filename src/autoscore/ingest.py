@@ -87,9 +87,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.responses)
 
-    def response_ids(self) -> list[str]:
-        return [r.response_id for r in self.responses]
-
     def digest(self) -> str:
         """Hash of all response ids and texts, in id order; guards resumed
         runs against silent dataset edits."""
@@ -203,10 +200,3 @@ def sample_ids(ids: list[str], fraction: float, seed: int) -> set[str]:
         key=lambda rid: hashlib.sha256(f"{seed}:{rid}".encode("utf-8")).hexdigest(),
     )
     return set(ranked[:k])
-
-
-def sample(dataset: Dataset, fraction: float, seed: int) -> Dataset:
-    """Reproducible subsample; the original response order is preserved."""
-    chosen = sample_ids(dataset.response_ids(), fraction, seed)
-    kept = tuple(r for r in dataset.responses if r.response_id in chosen)
-    return Dataset(spec=dataset.spec, responses=kept)

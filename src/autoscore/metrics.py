@@ -13,11 +13,11 @@ Score-level metrics (the six headline numbers):
 Component-level reliability adds Cohen's kappa and F1 for boolean fields
 and exact-match rates for count fields.
 
-Integer inputs are accumulated in exact integer arithmetic, with a single
+Every input is an integer (scores, doubled ranks, component counts) and
+is accumulated in exact integer arithmetic, with a single
 correctly-rounded float division (and square root where needed) at the
-end, so results on integer data are bit-reproducible. Undefined
-correlations (zero variance) raise ZeroVariance and are reported as null
-cells, never as 0.
+end, so results are bit-reproducible. Undefined correlations (zero
+variance) raise ZeroVariance and are reported as null cells, never as 0.
 """
 
 from __future__ import annotations
@@ -33,27 +33,23 @@ from .ingest import DatasetError
 from .schema import ComponentSchema, StructuredRepresentation
 
 
-class MetricsError(AutoscoreError):
-    pass
-
-
-class ZeroVariance(MetricsError):
+class ZeroVariance(AutoscoreError):
     """Correlation is undefined: one of the vectors has no variance."""
 
 
-class EmptyInput(MetricsError):
+class EmptyInput(AutoscoreError):
     pass
 
 
-class NoGold(MetricsError):
+class NoGold(AutoscoreError):
     """A record without a gold score cannot enter agreement metrics."""
 
 
-class AlignmentError(MetricsError):
+class AlignmentError(AutoscoreError):
     pass
 
 
-class SchemaMismatch(MetricsError):
+class SchemaMismatch(AutoscoreError):
     pass
 
 
@@ -135,23 +131,11 @@ def _pearson_values(xs, ys) -> float:
     n = len(xs)
     if n < 2:
         raise ZeroVariance("correlation needs at least 2 points")
-    if all(isinstance(v, int) for v in xs) and all(
-        isinstance(v, int) for v in ys
-    ):
-        sx, sy = sum(xs), sum(ys)
-        num = n * sum(x * y for x, y in zip(xs, ys)) - sx * sy
-        vx = n * sum(x * x for x in xs) - sx * sx
-        vy = n * sum(y * y for y in ys) - sy * sy
-        if vx == 0 or vy == 0:
-            raise ZeroVariance("constant vector")
-        return num / math.sqrt(vx * vy)
-    # float inputs: centered two-pass with exactly-rounded sums
-    mx = math.fsum(xs) / n
-    my = math.fsum(ys) / n
-    num = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    vx = math.fsum((x - mx) ** 2 for x in xs)
-    vy = math.fsum((y - my) ** 2 for y in ys)
-    if vx == 0.0 or vy == 0.0:
+    sx, sy = sum(xs), sum(ys)
+    num = n * sum(x * y for x, y in zip(xs, ys)) - sx * sy
+    vx = n * sum(x * x for x in xs) - sx * sx
+    vy = n * sum(y * y for y in ys) - sy * sy
+    if vx == 0 or vy == 0:
         raise ZeroVariance("constant vector")
     return num / math.sqrt(vx * vy)
 
@@ -322,7 +306,7 @@ def compute_report(
     )
 
 
-def evaluate_run(result, mode_label: str | None = None) -> MetricsReport:
+def evaluate_run(result) -> MetricsReport:
     """Score-level metrics for one run result (failures excluded, their
     count echoed in the report). Every record must carry a gold score."""
     records = result.records
@@ -338,8 +322,8 @@ def evaluate_run(result, mode_label: str | None = None) -> MetricsReport:
         pred=tuple(r.predicted_score for r in records),
         range=score_range,
     )
-    label = mode_label if mode_label is not None else result.manifest.get("mode")
-    return compute_report(paired, failures=len(result.failures), label=label)
+    return compute_report(paired, failures=len(result.failures),
+                          label=result.manifest["mode"])
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import logging
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import agents
@@ -46,7 +46,11 @@ RESUME_KEYS = (
     "mode", "item_id", "n_responses", "dataset_digest",
     "model_name", "backend_identity", "score_range",
     "max_retries", "imputation", "context", "schema",
+    "templates", "max_output_tokens",
 )
+# the keys every manifest has carried and every reader indexes (a run from
+# before templates and max_output_tokens were recorded loads, not resumes)
+READ_KEYS = (*RESUME_KEYS[:-2], "dataset_ref")
 
 
 class ManifestMismatch(AutoscoreError):
@@ -129,6 +133,7 @@ def _manifest_for(config: RunConfig, dataset: Dataset) -> dict:
         "score_range": {"min": rng.min, "max": rng.max},
         "parallelism": config.parallelism,
         "max_retries": config.max_retries,
+        "max_output_tokens": config.max_output_tokens,
         "seed": config.seed,
         "imputation": config.imputation,
         "context": {
@@ -140,6 +145,10 @@ def _manifest_for(config: RunConfig, dataset: Dataset) -> dict:
         "schema": (
             config.schema.to_definition() if config.schema is not None else None
         ),
+        "templates": {
+            stage: asdict(config.templates.get(stage) or agents.STAGES[stage].template)
+            for stage in STAGES[config.mode]
+        },
         "started_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "finished_at": None,
     }
@@ -179,6 +188,9 @@ def _read_manifest(run_dir: Path) -> dict:
         raise ManifestMismatch(f"{path} does not parse: {exc}") from None
     if not isinstance(manifest, dict):
         raise ManifestMismatch(f"{path} is not a JSON object")
+    missing = [key for key in READ_KEYS if key not in manifest]
+    if missing:
+        raise ManifestMismatch(f"{path} lacks {', '.join(missing)}")
     return manifest
 
 
@@ -381,7 +393,12 @@ def resume(run_dir, config: RunConfig, dataset: Dataset) -> RunResult:
     manifest = _read_manifest(run_dir)
     current = _manifest_for(config, dataset)
     for key in RESUME_KEYS:
-        got, want = manifest.get(key), current[key]
+        if key not in manifest:  # written before the key was recorded
+            raise ManifestMismatch(f"manifest has no {key}; it cannot be resumed")
+        got, want = manifest[key], current[key]
+        if got != want and key == "templates" and isinstance(got, dict):
+            stages = [s for s in want if got.get(s) != want[s]]  # not the text
+            raise ManifestMismatch(f"manifest templates differ for {', '.join(stages)}")
         if got != want:
             raise ManifestMismatch(
                 f"manifest {key} is {got!r}, current run has {want!r}"

@@ -14,7 +14,6 @@ import json
 import logging
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from pathlib import Path
 
 from .core import AutoscoreError
 from .metrics import MetricsReport
@@ -25,16 +24,16 @@ LOWER_IS_BETTER = ("mae", "rmse")
 METRIC_ORDER = ("qwk", "accuracy", "pearson", "spearman", "mae", "rmse")
 
 
-class ReportError(AutoscoreError):
+class ZeroBase(AutoscoreError):
     pass
 
 
-class ZeroBase(ReportError):
+class NotFound(AutoscoreError):
     pass
 
 
-class NotFound(ReportError):
-    pass
+class Unpaired(AutoscoreError):
+    """A case's runs are not an autoscore and a baseline run of one dataset."""
 
 
 def delta_percent(base: float, new: float) -> float:
@@ -176,8 +175,8 @@ def tradeoff_data(results: list[tuple]) -> list[TradeoffRow]:
             continue
         rows.append(
             TradeoffRow(
-                model_label=result.manifest.get("model_name", "unknown"),
-                variant=result.manifest.get("mode", "unknown"),
+                model_label=result.manifest["model_name"],
+                variant=result.manifest["mode"],
                 mean_wall_time_ms=mean_ms,
                 qwk=report.qwk,
             )
@@ -250,21 +249,19 @@ class CaseRecord:
 
 
 def case_record(
-    autoscore_dir,
-    baseline_dir,
-    response_id: str,
-    response_text: str,
+    autoscore_run, baseline_run, response_id: str, response_text: str
 ) -> CaseRecord:
-    """Join one response's autoscore and baseline records into a CaseRecord.
+    """Join one response's records in a loaded autoscore run and baseline
+    run over the same dataset into a CaseRecord.
 
     The response text is supplied by the caller (run directories persist
     predictions and transcripts, not the dataset itself); question and
     rubric come from the autoscore run's manifest.
     """
-    from .pipeline import load_run
-
-    autoscore_run = load_run(Path(autoscore_dir))
-    baseline_run = load_run(Path(baseline_dir))
+    auto, base = autoscore_run.manifest, baseline_run.manifest
+    if (auto["mode"], base["mode"]) != ("autoscore", "baseline") or (
+            auto["dataset_digest"] != base["dataset_digest"]):
+        raise Unpaired("a case needs an autoscore and a baseline run of one dataset")
 
     def find(run, mode):
         for record in run.records:
@@ -274,12 +271,12 @@ def case_record(
 
     auto_rec = find(autoscore_run, "autoscore")
     base_rec = find(baseline_run, "baseline")
-    context = autoscore_run.manifest.get("context", {})
+    context = auto["context"]
     return CaseRecord(
         response_id=response_id,
-        question_excerpt=_excerpt(context.get("question", "")),
+        question_excerpt=_excerpt(context["question"]),
         response_text=response_text,
-        rubric_excerpt=_excerpt(context.get("rubric_text", ""), limit=400),
+        rubric_excerpt=_excerpt(context["rubric_text"], limit=400),
         components=dict(auto_rec.representation.values),
         gold=auto_rec.gold_score,
         autoscore_prediction=auto_rec.predicted_score,

@@ -215,7 +215,7 @@ def extract_json_block(raw_model_output: str) -> str:
     for match in re.finditer(r"\{", raw_model_output):
         try:
             obj, end = _JSON_DECODER.raw_decode(raw_model_output, match.start())
-        except json.JSONDecodeError:
+        except ValueError:  # JSONDecodeError, or an integer past int_max_str_digits
             continue
         except RecursionError:
             raise NoJsonFound("model output nests JSON too deeply to parse")

@@ -11,6 +11,9 @@ from conftest import SCIENCE_SCHEMA_DEF, z_payload
 from autoscore.schema import compile_schema
 
 
+HUGE_SCORE = '{"score": ' + "9" * 5000 + "}"
+
+
 @pytest.fixture
 def context():
     return TaskContext(
@@ -85,8 +88,25 @@ class TestParseScore:
         with pytest.raises(OutOfRange):
             agents.parse_score('{"score": 9}', ScoreRange(0, 3))
 
+    def test_over_long_integer_is_a_domain_error(self):
+        # longer than int_max_str_digits: json refuses it with a plain ValueError
+        with pytest.raises(NoJsonFound):
+            agents.parse_score(HUGE_SCORE, ScoreRange(0, 3))
+
+    def test_over_long_integer_is_retried(self, context, response):
+        backend = ScriptedBackend(responses=[HUGE_SCORE, '{"score": 2}'])
+        outcome = agents.run_baseline(backend, context, response)
+        assert outcome.value == Score(2)
+        assert outcome.retries == 1
+
 
 SCIENCE = compile_schema("synth", SCIENCE_SCHEMA_DEF)
+
+
+def test_extraction_parser_refuses_over_long_integer(context):
+    huge = '{"valid_conclusion": true, "design_count": ' + "9" * 5000 + "}"
+    with pytest.raises(NoJsonFound):
+        agents.STAGES["extraction"].parse(huge, context, SCIENCE)
 
 
 class TestRunExtraction:

@@ -218,6 +218,17 @@ class TestRemoteRetryPolicy:
         with pytest.raises(Transport):
             _remote(transport).complete(_req())
 
+    @pytest.mark.parametrize("body", [
+        '{"choices": [{"message": {"content": null}}]}',
+        '{"choices": [{"message": {"content": 5}}]}',
+        _ok_body()[:-1] + ', "usage": ' + "9" * 5000 + "}",
+        "[" * 100_000,
+    ], ids=["null-content", "number-content", "over-long-integer", "deep-nesting"])
+    def test_body_without_text_content_is_transport_error(self, body):
+        transport = _FakeTransport([(200, body)])
+        with pytest.raises(Transport, match="malformed completion body"):
+            _remote(transport).complete(_req())
+
     def test_missing_api_key_is_unavailable(self, monkeypatch):
         monkeypatch.delenv("AUTOSCORE_API_KEY", raising=False)
         with pytest.raises(BackendUnavailable):

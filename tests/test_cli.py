@@ -5,6 +5,8 @@ import pytest
 import yaml
 
 from autoscore.cli import build_parser, main
+from autoscore.config import BACKEND_KEYS, RUN_KEYS
+from autoscore.pipeline import READ_KEYS
 
 from conftest import (
     RUBRIC_TEXT,
@@ -145,6 +147,7 @@ RESUME_DRIFT = [
     ("context", _setting("items", "synth", "rubric_text", value="edited"), []),
     ("schema", _setting("items", "synth", "schema", "fields", 0, "description",
                         value="edited"), []),
+    ("max_output_tokens", _setting("backend", "max_output_tokens", value=64), []),
 ]
 
 
@@ -341,6 +344,67 @@ class TestScoreCommand:
         assert f"manifest {key} is" in caplog.text
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    def test_resume_refuses_changed_template(self, workspace, tmp_path, caplog):
+        out = tmp_path / "drift"
+        assert _score(workspace, "autoscore", out) == 0
+        records = out / "records.jsonl"
+        records.write_text("".join(records.read_text().splitlines(True)[:3]))
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        (workspace.parent / "scoring_user.txt").write_text("EDITED {response}")
+        config = yaml.safe_load(workspace.read_text())
+        config["items"]["synth"]["templates"] = {"scoring_user": "scoring_user.txt"}
+        workspace.write_text(yaml.safe_dump(config))
+        assert _score(workspace, "autoscore", out, extra=["--resume"]) == 3
+        assert "manifest templates differ" in caplog.text
+        assert "differ for scoring" in caplog.text
+        assert "EDITED" not in caplog.text  # names the stage, not the prompt
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize("key", ["templates", "max_output_tokens"])
+    def test_run_without_recorded_prompt_key_loads_but_does_not_resume(
+        self, workspace, tmp_path, caplog, key
+    ):
+        out = tmp_path / "older"
+        assert _score(workspace, "baseline", out) == 0
+        manifest_path = out / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest[key]
+        manifest_path.write_text(json.dumps(manifest))
+        reports = str(tmp_path / "reports")
+        assert main(["evaluate", "--run", str(out), "--out", reports]) == 0
+        assert _score(workspace, "baseline", out, extra=["--resume"]) == 3
+        assert f"manifest has no {key}" in caplog.text
+
+    @pytest.mark.parametrize("section,key", [
+        ("run", "paralellism"), ("backend", "max_retry"),
+    ])
+    def test_unknown_config_key_exits_2_before_writing(
+        self, workspace, tmp_path, caplog, section, key
+    ):
+        config = yaml.safe_load(workspace.read_text())
+        config[section][key] = 1
+        workspace.write_text(yaml.safe_dump(config))
+        out = tmp_path / "x"
+        assert _score(workspace, "baseline", out) == 2
+        accepted = {"run": RUN_KEYS, "backend": BACKEND_KEYS}[section]
+        assert f"{section}: unknown keys [{key!r}]" in caplog.text
+        assert ", ".join(accepted) in caplog.text
+        assert not out.exists()
+
+    def test_over_long_integer_reply_is_a_recorded_failure(self, workspace, tmp_path):
+        rules = workspace.parent / "rules.jsonl"
+        huge = {"match": ["synthetic response r02"],
+                "text": '{"score": ' + "9" * 5000 + "}"}
+        rules.write_text(json.dumps(huge) + "\n" + rules.read_text())
+        out = tmp_path / "huge"
+        assert _score(workspace, "baseline", out) == 0
+        assert len((out / "records.jsonl").read_text().splitlines()) == 11
+        assert json.loads((out / "failures.jsonl").read_text()) == {
+            "response_id": "r02",
+            "error": "ScoringFailed: gave up after 3 attempts: no balanced "
+                     "JSON object found in model output",
+        }
+
     def test_resume_may_change_parallelism_and_seed(self, workspace, tmp_path):
         whole, cut = tmp_path / "whole", tmp_path / "cut"
         assert _score(workspace, "autoscore", whole) == 0
@@ -389,6 +453,18 @@ class TestScoreCommand:
 
 
 class TestEvaluateCommand:
+    @pytest.mark.parametrize("key", READ_KEYS)
+    def test_manifest_without_key_exits_3(self, workspace, tmp_path, caplog, key):
+        out = tmp_path / "run"
+        assert _score(workspace, "baseline", out) == 0
+        manifest_path = out / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest[key]
+        manifest_path.write_text(json.dumps(manifest))
+        reports = str(tmp_path / "reports")
+        assert main(["evaluate", "--run", str(out), "--out", reports]) == 3
+        assert f"{manifest_path} lacks {key}" in caplog.text
+
     def test_paired_runs_produce_comparison(self, workspace, tmp_path, capsys):
         base_dir = tmp_path / "b"
         auto_dir = tmp_path / "a"
@@ -641,6 +717,28 @@ class TestCaseCommand:
             ]
         )
         assert code == 3
+
+    def test_swapped_runs_exit_3(self, workspace, tmp_path, capsys):
+        base_dir, auto_dir = tmp_path / "b", tmp_path / "a"
+        _score(workspace, "baseline", base_dir)
+        _score(workspace, "autoscore", auto_dir)
+        code = main(["case", "--run-autoscore", str(base_dir),
+                     "--run-baseline", str(auto_dir), "--id", "r02",
+                     "--config", str(workspace)])
+        assert code == 3
+        assert capsys.readouterr().out == ""
+
+    def test_baseline_over_other_dataset_exits_3(self, workspace, tmp_path, capsys):
+        base_dir, auto_dir = tmp_path / "b", tmp_path / "a"
+        _score(workspace, "autoscore", auto_dir)
+        tsv = workspace.parent / "data.tsv"
+        tsv.write_text(tsv.read_text().rstrip("\n") + " edited\n")
+        _score(workspace, "baseline", base_dir)
+        code = main(["case", "--run-autoscore", str(auto_dir),
+                     "--run-baseline", str(base_dir), "--id", "r02",
+                     "--config", str(workspace)])
+        assert code == 3
+        assert capsys.readouterr().out == ""
 
 
 class TestHelpGolden:

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from autoscore.core import ScoreRange
 from autoscore.metrics import PairedScores, compute_report
-from autoscore.pipeline import RunConfig, score_dataset
+from autoscore.pipeline import RunConfig, load_run, score_dataset
 from autoscore.report import (
     NotFound,
+    Unpaired,
     ZeroBase,
     build_comparison_row,
     case_record,
@@ -215,7 +216,8 @@ class TestCaseRecord:
 
     def test_assembles_both_predictions(self, run_dirs):
         record = case_record(
-            run_dirs["autoscore"], run_dirs["baseline"], "r05",
+            load_run(run_dirs["autoscore"]), load_run(run_dirs["baseline"]),
+            "r05",
             response_text=synth_response_text("r05"),
         )
         assert record.gold == 2
@@ -225,7 +227,8 @@ class TestCaseRecord:
 
     def test_markdown_rendering(self, run_dirs):
         record = case_record(
-            run_dirs["autoscore"], run_dirs["baseline"], "r02",
+            load_run(run_dirs["autoscore"]), load_run(run_dirs["baseline"]),
+            "r02",
             response_text=synth_response_text("r02"),
         )
         markdown = record.to_markdown()
@@ -237,7 +240,8 @@ class TestCaseRecord:
     def test_missing_response_id(self, run_dirs):
         with pytest.raises(NotFound):
             case_record(
-                run_dirs["autoscore"], run_dirs["baseline"], "r99",
+                load_run(run_dirs["autoscore"]), load_run(run_dirs["baseline"]),
+                "r99",
                 response_text="missing",
             )
 
@@ -251,6 +255,23 @@ class TestCaseRecord:
         records_path.write_text("".join(line + "\n" for line in kept))
         with pytest.raises(NotFound, match="baseline"):
             case_record(
-                run_dirs["autoscore"], run_dirs["baseline"], "r03",
+                load_run(run_dirs["autoscore"]), load_run(run_dirs["baseline"]),
+                "r03",
                 response_text="present in autoscore only",
+            )
+
+    def test_refuses_swapped_runs(self, run_dirs):
+        with pytest.raises(Unpaired, match="an autoscore and a baseline run of one dataset"):
+            case_record(
+                load_run(run_dirs["baseline"]), load_run(run_dirs["autoscore"]),
+                "r05", response_text=synth_response_text("r05"),
+            )
+
+    def test_refuses_runs_over_different_datasets(self, run_dirs):
+        baseline = load_run(run_dirs["baseline"])
+        baseline.manifest["dataset_digest"] = "0" * 64
+        with pytest.raises(Unpaired, match="an autoscore and a baseline run of one dataset"):
+            case_record(
+                load_run(run_dirs["autoscore"]), baseline,
+                "r05", response_text=synth_response_text("r05"),
             )

@@ -121,6 +121,14 @@ def test_extract_json_refuses_truncated_object():
         extract_json_block('{"score": ')
 
 
+def test_extract_json_skips_object_with_over_long_integer():
+    # json raises a plain ValueError past the interpreter's int_max_str_digits
+    huge = '{"score": ' + "9" * 5000 + "}"
+    with pytest.raises(NoJsonFound):
+        extract_json_block(huge)
+    assert extract_json_block(huge + ' {"score": 2}') == '{"score": 2}'
+
+
 _json_values = st.recursive(
     st.one_of(
         st.none(),
