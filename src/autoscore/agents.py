@@ -255,7 +255,6 @@ def run_stage(
             model_name=backend.model_name,
             messages=tuple(messages),
             max_output_tokens=max_output_tokens,
-            force_json=True,
         )
         reply = backend.complete(request)
         outcome.transcripts.append(Transcript(name, request.digest, reply.text))

@@ -16,6 +16,7 @@ annotations.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
@@ -68,7 +69,8 @@ class ScriptExhausted(AutoscoreError):
 
 @dataclass(frozen=True)
 class ChatRequest:
-    """One chat-completion request; the cache/replay key covers every field.
+    """One chat-completion request, always at temperature 0 with a JSON
+    reply format; the cache/replay key covers every field.
 
     `digest` is `request_digest` of the request, computed once here: the
     agents record it and the digest store looks it up. (A
@@ -78,9 +80,7 @@ class ChatRequest:
 
     model_name: str
     messages: tuple[tuple[str, str], ...]  # (role, content), role in {system,user}
-    temperature: float = 0.0
     max_output_tokens: int = 1024
-    force_json: bool = False
     digest: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -89,8 +89,6 @@ class ChatRequest:
         for role, _ in self.messages:
             if role not in ("system", "user"):
                 raise ValueError(f"unsupported message role {role!r}")
-        if not 0.0 <= self.temperature <= 2.0:
-            raise ValueError("temperature must lie in [0, 2]")
         if self.max_output_tokens <= 0:
             raise ValueError("max_output_tokens must be positive")
         object.__setattr__(self, "digest", request_digest(self))
@@ -113,14 +111,15 @@ def request_digest(request: ChatRequest) -> str:
     """Deterministic cross-platform digest (hex SHA-256) of the full request.
 
     Canonical form sorts the payload keys; message content is hashed
-    verbatim, with no whitespace normalization anywhere.
-    """
+    verbatim, with no whitespace normalization anywhere. The constant
+    temperature and JSON format stay in the payload, so that digests, and
+    the cache and replay files keyed on them, do not change."""
     payload = {
         "model_name": request.model_name,
         "messages": [[role, content] for role, content in request.messages],
-        "temperature": request.temperature,
+        "temperature": 0.0,
         "max_output_tokens": request.max_output_tokens,
-        "force_json": request.force_json,
+        "force_json": True,
     }
     canonical = json.dumps(
         payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False
@@ -249,9 +248,8 @@ class RemoteBackend:
         self._timeout_s = timeout_s
         self._transport = transport or _default_transport
         self._sleeper = sleeper
-        self._gate = (
-            threading.BoundedSemaphore(max_in_flight) if max_in_flight else None
-        )
+        self._gate = (threading.BoundedSemaphore(max_in_flight) if max_in_flight
+                      else contextlib.nullcontext())
 
     @property
     def identity(self) -> str:
@@ -269,11 +267,10 @@ class RemoteBackend:
                 {"role": role, "content": content}
                 for role, content in request.messages
             ],
-            "temperature": request.temperature,
+            "temperature": 0.0,
             "max_tokens": request.max_output_tokens,
+            "response_format": {"type": "json_object"},
         }
-        if request.force_json:
-            body["response_format"] = {"type": "json_object"}
 
         latency_total_ms = 0
         backoff = self.BACKOFF_BASE_S
@@ -282,15 +279,10 @@ class RemoteBackend:
             if attempt > 0:
                 self._sleeper(backoff)
                 backoff *= self.BACKOFF_FACTOR
-            if self._gate is not None:
-                self._gate.acquire()
-            try:
+            with self._gate:
                 started = time.perf_counter()
                 status, text = self._transport(url, headers, body, self._timeout_s)
                 elapsed_ms = max(1, round((time.perf_counter() - started) * 1000))
-            finally:
-                if self._gate is not None:
-                    self._gate.release()
             latency_total_ms += elapsed_ms
             if status == 200:
                 try:

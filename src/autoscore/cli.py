@@ -261,17 +261,16 @@ def cmd_validate_components(args) -> int:
     schema = compile_schema(result.manifest["item_id"], schema_def)
     gold = load_gold_annotations(args.gold)
 
-    ids = [r.response_id for r in result.records]
-    if args.sample_fraction < 1.0:
-        chosen = sample_ids(ids, args.sample_fraction, args.seed)
-        ids = [rid for rid in ids if rid in chosen]
-    chosen_ids = set(ids)
+    # at fraction 1.0 the sample is every id
+    chosen = sample_ids(
+        [r.response_id for r in result.records], args.sample_fraction, args.seed
+    )
     predicted = {
         r.response_id: r.representation
         for r in result.records
-        if r.response_id in chosen_ids
+        if r.response_id in chosen
     }
-    gold_subset = {rid: gold[rid] for rid in ids if rid in gold}
+    gold_subset = {rid: gold[rid] for rid in predicted if rid in gold}
     reliability = validate_components(predicted, gold_subset, schema)
     print(reliability.to_text())
     if args.out:
@@ -287,14 +286,10 @@ def cmd_validate_components(args) -> int:
 
 
 def cmd_tradeoff(args) -> int:
-    inputs = []
-    for run_dir in args.runs:
-        result = pipeline.load_run(Path(run_dir))
-        if not result.records:
-            continue
-        inputs.append((result, evaluate_run(result)))
-    rows = report.tradeoff_data(inputs)
-    csv_text = report.tradeoff_csv(rows)
+    runs = [pipeline.load_run(Path(run_dir)) for run_dir in args.runs]
+    # a run without records has no mean time, and evaluate_run refuses it
+    csv_text = report.tradeoff_csv(
+        [(run, evaluate_run(run)) for run in runs if run.records])
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(csv_text, encoding="utf-8")

@@ -28,6 +28,10 @@ class ConfigError(AutoscoreError):
 BACKEND_KEYS = ("kind", "model", "base_url", "timeout_s", "max_in_flight",
                 "cache_path", "replay_path", "script_path", "max_output_tokens")
 RUN_KEYS = ("parallelism", "max_retries", "seed", "imputation")
+# the keys an entry of items: accepts
+ITEM_KEYS = ("family", "tsv_path", "essay_set", "gold_rule", "score_range",
+             "question", "rubric_text", "reference_material", "schema",
+             "templates")
 
 
 @dataclass
@@ -161,7 +165,7 @@ def load_config(path) -> Config:
 
     items = {
         item_id: _parse_item(
-            item_id, _mapping(item_raw, f"items.{item_id}"), path.parent
+            item_id, _mapping(item_raw, f"items.{item_id}", ITEM_KEYS), path.parent
         )
         for item_id, item_raw in _mapping(raw.get("items"), "items").items()
     }
@@ -174,10 +178,17 @@ def load_config(path) -> Config:
 
 
 def _rule(line: str) -> dict:
-    """One scripted rule: a JSON object with `match` and `text`."""
+    """One scripted rule: a JSON object with `match`, `text` and an optional
+    `latency_ms`, each of the type ScriptedBackend reads."""
     rule = json.loads(line)
     if not isinstance(rule, dict) or not {"match", "text"} <= rule.keys():
         raise ValueError('a rule needs "match" and "text"')
+    needles, latency_ms = rule["match"], rule.get("latency_ms", 1)
+    needles = [needles] if isinstance(needles, str) else needles
+    if (not isinstance(needles, list) or type(latency_ms) is not int or latency_ms < 1
+            or not all(isinstance(text, str) for text in [*needles, rule["text"]])):
+        raise ValueError('"match" must be a string or a list of strings, "text" '
+                         'a string and "latency_ms" an integer >= 1')
     return rule
 
 

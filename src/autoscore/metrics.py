@@ -315,12 +315,10 @@ def evaluate_run(result) -> MetricsReport:
     missing = [r.response_id for r in records if r.gold_score is None]
     if missing:
         raise NoGold(f"records without gold scores: {missing[:5]}")
-    manifest_range = result.manifest["score_range"]
-    score_range = ScoreRange(manifest_range["min"], manifest_range["max"])
     paired = PairedScores(
         gold=tuple(r.gold_score for r in records),
         pred=tuple(r.predicted_score for r in records),
-        range=score_range,
+        range=ScoreRange(**result.manifest["score_range"]),
     )
     return compute_report(paired, failures=len(result.failures),
                           label=result.manifest["mode"])

@@ -22,13 +22,17 @@ from pathlib import Path
 
 from . import agents
 from .backend import read_jsonl
-from .core import AutoscoreError, ScoredRecord, StudentResponse, TaskContext
+from .core import AutoscoreError, ScoredRecord, ScoreRange, StudentResponse, TaskContext
 from .ingest import Dataset
 from .schema import ComponentSchema
 
 logger = logging.getLogger(__name__)
 
 PROGRESS_EVERY = 25
+
+RECORDS = "records.jsonl"
+FAILURES = "failures.jsonl"
+MANIFEST = "manifest.json"
 
 # each mode is an ordered chain of agents.STAGES; a stage name is also the
 # agent name in transcripts and the key of its prompt in RunConfig.templates
@@ -154,32 +158,20 @@ def _manifest_for(config: RunConfig, dataset: Dataset) -> dict:
     }
 
 
-def _records_path(run_dir: Path) -> Path:
-    return run_dir / "records.jsonl"
-
-
-def _failures_path(run_dir: Path) -> Path:
-    return run_dir / "failures.jsonl"
-
-
-def _manifest_path(run_dir: Path) -> Path:
-    return run_dir / "manifest.json"
-
-
 def _write_manifest(run_dir: Path, manifest: dict) -> None:
     """Replace manifest.json atomically (write a temporary file, fsync it,
     rename it over the old one), so a crash leaves the old manifest or the
     new one, never a torn mix."""
-    temporary = run_dir / "manifest.json.tmp"
+    temporary = run_dir / f"{MANIFEST}.tmp"
     with temporary.open("w", encoding="utf-8") as handle:
         handle.write(json.dumps(manifest, indent=2) + "\n")
         handle.flush()
         os.fsync(handle.fileno())
-    os.replace(temporary, _manifest_path(run_dir))
+    os.replace(temporary, run_dir / MANIFEST)
 
 
 def _read_manifest(run_dir: Path) -> dict:
-    path = _manifest_path(run_dir)
+    path = run_dir / MANIFEST
     try:
         manifest = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
@@ -191,6 +183,15 @@ def _read_manifest(run_dir: Path) -> dict:
     missing = [key for key in READ_KEYS if key not in manifest]
     if missing:
         raise ManifestMismatch(f"{path} lacks {', '.join(missing)}")
+    try:  # the values readers index must have the shape they index
+        ScoreRange(**manifest["score_range"])
+        shaped = manifest["mode"] in STAGES and all(
+            isinstance(manifest["context"][key], str)
+            for key in ("question", "rubric_text"))
+    except (TypeError, KeyError, ValueError):
+        shaped = False
+    if not shaped:
+        raise ManifestMismatch(f"{path} has a malformed score_range, mode or context")
     return manifest
 
 
@@ -250,10 +251,10 @@ def _read_done(run_dir: Path):
     line in either file. Also returns the intact byte length of each file,
     where the next append must start."""
     records, records_end = read_jsonl(
-        _records_path(run_dir), ScoredRecord.from_jsonl_line, ManifestMismatch
+        run_dir / RECORDS, ScoredRecord.from_jsonl_line, ManifestMismatch
     )
     failures, failures_end = read_jsonl(
-        _failures_path(run_dir), _failure_from_line, ManifestMismatch
+        run_dir / FAILURES, _failure_from_line, ManifestMismatch
     )
     return records, failures, (records_end, failures_end)
 
@@ -262,25 +263,19 @@ def _execute(config: RunConfig, dataset: Dataset, manifest: dict) -> RunResult:
     records, failures, intact = _read_done(config.run_dir)
     done_ids = {r.response_id for r in records} | {rid for rid, _ in failures}
     ordered = sorted(dataset.responses, key=lambda r: r.response_id)
-    ordered_ids = [r.response_id for r in ordered]
 
-    stale = done_ids - set(ordered_ids)
-    if stale:
-        raise ManifestMismatch(
-            f"run dir contains ids not present in the dataset: "
-            f"{sorted(stale)[:5]}"
-        )
-    # outcomes are persisted in response_id order, so they form a prefix
+    # outcomes are persisted in response_id order, so they form a prefix (a
+    # stale id, one not in the dataset, fails this too)
     prefix_len = len(done_ids)
-    if set(ordered_ids[:prefix_len]) != done_ids:
+    if {r.response_id for r in ordered[:prefix_len]} != done_ids:
         raise ManifestMismatch(
             "persisted ids are not a prefix of the dataset ordering; "
             "the run dir is corrupt or belongs to another dataset"
         )
     todo = ordered[prefix_len:]
 
-    with _records_path(config.run_dir).open("a", encoding="utf-8") as rec, \
-            _failures_path(config.run_dir).open("a", encoding="utf-8") as fail:
+    with (config.run_dir / RECORDS).open("a", encoding="utf-8") as rec, \
+            (config.run_dir / FAILURES).open("a", encoding="utf-8") as fail:
         # cut torn tails off, so the next line does not glue onto them
         rec.truncate(intact[0])
         fail.truncate(intact[1])
@@ -369,7 +364,7 @@ def score_dataset(config: RunConfig, dataset: Dataset) -> RunResult:
     """
     run_dir = config.run_dir
     run_dir.mkdir(parents=True, exist_ok=True)
-    if _manifest_path(run_dir).exists():
+    if (run_dir / MANIFEST).exists():
         raise RunDirConflict(
             f"{run_dir} already contains a run; use resume instead"
         )
@@ -396,13 +391,13 @@ def resume(run_dir, config: RunConfig, dataset: Dataset) -> RunResult:
         if key not in manifest:  # written before the key was recorded
             raise ManifestMismatch(f"manifest has no {key}; it cannot be resumed")
         got, want = manifest[key], current[key]
-        if got != want and key == "templates" and isinstance(got, dict):
-            stages = [s for s in want if got.get(s) != want[s]]  # not the text
-            raise ManifestMismatch(f"manifest templates differ for {', '.join(stages)}")
-        if got != want:
-            raise ManifestMismatch(
-                f"manifest {key} is {got!r}, current run has {want!r}"
-            )
+        if got == want:
+            continue
+        if isinstance(got, dict) and isinstance(want, dict):
+            # name the parts that differ, not their (prompt or rubric) text
+            parts = [k for k in {**want, **got} if got.get(k) != want.get(k)]
+            raise ManifestMismatch(f"manifest {key} differs for {', '.join(parts)}")
+        raise ManifestMismatch(f"manifest {key} is {got!r}, current run has {want!r}")
     return _execute(config, dataset, manifest)
 
 

@@ -1,5 +1,5 @@
-"""Comparison tables with signed percentage deltas, time/quality tradeoff
-data, and per-response case-study audit records.
+"""Comparison tables with signed percentage deltas, a time/quality
+tradeoff CSV, and per-response case-study audit records.
 
 Delta convention: 100 * (new - base) / |base|, so the sign always tracks
 the direction of change even when the baseline value is negative (a
@@ -156,41 +156,15 @@ def comparison_table(rows: list[ComparisonRow]) -> tuple[str, dict]:
     return "\n".join(lines), {"rows": payload_rows}
 
 
-@dataclass(frozen=True)
-class TradeoffRow:
-    model_label: str
-    variant: str  # "baseline" | "autoscore"
-    mean_wall_time_ms: float
-    qwk: float
-
-
-def tradeoff_data(results: list[tuple]) -> list[TradeoffRow]:
-    """One row per (run result, metrics report) pair: the run's mean wall
-    time per successfully scored instance against its QWK. Runs without
-    records contribute no row."""
-    rows = []
-    for result, report in results:
-        mean_ms = result.mean_wall_time_ms()
-        if mean_ms is None:
-            continue
-        rows.append(
-            TradeoffRow(
-                model_label=result.manifest["model_name"],
-                variant=result.manifest["mode"],
-                mean_wall_time_ms=mean_ms,
-                qwk=report.qwk,
-            )
-        )
-    return rows
-
-
-def tradeoff_csv(rows: list[TradeoffRow]) -> str:
-    lines = ["model,variant,mean_ms,qwk"]
-    for row in rows:
-        lines.append(
-            f"{row.model_label},{row.variant},"
-            f"{row.mean_wall_time_ms!r},{row.qwk!r}"
-        )
+def tradeoff_csv(results: list[tuple]) -> str:
+    """One CSV line per (run result, metrics report) pair: the run's model,
+    mode, mean wall time per successfully scored instance, and QWK. Every
+    run must have records."""
+    lines = ["model,variant,mean_ms,qwk"] + [
+        f"{result.manifest['model_name']},{result.manifest['mode']},"
+        f"{result.mean_wall_time_ms()!r},{report.qwk!r}"
+        for result, report in results
+    ]
     return "".join(line + "\n" for line in lines)
 
 

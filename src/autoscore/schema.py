@@ -148,7 +148,11 @@ def compile_schema(item_id: str, definition: dict) -> ComponentSchema:
     The definition is a mapping with a "fields" list; each entry carries
     name, kind, an optional derived_from, and an optional description.
     """
-    raw_fields = definition.get("fields") or []
+    raw_fields = definition.get("fields", []) if isinstance(definition, dict) else None
+    if not isinstance(raw_fields, list) or not all(
+            isinstance(entry, dict) for entry in raw_fields):
+        raise SchemaError(f"schema for {item_id!r} must be a mapping with a list "
+                          f"of field mappings under fields")
     if not raw_fields:
         raise EmptySchema(f"schema for {item_id!r} declares no fields")
 
@@ -156,7 +160,7 @@ def compile_schema(item_id: str, definition: dict) -> ComponentSchema:
     seen: set[str] = set()
     for entry in raw_fields:
         name = entry.get("name", "")
-        if not _NAME_RE.match(name or ""):
+        if not isinstance(name, str) or not _NAME_RE.match(name):
             raise InvalidFieldName(
                 f"schema for {item_id!r}: bad field name {name!r}"
             )
@@ -192,7 +196,7 @@ def compile_schema(item_id: str, definition: dict) -> ComponentSchema:
     for f in compiled:
         if f.derived_from is None:
             continue
-        source = by_name.get(f.derived_from)
+        source = by_name.get(f.derived_from) if type(f.derived_from) is str else None
         if source is None or source.kind is not FieldKind.TEXT_LIST:
             raise DanglingDerivation(
                 f"schema for {item_id!r}: count field {f.name!r} derives "

@@ -26,9 +26,7 @@ def _req(**overrides):
     base = dict(
         model_name="m1",
         messages=(("system", "sys"), ("user", "hello")),
-        temperature=0.0,
         max_output_tokens=64,
-        force_json=False,
     )
     base.update(overrides)
     return ChatRequest(**base)
@@ -38,8 +36,8 @@ class TestRequestDigest:
     def test_equal_requests_equal_digests(self):
         assert request_digest(_req()) == request_digest(_req())
 
-    def test_temperature_changes_digest(self):
-        assert request_digest(_req()) != request_digest(_req(temperature=0.5))
+    def test_max_output_tokens_changes_digest(self):
+        assert request_digest(_req()) != request_digest(_req(max_output_tokens=65))
 
     def test_message_order_is_semantic(self):
         swapped = _req(messages=(("user", "hello"), ("system", "sys")))
@@ -52,7 +50,7 @@ class TestRequestDigest:
         # frozen value pins the canonical serialization; if this changes,
         # every recorded replay fixture and cache file is invalidated
         assert request_digest(_req()) == (
-            "012fbdabdf7c1c73493b5c03c60815c161708d9755357f6b26ac5572784fe8ef"
+            "42fd85d9edf493e91188a22aaef45ed70075bb7517fd9a517ff949bc355876c4"
         )
 
 
@@ -60,10 +58,6 @@ class TestChatRequestInvariants:
     def test_needs_messages(self):
         with pytest.raises(ValueError):
             _req(messages=())
-
-    def test_temperature_bounds(self):
-        with pytest.raises(ValueError):
-            _req(temperature=2.5)
 
     def test_role_whitelist(self):
         with pytest.raises(ValueError):
@@ -275,15 +269,16 @@ class TestRemoteRetryPolicy:
         assert status == 0
         assert "connection failure" in body
 
-    def test_force_json_sets_response_format(self):
+    def test_body_asks_for_json_at_temperature_zero(self):
         seen = {}
 
         def transport(url, headers, body, timeout_s):
             seen.update(body=body, url=url, headers=headers)
             return 200, _ok_body()
 
-        _remote(transport).complete(_req(force_json=True))
+        _remote(transport).complete(_req())
         assert seen["body"]["response_format"] == {"type": "json_object"}
+        assert seen["body"]["temperature"] == 0.0
         assert seen["url"].endswith("/chat/completions")
         assert seen["headers"]["Authorization"] == "Bearer k"
         assert seen["body"]["max_tokens"] == 64
@@ -317,7 +312,7 @@ class TestCachingBackend:
         assert reloaded.complete(_req()).text == "kept"
         # the next append starts a line of its own instead of gluing onto
         # the fragment, so a fresh load still serves it
-        other = _req(temperature=0.5)
+        other = _req(max_output_tokens=65)
         assert reloaded.complete(other).text == "added"
         idle = ScriptedBackend(responses=[])
         assert CachingBackend(idle, path).complete(other).text == "added"

@@ -5,7 +5,7 @@ import pytest
 import yaml
 
 from autoscore.cli import build_parser, main
-from autoscore.config import BACKEND_KEYS, RUN_KEYS
+from autoscore.config import BACKEND_KEYS, ITEM_KEYS, RUN_KEYS
 from autoscore.pipeline import READ_KEYS
 
 from conftest import (
@@ -150,6 +150,9 @@ RESUME_DRIFT = [
     ("max_output_tokens", _setting("backend", "max_output_tokens", value=64), []),
 ]
 
+# the sub-keys a drift message names for each mapping-valued manifest key
+DRIFT_PARTS = {"score_range": "max", "context": "rubric_text", "schema": "fields"}
+
 
 def _score(config_path, mode, out, extra=()):
     return main(
@@ -248,6 +251,50 @@ class TestScoreCommand:
         assert _score(workspace, "baseline", tmp_path / "x") == 2
         assert f"{rules} line 3" in caplog.text
 
+    @pytest.mark.parametrize("rule", [
+        {"match": 5, "text": "x"},
+        {"match": ["synthetic", 5], "text": "x"},
+        {"match": {"synthetic": 1}, "text": "x"},
+        {"match": "synthetic", "text": 5},
+        {"match": "synthetic", "text": "x", "latency_ms": 0},
+        {"match": "synthetic", "text": "x", "latency_ms": "10"},
+        {"match": "synthetic", "text": "x", "latency_ms": 2.5},
+    ], ids=["match-int", "match-list-with-int", "match-object", "text-int",
+            "latency-zero", "latency-string", "latency-float"])
+    def test_bad_rule_value_exits_2_before_writing(
+        self, workspace, tmp_path, caplog, rule
+    ):
+        # every response reaches line 3, so at run time this rule would crash
+        # the run or answer with a latency no model call can have
+        rules = workspace.parent / "rules.jsonl"
+        lines = rules.read_text().splitlines(True)
+        lines[2] = json.dumps(rule) + "\n"
+        rules.write_text("".join(lines))
+        out = tmp_path / "x"
+        assert _score(workspace, "baseline", out) == 2
+        assert f"{rules} line 3" in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("schema", [
+        {"fields": ["x"]},
+        [{"name": "x", "kind": "boolean"}],
+        {"fields": {"name": "x", "kind": "boolean"}},
+        {"fields": [{"name": 5, "kind": "boolean"}]},
+        {"fields": [{"name": "a", "kind": "text_list"},
+                    {"name": "b", "kind": "count", "derived_from": ["a"]}]},
+    ], ids=["field-not-mapping", "schema-list", "fields-mapping", "name-int",
+            "derived-from-list"])
+    def test_malformed_schema_exits_2_before_writing(
+        self, workspace, tmp_path, caplog, schema
+    ):
+        config = yaml.safe_load(workspace.read_text())
+        config["items"]["synth"]["schema"] = schema
+        workspace.write_text(yaml.safe_dump(config))
+        out = tmp_path / "x"
+        assert _score(workspace, "baseline", out) == 2
+        assert "schema for 'synth'" in caplog.text
+        assert not out.exists()
+
     @pytest.mark.parametrize("section,key,value", [
         ("flag", "--parallelism", "0"),
         ("flag", "--parallelism", "-1"),
@@ -341,7 +388,11 @@ class TestScoreCommand:
         workspace.write_text(yaml.safe_dump(config))
         code = _score(workspace, "autoscore", out, extra=["--resume", *flags])
         assert code == 3
-        assert f"manifest {key} is" in caplog.text
+        if key in DRIFT_PARTS:  # a mapping names its parts, not their text
+            assert f"manifest {key} differs for {DRIFT_PARTS[key]}" in caplog.text
+            assert "edited" not in caplog.text
+        else:
+            assert f"manifest {key} is" in caplog.text
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_resume_refuses_changed_template(self, workspace, tmp_path, caplog):
@@ -355,8 +406,7 @@ class TestScoreCommand:
         config["items"]["synth"]["templates"] = {"scoring_user": "scoring_user.txt"}
         workspace.write_text(yaml.safe_dump(config))
         assert _score(workspace, "autoscore", out, extra=["--resume"]) == 3
-        assert "manifest templates differ" in caplog.text
-        assert "differ for scoring" in caplog.text
+        assert "manifest templates differs for scoring" in caplog.text
         assert "EDITED" not in caplog.text  # names the stage, not the prompt
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
@@ -377,16 +427,21 @@ class TestScoreCommand:
 
     @pytest.mark.parametrize("section,key", [
         ("run", "paralellism"), ("backend", "max_retry"),
+        ("items.synth", "gold_rul"),
     ])
     def test_unknown_config_key_exits_2_before_writing(
         self, workspace, tmp_path, caplog, section, key
     ):
         config = yaml.safe_load(workspace.read_text())
-        config[section][key] = 1
+        target = config
+        for part in section.split("."):
+            target = target[part]
+        target[key] = "resolved_column"
         workspace.write_text(yaml.safe_dump(config))
         out = tmp_path / "x"
         assert _score(workspace, "baseline", out) == 2
-        accepted = {"run": RUN_KEYS, "backend": BACKEND_KEYS}[section]
+        accepted = {"run": RUN_KEYS, "backend": BACKEND_KEYS,
+                    "items.synth": ITEM_KEYS}[section]
         assert f"{section}: unknown keys [{key!r}]" in caplog.text
         assert ", ".join(accepted) in caplog.text
         assert not out.exists()
@@ -464,6 +519,31 @@ class TestEvaluateCommand:
         reports = str(tmp_path / "reports")
         assert main(["evaluate", "--run", str(out), "--out", reports]) == 3
         assert f"{manifest_path} lacks {key}" in caplog.text
+
+    @pytest.mark.parametrize("key,value", [
+        ("score_range", {}),
+        ("score_range", {"min": 3, "max": 0}),
+        ("score_range", [0, 3]),
+        ("mode", "hybrid"),
+        ("mode", ["baseline"]),
+        ("context", {"rubric_text": "r"}),
+        ("context", {"question": "q", "rubric_text": 5}),
+        ("context", "q"),
+    ], ids=["range-empty", "range-inverted", "range-list", "mode-unknown",
+            "mode-list", "context-no-question", "context-rubric-int",
+            "context-string"])
+    def test_malformed_manifest_value_exits_3(
+        self, workspace, tmp_path, caplog, key, value
+    ):
+        out = tmp_path / "run"
+        assert _score(workspace, "baseline", out) == 0
+        manifest_path = out / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest[key] = value
+        manifest_path.write_text(json.dumps(manifest))
+        reports = str(tmp_path / "reports")
+        assert main(["evaluate", "--run", str(out), "--out", reports]) == 3
+        assert f"{manifest_path} has a malformed" in caplog.text
 
     def test_paired_runs_produce_comparison(self, workspace, tmp_path, capsys):
         base_dir = tmp_path / "b"
