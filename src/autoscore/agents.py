@@ -154,6 +154,11 @@ def representation_block(representation: StructuredRepresentation) -> str:
     return block
 
 
+# the placeholders every stage binds, from the task context and the response
+CONTEXT_PLACEHOLDERS = ("question", "reference_material", "rubric_text", "response",
+                        "score_min", "score_max")
+
+
 def _context_bindings(
     context: TaskContext, response: StudentResponse
 ) -> dict[str, str]:
@@ -190,12 +195,13 @@ def _parse_score(raw: str, context: TaskContext, _input) -> Score:
 
 
 class Stage(NamedTuple):
-    """What sets one agent apart: its default prompt, the bindings its
-    input adds, how a reply is parsed, the failure raised when retries run
-    out, and the default output budget."""
+    """What sets one agent apart: its default prompt, the placeholders its
+    input binds (each with the function that renders it from the input), how
+    a reply is parsed, the failure raised when retries run out, and the
+    default output budget."""
 
     template: PromptTemplate
-    bindings: Callable[[object], dict[str, str]]
+    bindings: dict[str, Callable[[object], str]]
     parse: Callable[[str, TaskContext, object], object]
     failure: type[RetriesExhausted]
     max_output_tokens: int
@@ -206,17 +212,17 @@ class Stage(NamedTuple):
 STAGES = {
     "extraction": Stage(
         PromptTemplate(prompts.EXTRACTION_SYSTEM, prompts.EXTRACTION_USER),
-        lambda schema: {"schema_description": describe_schema(schema)},
+        {"schema_description": describe_schema},
         _parse_representation, ExtractionFailed, 1024,
     ),
     "scoring": Stage(
         PromptTemplate(prompts.SCORING_SYSTEM, prompts.SCORING_USER),
-        lambda rep: {"representation_json": representation_block(rep)},
+        {"representation_json": representation_block},
         _parse_score, ScoringFailed, 128,
     ),
     "baseline": Stage(
         PromptTemplate(prompts.BASELINE_SYSTEM, prompts.BASELINE_USER),
-        lambda _input: {}, _parse_score, ScoringFailed, 128,
+        {}, _parse_score, ScoringFailed, 128,
     ),
 }
 
@@ -243,7 +249,8 @@ def run_stage(
     template = template or stage.template
     if max_output_tokens is None:
         max_output_tokens = stage.max_output_tokens
-    bindings = {**_context_bindings(context, response), **stage.bindings(input)}
+    bindings = _context_bindings(context, response)
+    bindings.update((key, bind(input)) for key, bind in stage.bindings.items())
     system_text = render(template.system_text, bindings)
     user_text = render(template.user_text, bindings)
     messages: list[tuple[str, str]] = [("system", system_text), ("user", user_text)]
@@ -271,6 +278,15 @@ def run_stage(
             continue
         return outcome
     raise stage.failure(last_error, outcome)
+
+
+def unbound_placeholders(name: str, template: PromptTemplate) -> list[str]:
+    """The placeholders in the template's system and user text that stage
+    `name` does not bind, so that every render of it would fail."""
+    bound = {*CONTEXT_PLACEHOLDERS, *STAGES[name].bindings}
+    used = {match.group(1) for text in (template.system_text, template.user_text)
+            for match in _PLACEHOLDER_RE.finditer(text)}
+    return sorted(used - bound)
 
 
 def _describe(exc: Exception) -> str:

@@ -135,10 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_score(args) -> int:
     config = load_config(args.config)
     item = config.item(args.item)
-    if args.mode == "autoscore" and item.schema is None:
-        raise ConfigError(
-            f"item {args.item!r} has no component schema; autoscore needs one"
-        )
     dataset = load_dataset(item.dataset_spec)
     backend = build_backend(config, args.backend)
     # load_config admits only RunConfig's own keys; RunConfig checks values
@@ -158,7 +154,7 @@ def cmd_score(args) -> int:
             **settings,
         )
     except ValueError as exc:
-        raise ConfigError(f"run settings: {exc}") from None
+        raise ConfigError(str(exc)) from None
     if args.resume:
         result = pipeline.resume(Path(args.out), run_config, dataset)
     else:
@@ -212,39 +208,14 @@ def cmd_evaluate(args) -> int:
         )
         print(rep.to_text())
 
-    pairs = _comparison_pairs(runs, reports)
-    if pairs:
-        rows = [
-            report.build_comparison_row(
-                dataset_label=base_run.manifest["dataset_ref"],
-                model_label=base_run.manifest["model_name"],
-                baseline=base_rep,
-                autoscore=auto_rep,
-            )
-            for base_run, base_rep, auto_rep in pairs
-        ]
-        text, payload = report.comparison_table(rows)
+    text, payload = report.comparison_table(list(zip(runs, reports)))
+    if payload["rows"]:
         (out_dir / "comparison.md").write_text(text, encoding="utf-8")
         (out_dir / "comparison.json").write_text(
             json.dumps(payload, indent=2) + "\n", encoding="utf-8"
         )
         print(text)
     return EXIT_OK
-
-
-def _comparison_pairs(runs, reports):
-    """Match baseline/autoscore runs over the same dataset and model."""
-    pairs = []
-    by_key = {}
-    for result, rep in zip(runs, reports):
-        key = (result.manifest["dataset_digest"], result.manifest["backend_identity"])
-        by_key.setdefault(key, {})[result.manifest["mode"]] = (result, rep)
-    for group in by_key.values():
-        if "baseline" in group and "autoscore" in group:
-            base_run, base_rep = group["baseline"]
-            _, auto_rep = group["autoscore"]
-            pairs.append((base_run, base_rep, auto_rep))
-    return pairs
 
 
 def cmd_validate_components(args) -> int:

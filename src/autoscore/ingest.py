@@ -41,7 +41,8 @@ class EmptySelection(DatasetError):
 
 
 # family -> (required columns, (id, set, text) columns, gold column per gold
-# rule); a gold rule the family's layout lacks has no entry
+# rule); the gold rules a family accepts are the ones its layout has a
+# column for
 FAMILIES = {
     "sas": (
         ("Id", "EssaySet", "Score1", "Score2", "EssayText"),
@@ -55,9 +56,6 @@ FAMILIES = {
         {"first_rater": "rater1_domain1", "resolved_column": "domain1_score"},
     ),
 }
-
-GOLD_RULES = ("first_rater", "resolved_column")
-
 
 @dataclass(frozen=True)
 class DatasetSpec:
@@ -75,8 +73,10 @@ class DatasetSpec:
             raise ValueError(f"unknown dataset family {self.family!r}")
         if self.essay_set <= 0:
             raise ValueError("essay_set must be positive")
-        if self.gold_rule not in GOLD_RULES:
-            raise ValueError(f"unknown gold_rule {self.gold_rule!r}")
+        gold_rules = FAMILIES[self.family][2]
+        if self.gold_rule not in gold_rules:
+            raise ValueError(f"gold_rule {self.gold_rule!r} is not one of the "
+                             f"{self.family} rules: {', '.join(gold_rules)}")
 
 
 @dataclass(frozen=True)
@@ -123,11 +123,7 @@ def load_dataset(spec: DatasetSpec) -> Dataset:
     """Load the rows of `spec.essay_set` from a TSV in the family's layout,
     with gold from the column the spec's gold rule names there."""
     required, (id_col, set_col, text_col), gold_cols = FAMILIES[spec.family]
-    gold_col = gold_cols.get(spec.gold_rule)
-    if gold_col is None:
-        raise MissingColumn(
-            f"{spec.gold_rule} gold score (not in the {spec.family} layout)"
-        )
+    gold_col = gold_cols[spec.gold_rule]
     path = Path(spec.tsv_path)
     if not path.exists():
         raise DatasetError(f"dataset file not found: {path}")

@@ -41,18 +41,6 @@ class EmptyInput(AutoscoreError):
     pass
 
 
-class NoGold(AutoscoreError):
-    """A record without a gold score cannot enter agreement metrics."""
-
-
-class AlignmentError(AutoscoreError):
-    pass
-
-
-class SchemaMismatch(AutoscoreError):
-    pass
-
-
 @dataclass(frozen=True)
 class PairedScores:
     """Gold/predicted integer score pairs over one rubric scale."""
@@ -314,7 +302,7 @@ def evaluate_run(result) -> MetricsReport:
         raise EmptyInput("run has no successful records")
     missing = [r.response_id for r in records if r.gold_score is None]
     if missing:
-        raise NoGold(f"records without gold scores: {missing[:5]}")
+        raise DatasetError(f"records without gold scores: {missing[:5]}")
     paired = PairedScores(
         gold=tuple(r.gold_score for r in records),
         pred=tuple(r.predicted_score for r in records),
@@ -389,7 +377,7 @@ def validate_components(
     if pred_ids != gold_ids:
         missing = sorted(pred_ids - gold_ids)[:5]
         extra = sorted(gold_ids - pred_ids)[:5]
-        raise AlignmentError(
+        raise DatasetError(
             f"predicted/gold ids differ (missing gold: {missing}, "
             f"extra gold: {extra})"
         )
@@ -400,7 +388,7 @@ def validate_components(
     for rid in ids:
         rep = predicted[rid]
         if rep.schema_id != schema.item_id:
-            raise SchemaMismatch(
+            raise DatasetError(
                 f"{rid}: representation belongs to schema {rep.schema_id!r}, "
                 f"expected {schema.item_id!r}"
             )
@@ -410,7 +398,7 @@ def validate_components(
     for f_ in (*bool_fields, *count_fields):
         for rid in ids:
             if f_.name not in gold[rid]:
-                raise SchemaMismatch(
+                raise DatasetError(
                     f"gold annotation for {rid} lacks field {f_.name!r}"
                 )
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import queue
 import threading
 import time
 from dataclasses import asdict, dataclass, field
@@ -105,7 +106,14 @@ class RunConfig:
         if type(self.seed) is not int:
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.mode == "autoscore" and self.schema is None:
-            raise ValueError("autoscore runs need a compiled schema")
+            raise ValueError(f"item {self.context.item_id!r} has no component "
+                             f"schema; autoscore needs one")
+        for stage in STAGES[self.mode]:
+            template = self.templates.get(stage) or agents.STAGES[stage].template
+            unbound = agents.unbound_placeholders(stage, template)
+            if unbound:
+                raise ValueError(f"the {stage} template uses placeholders its "
+                                 f"stage does not bind: {unbound}")
         if self.imputation not in ("fail", "floor"):
             raise ValueError(f"unknown imputation policy {self.imputation!r}")
 
@@ -281,15 +289,20 @@ def _execute(config: RunConfig, dataset: Dataset, manifest: dict) -> RunResult:
         fail.truncate(intact[1])
         files = {"record": (rec, records, rec.fileno()),
                  "failure": (fail, failures, fail.fileno())}
-        lock = threading.Condition()
-        # under the lock: parked outcomes, kinds written since the calling
-        # thread took them, next position to claim (all claimed: stop) and write
+        # only the workers take `lock`, so an interrupt that lands in the
+        # calling thread, even just as it took some lock, cannot leave one
+        # held that a worker waits for. Under the lock: parked outcomes and
+        # the next position to claim and to write.
+        lock = threading.Lock()
         parked: dict[int, tuple] = {}
-        dirty: set[str] = set()
-        claimed, head, error = 0, 0, None
+        claimed, head = 0, 0
+        stopping = False  # set on abort: no further response is claimed
+        # to the calling thread: the kind of each line written at the head,
+        # in order, or the exception that ends the run
+        updates = queue.SimpleQueue()
 
         def work() -> None:
-            nonlocal claimed, head, error
+            nonlocal claimed, head, stopping
             position = None
             try:
                 while True:
@@ -301,31 +314,32 @@ def _execute(config: RunConfig, dataset: Dataset, manifest: dict) -> RunResult:
                                 files[kind][0].write(line + "\n")
                                 files[kind][0].flush()
                                 files[kind][1].append(payload)
-                                dirty.add(kind)
+                                updates.put(kind)
                                 head += 1
-                            if position < head:  # this worker moved the head
-                                lock.notify()
-                        if claimed == len(todo):
+                        if claimed == len(todo) or stopping:
                             return
                         position, claimed = claimed, claimed + 1
                     outcome = _score_one(config, todo[position])
             except BaseException as exc:  # re-raised by the calling thread
-                with lock:
-                    error, claimed = error or exc, len(todo)
-                    lock.notify()
+                stopping = True
+                updates.put(exc)
 
-        workers, synced, taken, started = [], 0, set(), time.monotonic()
+        workers, synced, started = [], 0, time.monotonic()
         try:
             for _ in range(config.parallelism):
                 workers.append(threading.Thread(target=work))
                 workers[-1].start()
-            while synced < len(todo) and error is None:
-                with lock:
-                    lock.wait_for(lambda: head > synced or error is not None)
-                    written, taken = head, set(dirty)
-                    dirty.clear()
-                for kind in taken:  # lines count as persisted once fsync'd
-                    os.fsync(files[kind][2])
+            while synced < len(todo):
+                # everything queued so far: one fsync per file per round
+                batch = [updates.get()]
+                while not updates.empty():
+                    batch.append(updates.get())
+                for update in batch:
+                    if isinstance(update, BaseException):
+                        raise update
+                written = synced + len(batch)
+                for kind in set(batch):
+                    os.fsync(files[kind][2])  # lines count as persisted now
                 done = prefix_len + written
                 if done // PROGRESS_EVERY > (prefix_len + synced) // PROGRESS_EVERY:
                     rate = written / (time.monotonic() - started)
@@ -334,14 +348,12 @@ def _execute(config: RunConfig, dataset: Dataset, manifest: dict) -> RunResult:
                                 (len(todo) - written) / rate)
                 synced = written
         finally:
-            with lock:
-                claimed = len(todo)
+            stopping = True
             for worker in filter(threading.Thread.is_alive, workers):
                 worker.join()
-            for kind in dirty | taken:  # lines an abort left written but unsynced
-                os.fsync(files[kind][2])
-        if error is not None:
-            raise error
+            if synced < len(todo):  # lines an abort left written but unsynced
+                for _, _, fileno in files.values():
+                    os.fsync(fileno)
 
     if len(records) + len(failures) != len(dataset):
         raise AutoscoreError(

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
 from .core import AutoscoreError
-from .metrics import MetricsReport
 
 logger = logging.getLogger(__name__)
 
@@ -24,22 +23,18 @@ LOWER_IS_BETTER = ("mae", "rmse")
 METRIC_ORDER = ("qwk", "accuracy", "pearson", "spearman", "mae", "rmse")
 
 
-class ZeroBase(AutoscoreError):
-    pass
-
-
 class NotFound(AutoscoreError):
     pass
 
 
 class Unpaired(AutoscoreError):
-    """A case's runs are not an autoscore and a baseline run of one dataset."""
+    """A case's runs are not an autoscore and a baseline run that
+    comparison_table would pair."""
 
 
 def delta_percent(base: float, new: float) -> float:
-    """Signed relative change in percent (unrounded; see round2 for display)."""
-    if base == 0:
-        raise ZeroBase("cannot compute a relative delta from a zero base")
+    """Signed relative change in percent (unrounded; see round2 for display).
+    A zero base raises ZeroDivisionError."""
     return 100.0 * (new - base) / abs(base)
 
 
@@ -50,44 +45,9 @@ def round2(value: float) -> float:
     )
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    """Baseline vs autoscore reports for one dataset/model pair, with the
-    per-metric display deltas (None where either cell is undefined)."""
-
-    dataset_label: str
-    model_label: str
-    baseline: MetricsReport
-    autoscore: MetricsReport
-    deltas: dict
-
-
-def _metric_cells(report: MetricsReport) -> dict:
-    return {m: getattr(report, m) for m in METRIC_ORDER}
-
-
-def build_comparison_row(
-    dataset_label: str,
-    model_label: str,
-    baseline: MetricsReport,
-    autoscore: MetricsReport,
-) -> ComparisonRow:
-    if baseline.n != autoscore.n:
-        logger.warning(
-            "%s/%s: baseline n=%d but autoscore n=%d (failures differ); "
-            "metrics are not computed over identical responses",
-            dataset_label, model_label, baseline.n, autoscore.n,
-        )
-    base_cells = _metric_cells(baseline)
-    new_cells = _metric_cells(autoscore)
-    deltas = {}
-    for metric in METRIC_ORDER:
-        b, a = base_cells[metric], new_cells[metric]
-        if b is None or a is None or b == 0:
-            deltas[metric] = None
-        else:
-            deltas[metric] = round2(delta_percent(b, a))
-    return ComparisonRow(dataset_label, model_label, baseline, autoscore, deltas)
+def pairing_key(manifest: dict) -> tuple[str, str]:
+    """Runs compare when they scored one dataset through one backend."""
+    return manifest["dataset_digest"], manifest["backend_identity"]
 
 
 def _better(metric: str, base, new) -> str:
@@ -114,41 +74,58 @@ def _fmt_delta(delta) -> str:
     return f"{delta:+.2f}%"
 
 
-def comparison_table(rows: list[ComparisonRow]) -> tuple[str, dict]:
-    """Render comparison rows as markdown plus a machine-readable dict.
+def comparison_table(results: list[tuple]) -> tuple[str, dict]:
+    """Pair the baseline and autoscore runs among (run result, metrics
+    report) pairs that share a pairing_key, and render each pair as
+    markdown plus a machine-readable dict (no pair: no rows).
 
     The better cell of each metric pair is bolded; ties bold both; deltas
-    follow the delta_percent convention rounded for display.
+    follow the delta_percent convention rounded for display, None where
+    either cell is undefined or the base is zero.
     """
+    groups: dict[tuple, dict] = {}
+    for result, rep in results:
+        key = pairing_key(result.manifest)
+        groups.setdefault(key, {})[result.manifest["mode"]] = (result, rep)
     lines: list[str] = []
     payload_rows: list[dict] = []
-    for row in rows:
-        base_cells = _metric_cells(row.baseline)
-        new_cells = _metric_cells(row.autoscore)
-        lines.append(f"### {row.dataset_label} / {row.model_label}")
+    for group in groups.values():
+        if len(group) < 2:
+            continue
+        (base_run, base), (_, auto) = group["baseline"], group["autoscore"]
+        dataset, model = base_run.manifest["dataset_ref"], base_run.manifest["model_name"]
+        if base.n != auto.n:
+            logger.warning(
+                "%s/%s: baseline n=%d but autoscore n=%d (failures differ); "
+                "metrics are not computed over identical responses",
+                dataset, model, base.n, auto.n,
+            )
+        lines.append(f"### {dataset} / {model}")
         lines.append("")
         lines.append("| metric | baseline | autoscore | Δ(%) |")
         lines.append("|---|---|---|---|")
         row_payload: dict = {
-            "dataset": row.dataset_label,
-            "model": row.model_label,
-            "n_baseline": row.baseline.n,
-            "n_autoscore": row.autoscore.n,
+            "dataset": dataset,
+            "model": model,
+            "n_baseline": base.n,
+            "n_autoscore": auto.n,
             "metrics": {},
         }
         for metric in METRIC_ORDER:
-            b, a = base_cells[metric], new_cells[metric]
+            b, a = getattr(base, metric), getattr(auto, metric)
+            undefined = b is None or a is None or b == 0
+            delta = None if undefined else round2(delta_percent(b, a))
             winner = _better(metric, b, a)
             lines.append(
                 f"| {metric} "
                 f"| {_fmt(b, winner in ('baseline', 'tie'))} "
                 f"| {_fmt(a, winner in ('autoscore', 'tie'))} "
-                f"| {_fmt_delta(row.deltas[metric])} |"
+                f"| {_fmt_delta(delta)} |"
             )
             row_payload["metrics"][metric] = {
                 "baseline": b,
                 "autoscore": a,
-                "delta_pct": row.deltas[metric],
+                "delta_pct": delta,
                 "better": winner,
             }
         lines.append("")
@@ -226,7 +203,7 @@ def case_record(
     autoscore_run, baseline_run, response_id: str, response_text: str
 ) -> CaseRecord:
     """Join one response's records in a loaded autoscore run and baseline
-    run over the same dataset into a CaseRecord.
+    run that comparison_table would pair into a CaseRecord.
 
     The response text is supplied by the caller (run directories persist
     predictions and transcripts, not the dataset itself); question and
@@ -234,8 +211,9 @@ def case_record(
     """
     auto, base = autoscore_run.manifest, baseline_run.manifest
     if (auto["mode"], base["mode"]) != ("autoscore", "baseline") or (
-            auto["dataset_digest"] != base["dataset_digest"]):
-        raise Unpaired("a case needs an autoscore and a baseline run of one dataset")
+            pairing_key(auto) != pairing_key(base)):
+        raise Unpaired("a case needs an autoscore and a baseline run of one "
+                       "dataset through one backend")
 
     def find(run, mode):
         for record in run.records:

@@ -27,22 +27,6 @@ class SchemaError(AutoscoreError):
     """Base class for schema definition and validation errors."""
 
 
-class EmptySchema(SchemaError):
-    pass
-
-
-class DuplicateField(SchemaError):
-    pass
-
-
-class DanglingDerivation(SchemaError):
-    pass
-
-
-class InvalidFieldName(SchemaError):
-    pass
-
-
 class NoJsonFound(SchemaError):
     """The model output contains no balanced top-level JSON object."""
 
@@ -154,18 +138,18 @@ def compile_schema(item_id: str, definition: dict) -> ComponentSchema:
         raise SchemaError(f"schema for {item_id!r} must be a mapping with a list "
                           f"of field mappings under fields")
     if not raw_fields:
-        raise EmptySchema(f"schema for {item_id!r} declares no fields")
+        raise SchemaError(f"schema for {item_id!r} declares no fields")
 
     compiled: list[ComponentField] = []
     seen: set[str] = set()
     for entry in raw_fields:
         name = entry.get("name", "")
         if not isinstance(name, str) or not _NAME_RE.match(name):
-            raise InvalidFieldName(
+            raise SchemaError(
                 f"schema for {item_id!r}: bad field name {name!r}"
             )
         if name in seen:
-            raise DuplicateField(
+            raise SchemaError(
                 f"schema for {item_id!r}: duplicate field {name!r}"
             )
         seen.add(name)
@@ -179,7 +163,7 @@ def compile_schema(item_id: str, definition: dict) -> ComponentSchema:
             ) from None
         derived_from = entry.get("derived_from")
         if derived_from is not None and kind is not FieldKind.COUNT:
-            raise DanglingDerivation(
+            raise SchemaError(
                 f"schema for {item_id!r}: derived_from is only valid on "
                 f"count fields, found on {name!r}"
             )
@@ -198,7 +182,7 @@ def compile_schema(item_id: str, definition: dict) -> ComponentSchema:
             continue
         source = by_name.get(f.derived_from) if type(f.derived_from) is str else None
         if source is None or source.kind is not FieldKind.TEXT_LIST:
-            raise DanglingDerivation(
+            raise SchemaError(
                 f"schema for {item_id!r}: count field {f.name!r} derives "
                 f"from {f.derived_from!r}, which is not a declared "
                 f"text_list field"

@@ -1,18 +1,27 @@
-"""One scoring run in a process of its own, for test_interrupt.py.
+"""Scoring runs in a process of their own, for test_interrupt.py.
 
     PYTHONPATH=src python tests/interrupt_child.py RUN_DIR CALLS_FILE
 
-Scores N responses in baseline mode at PARALLELISM through a scripted
+scores N responses in baseline mode at PARALLELISM through a scripted
 model that appends one line to CALLS_FILE as each call starts and then
 sleeps CALL_S, so the run lasts long enough to be interrupted mid-way.
 The tests import this module to score the same dataset in-process.
+
+    PYTHONPATH=src python tests/interrupt_child.py --ctrl-c WORK_DIR TIMES
+
+interrupts TIMES short runs from a worker thread, as Ctrl-C would; see
+interrupt_repeatedly.
 """
 
 from __future__ import annotations
 
+import _thread
+import faulthandler
 import json
+import shutil
 import signal
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -24,17 +33,18 @@ from autoscore.pipeline import RunConfig, score_dataset
 N = 40
 PARALLELISM = 4
 CALL_S = 0.1
+HANG_S = 5
 IDS = [f"i{k:03d}" for k in range(N)]
 
 
-def dataset() -> Dataset:
+def dataset(n: int = N) -> Dataset:
     spec = DatasetSpec(
         family="sas", tsv_path="(synthetic)", essay_set=1,
         item_id="interrupt", score_range=ScoreRange(0, 3),
     )
     return Dataset(spec=spec, responses=tuple(
         StudentResponse(rid, "interrupt", f"interrupt response {rid}.", k % 4)
-        for k, rid in enumerate(IDS)
+        for k, rid in enumerate(IDS[:n])
     ))
 
 
@@ -67,5 +77,38 @@ def main(run_dir: str, calls_file: str) -> None:
     score_dataset(run_config(run_dir, ScriptedBackend(script=slow)), dataset())
 
 
+def interrupt_repeatedly(work_dir: str, times: str) -> None:
+    """Score 20 responses at PARALLELISM through an instant model whose
+    call about i005 interrupts the calling thread, `times` times over. Each
+    run must end within HANG_S, or every thread's stack is dumped and the
+    process exits 1; no worker thread may outlive a run. Prints how many
+    runs ended in KeyboardInterrupt."""
+    before = set(threading.enumerate())
+
+    def interrupting(request) -> str:
+        if "interrupt response i005." in request.messages[-1][1]:
+            _thread.interrupt_main()
+        return answer(request)
+
+    interrupted = 0
+    for attempt in range(int(times)):
+        run_dir = Path(work_dir) / f"run{attempt}"
+        faulthandler.dump_traceback_later(HANG_S, exit=True)
+        try:
+            score_dataset(
+                run_config(run_dir, ScriptedBackend(script=interrupting)), dataset(20)
+            )
+        except KeyboardInterrupt:
+            interrupted += 1
+        if set(threading.enumerate()) - before:
+            sys.exit(f"run {attempt} left worker threads behind")
+        shutil.rmtree(run_dir)
+    faulthandler.cancel_dump_traceback_later()
+    print(interrupted)
+
+
 if __name__ == "__main__":
-    main(*sys.argv[1:])
+    if sys.argv[1] == "--ctrl-c":
+        interrupt_repeatedly(*sys.argv[2:])
+    else:
+        main(*sys.argv[1:])

@@ -48,6 +48,23 @@ class TestRender:
         )
         assert '{"score": <integer>}' in out
 
+    @pytest.mark.parametrize("stage,unbound", [
+        ("extraction", ["error", "previous_output", "representation_json"]),
+        ("scoring", ["error", "previous_output", "schema_description"]),
+        ("baseline", ["error", "previous_output", "representation_json",
+                      "schema_description"]),
+    ])
+    def test_unbound_placeholders_are_those_the_stage_cannot_bind(
+        self, context, response, stage, unbound
+    ):
+        every = " ".join(f"{{{name}}}" for name in agents.PLACEHOLDER_NAMES)
+        for template in (agents.PromptTemplate(every, ""), agents.PromptTemplate("", every)):
+            assert agents.unbound_placeholders(stage, template) == unbound
+        assert agents.unbound_placeholders(stage, agents.STAGES[stage].template) == []
+        # the context bindings every stage renders are the ones the check assumes
+        assert set(agents._context_bindings(context, response)) == set(
+            agents.CONTEXT_PLACEHOLDERS)
+
     def test_inserted_content_is_never_rescanned(self):
         # raw model output may itself contain placeholder-shaped text
         out = agents.render(

@@ -446,6 +446,46 @@ class TestScoreCommand:
         assert ", ".join(accepted) in caplog.text
         assert not out.exists()
 
+    def test_autoscore_without_schema_exits_2_before_writing(
+        self, workspace, tmp_path, caplog
+    ):
+        config = yaml.safe_load(workspace.read_text())
+        del config["items"]["synth"]["schema"]
+        workspace.write_text(yaml.safe_dump(config))
+        out = tmp_path / "x"
+        assert _score(workspace, "autoscore", out) == 2
+        assert "item 'synth' has no component schema" in caplog.text
+        assert not out.exists()
+
+    def test_gold_rule_outside_the_family_exits_2_before_writing(
+        self, workspace, tmp_path, caplog
+    ):
+        config = yaml.safe_load(workspace.read_text())
+        config["items"]["synth"]["gold_rule"] = "resolved_column"
+        workspace.write_text(yaml.safe_dump(config))
+        out = tmp_path / "x"
+        assert _score(workspace, "baseline", out) == 2
+        assert "'resolved_column' is not one of the sas rules: first_rater" in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode,key", [
+        ("baseline", "baseline_user"), ("autoscore", "extraction_system"),
+    ])
+    def test_template_with_unbound_placeholder_exits_2_before_writing(
+        self, workspace, tmp_path, caplog, mode, key
+    ):
+        (workspace.parent / "prompt.txt").write_text(
+            "{response}\n{representation_json}")
+        config = yaml.safe_load(workspace.read_text())
+        config["items"]["synth"]["templates"] = {key: "prompt.txt"}
+        workspace.write_text(yaml.safe_dump(config))
+        out = tmp_path / "x"
+        assert _score(workspace, mode, out) == 2
+        stage = key.split("_")[0]
+        assert (f"the {stage} template uses placeholders its stage does not "
+                f"bind: ['representation_json']") in caplog.text
+        assert not out.exists()
+
     def test_over_long_integer_reply_is_a_recorded_failure(self, workspace, tmp_path):
         rules = workspace.parent / "rules.jsonl"
         huge = {"match": ["synthetic response r02"],
@@ -676,6 +716,27 @@ class TestValidateComponentsCommand:
         assert code == 3
         assert f"{gold} line 3" in caplog.text
 
+    @pytest.mark.parametrize("cut,message", [
+        ("id", "predicted/gold ids differ"), ("field", "lacks field 'design_count'"),
+    ], ids=["id", "field"])
+    def test_gold_that_misses_an_id_or_a_field_exits_3(
+        self, workspace, tmp_path, caplog, cut, message
+    ):
+        run_dir = tmp_path / "auto"
+        _score(workspace, "autoscore", run_dir)
+        gold = workspace.parent / "gold.jsonl"
+        entries = [json.loads(line) for line in gold.read_text().splitlines()]
+        if cut == "id":
+            del entries[5]
+        else:
+            del entries[5]["values"]["design_count"]
+        gold.write_text("".join(json.dumps(e) + "\n" for e in entries))
+        code = main(
+            ["validate-components", "--run", str(run_dir), "--gold", str(gold)]
+        )
+        assert code == 3
+        assert message in caplog.text
+
     def test_gold_line_with_raw_line_separator_parses(self, workspace, tmp_path):
         run_dir = tmp_path / "auto"
         _score(workspace, "autoscore", run_dir)
@@ -814,6 +875,26 @@ class TestCaseCommand:
         tsv = workspace.parent / "data.tsv"
         tsv.write_text(tsv.read_text().rstrip("\n") + " edited\n")
         _score(workspace, "baseline", base_dir)
+        code = main(["case", "--run-autoscore", str(auto_dir),
+                     "--run-baseline", str(base_dir), "--id", "r02",
+                     "--config", str(workspace)])
+        assert code == 3
+        assert capsys.readouterr().out == ""
+
+
+    def test_runs_through_other_backends_exit_3(self, workspace, tmp_path, capsys):
+        base_dir, auto_dir = tmp_path / "b", tmp_path / "a"
+        _score(workspace, "autoscore", auto_dir)
+        config = yaml.safe_load(workspace.read_text())
+        config["backend"]["model"] = "other-model"
+        workspace.write_text(yaml.safe_dump(config))
+        _score(workspace, "baseline", base_dir)
+        # evaluate does not compare the two runs either
+        reports = tmp_path / "reports"
+        assert main(["evaluate", "--run", str(base_dir), "--run", str(auto_dir),
+                     "--out", str(reports)]) == 0
+        assert not (reports / "comparison.md").exists()
+        capsys.readouterr()
         code = main(["case", "--run-autoscore", str(auto_dir),
                      "--run-baseline", str(base_dir), "--id", "r02",
                      "--config", str(workspace)])

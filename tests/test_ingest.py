@@ -95,9 +95,8 @@ class TestLoadSas:
             load_dataset(spec)
 
     def test_resolved_rule_unavailable_for_sas(self, tmp_path):
-        spec = _sas_spec(tmp_path, ["1\t1\t2\t2\ttext"], gold_rule="resolved_column")
-        with pytest.raises(MissingColumn):
-            load_dataset(spec)
+        with pytest.raises(ValueError, match="not one of the sas rules: first_rater"):
+            _sas_spec(tmp_path, ["1\t1\t2\t2\ttext"], gold_rule="resolved_column")
 
     def test_text_taken_verbatim(self, tmp_path):
         spec = _sas_spec(tmp_path, ["1\t1\t2\t2\t  The TRIALS, were UNEVEN.  "])

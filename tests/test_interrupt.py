@@ -1,9 +1,9 @@
 """Interrupting a real scoring process: the run directory it leaves is a
 persisted prefix that resumes to the bytes of an uninterrupted run.
 
-Each test starts tests/interrupt_child.py in a fresh interpreter, waits
-until a record line reaches records.jsonl, signals the child and then
-resumes in-process with an instant model.
+Each signal test starts tests/interrupt_child.py in a fresh interpreter,
+waits until a record line reaches records.jsonl, signals the child and
+then resumes in-process with an instant model.
 """
 
 import os
@@ -86,3 +86,19 @@ def test_sigint_stops_after_the_calls_already_running(tmp_path):
     run_dir, calls, calls_before = _start_and_signal(tmp_path, signal.SIGINT)
     assert _lines(calls) - calls_before <= child.PARALLELISM
     _resume_matches_uninterrupted(tmp_path, run_dir)
+
+
+def test_repeated_ctrl_c_never_hangs_a_run(tmp_path):
+    # an interrupt can land in the calling thread at any bytecode; repeated
+    # runs reach the rare landing points, and the child dumps every thread's
+    # stack and exits 1 if one run hangs
+    times = 500
+    proc = subprocess.run(
+        [sys.executable, str(Path(child.__file__)), "--ctrl-c", str(tmp_path),
+         str(times)],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True,
+        text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    # an interrupt checked inside a finalizer is dropped, so a run may finish
+    assert int(proc.stdout) > times // 2

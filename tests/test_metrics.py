@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from autoscore.core import ScoreRange
+from autoscore.ingest import DatasetError
 from autoscore.metrics import (
-    AlignmentError,
     EmptyInput,
     MetricsReport,
     PairedScores,
-    SchemaMismatch,
     ZeroVariance,
     accuracy,
     cohen_kappa_binary,
@@ -322,10 +321,10 @@ class TestEvaluateRun:
         assert report.label == "baseline"
 
     def test_records_without_gold_are_rejected(self):
-        from autoscore.metrics import NoGold, evaluate_run
+        from autoscore.metrics import evaluate_run
 
         result = self._result([0, None], [0, 1])
-        with pytest.raises(NoGold):
+        with pytest.raises(DatasetError, match="records without gold scores"):
             evaluate_run(result)
 
 
@@ -411,13 +410,13 @@ class TestValidateComponents:
     def test_misaligned_ids(self):
         predicted, gold = _reliability_fixture()
         del gold[IDS[0]]
-        with pytest.raises(AlignmentError):
+        with pytest.raises(DatasetError, match="predicted/gold ids differ"):
             validate_components(predicted, gold, SCIENCE)
 
     def test_gold_missing_schema_field(self):
         predicted, gold = _reliability_fixture()
         del gold[IDS[3]]["design_count"]
-        with pytest.raises(SchemaMismatch):
+        with pytest.raises(DatasetError, match="lacks field 'design_count'"):
             validate_components(predicted, gold, SCIENCE)
 
     def test_report_exposes_reliability_quantities(self):

@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 
 from autoscore.core import ScoreRange
 from autoscore.metrics import PairedScores, compute_report
-from autoscore.pipeline import RunConfig, load_run, score_dataset
+from autoscore.pipeline import RunConfig, RunResult, load_run, score_dataset
 from autoscore.report import (
     NotFound,
     Unpaired,
-    ZeroBase,
-    build_comparison_row,
     case_record,
     comparison_table,
     delta_percent,
@@ -43,7 +41,7 @@ class TestDeltaPercent:
         assert round2(delta_percent(-0.230, -0.255)) == -10.87
 
     def test_zero_base(self):
-        with pytest.raises(ZeroBase):
+        with pytest.raises(ZeroDivisionError):
             delta_percent(0.0, 0.3)
 
     def test_round2_ties_away_from_zero(self):
@@ -71,11 +69,22 @@ def _report(gold, pred, lo=0, hi=3, **kwargs):
     )
 
 
+def _run(mode, digest="d" * 64, identity="scripted:m"):
+    manifest = {"mode": mode, "dataset_digest": digest, "backend_identity": identity,
+                "dataset_ref": "synth", "model_name": "m"}
+    return RunResult(records=[], failures=[], manifest=manifest)
+
+
+def _pair(base, auto):
+    """A baseline and an autoscore run of one dataset and backend, with
+    their reports, as comparison_table takes them."""
+    return [(_run("baseline"), base), (_run("autoscore"), auto)]
+
+
 class TestComparisonTable:
     def test_equal_reports_tie_everywhere(self):
         rep = _report([0, 1, 2, 3], [0, 1, 1, 3])
-        row = build_comparison_row("synth", "m", rep, rep)
-        text, payload = comparison_table([row])
+        text, payload = comparison_table(_pair(rep, rep))
         metrics = payload["rows"][0]["metrics"]
         assert all(m["delta_pct"] == 0.0 for m in metrics.values())
         assert all(m["better"] == "tie" for m in metrics.values())
@@ -85,8 +94,7 @@ class TestComparisonTable:
     def test_better_cell_marking_directions(self):
         base = _report([0, 1, 2, 3], [3, 2, 1, 0])   # bad predictions
         auto = _report([0, 1, 2, 3], [0, 1, 2, 3])   # perfect
-        row = build_comparison_row("synth", "m", base, auto)
-        _, payload = comparison_table([row])
+        _, payload = comparison_table(_pair(base, auto))
         metrics = payload["rows"][0]["metrics"]
         for name in ("qwk", "accuracy", "pearson", "spearman", "mae", "rmse"):
             assert metrics[name]["better"] == "autoscore"
@@ -94,8 +102,7 @@ class TestComparisonTable:
     def test_null_metric_renders_dash(self):
         base = _report([1, 1, 1], [0, 1, 2])  # zero gold variance
         auto = _report([1, 1, 1], [1, 1, 1])
-        row = build_comparison_row("synth", "m", base, auto)
-        text, payload = comparison_table([row])
+        text, payload = comparison_table(_pair(base, auto))
         assert payload["rows"][0]["metrics"]["pearson"]["delta_pct"] is None
         assert "| —" in text
 
@@ -103,14 +110,37 @@ class TestComparisonTable:
         base = _report([0, 1, 2, 3], [0, 1, 2, 3])
         auto = _report([0, 1, 2], [0, 1, 2])
         with caplog.at_level("WARNING"):
-            build_comparison_row("synth", "m", base, auto)
+            comparison_table(_pair(base, auto))
         assert any("n=" in m for m in caplog.messages)
 
     def test_rendering_is_deterministic(self):
         base = _report([0, 0, 1, 2], [0, 1, 1, 3])
         auto = _report([0, 0, 1, 2], [0, 0, 1, 2])
-        rows = [build_comparison_row("synth", "m", base, auto)]
-        assert comparison_table(rows) == comparison_table(rows)
+        assert comparison_table(_pair(base, auto)) == comparison_table(_pair(base, auto))
+
+    @pytest.mark.parametrize("other", [
+        {"mode": "autoscore", "identity": "scripted:other-model"},
+        {"mode": "autoscore", "digest": "e" * 64},
+        {"mode": "baseline"},
+    ], ids=["other-backend", "other-dataset", "two-baselines"])
+    def test_pairs_only_the_two_modes_of_one_dataset_and_backend(self, other):
+        rep = _report([0, 1, 2, 3], [0, 1, 1, 3])
+        text, payload = comparison_table([(_run("baseline"), rep), (_run(**other), rep)])
+        assert (text, payload) == ("", {"rows": []})
+
+    def test_one_row_per_pair_in_first_seen_order(self):
+        base = _report([0, 1, 2, 3], [0, 1, 1, 3])
+        auto = _report([0, 1, 2, 3], [0, 1, 2, 3])
+        other = {"identity": "scripted:other-model"}
+        _, payload = comparison_table([
+            (_run("autoscore", **other), base), (_run("baseline"), base),
+            (_run("autoscore"), auto), (_run("baseline", **other), auto),
+        ])
+        # deltas run from baseline to autoscore, whichever run came first
+        assert [row["metrics"]["qwk"]["delta_pct"] for row in payload["rows"]] == [
+            round2(delta_percent(auto.qwk, base.qwk)),
+            round2(delta_percent(base.qwk, auto.qwk)),
+        ]
 
     def test_reference_fixture_deltas(self):
         # every printed delta entry except the one known rounding artifact
@@ -261,6 +291,15 @@ class TestCaseRecord:
         baseline = load_run(run_dirs["baseline"])
         baseline.manifest["dataset_digest"] = "0" * 64
         with pytest.raises(Unpaired, match="an autoscore and a baseline run of one dataset"):
+            case_record(
+                load_run(run_dirs["autoscore"]), baseline,
+                "r05", response_text=synth_response_text("r05"),
+            )
+
+    def test_refuses_runs_through_different_backends(self, run_dirs):
+        baseline = load_run(run_dirs["baseline"])
+        baseline.manifest["backend_identity"] = "scripted:other-model"
+        with pytest.raises(Unpaired, match="through one backend"):
             case_record(
                 load_run(run_dirs["autoscore"]), baseline,
                 "r05", response_text=synth_response_text("r05"),

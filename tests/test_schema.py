@@ -5,12 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from autoscore.schema import (
-    DanglingDerivation,
-    DuplicateField,
-    EmptySchema,
     FieldKind,
     MissingField,
     NoJsonFound,
+    SchemaError,
     TypeMismatch,
     compile_schema,
     extract_json_block,
@@ -43,12 +41,12 @@ def test_minimal_single_field_schema():
 
 
 def test_empty_schema_rejected():
-    with pytest.raises(EmptySchema):
+    with pytest.raises(SchemaError, match="declares no fields"):
         compile_schema("bad", {"fields": []})
 
 
 def test_duplicate_field_rejected():
-    with pytest.raises(DuplicateField):
+    with pytest.raises(SchemaError, match="duplicate field 'a'"):
         compile_schema(
             "bad",
             {"fields": [
@@ -59,22 +57,18 @@ def test_duplicate_field_rejected():
 
 
 def test_bad_field_name_rejected():
-    from autoscore.schema import InvalidFieldName
-
     for name in ["", "1count", "has space", "dash-ed"]:
-        with pytest.raises(InvalidFieldName):
+        with pytest.raises(SchemaError, match="bad field name"):
             compile_schema("bad", {"fields": [{"name": name, "kind": "text"}]})
 
 
 def test_unknown_kind_rejected():
-    from autoscore.schema import SchemaError
-
     with pytest.raises(SchemaError):
         compile_schema("bad", {"fields": [{"name": "x", "kind": "tuple"}]})
 
 
 def test_dangling_derivation_rejected():
-    with pytest.raises(DanglingDerivation):
+    with pytest.raises(SchemaError, match="not a declared text_list field"):
         compile_schema(
             "bad",
             {"fields": [
@@ -82,7 +76,7 @@ def test_dangling_derivation_rejected():
             ]},
         )
     # deriving from a non-list field is just as dangling
-    with pytest.raises(DanglingDerivation):
+    with pytest.raises(SchemaError, match="not a declared text_list field"):
         compile_schema(
             "bad",
             {"fields": [
