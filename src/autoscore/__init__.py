@@ -5,46 +5,6 @@ a validated structured representation; a second assigns the score from
 that representation, the original response, and the rubric. A single-agent
 baseline, agreement metrics, reliability validation, and comparison
 reports round out the toolkit.
+
+The package root exports nothing; import from the submodules.
 """
-
-from .core import (
-    AutoscoreError,
-    OutOfRange,
-    Score,
-    ScoredRecord,
-    ScoreRange,
-    StudentResponse,
-    TaskContext,
-    Transcript,
-    validate_score,
-)
-from .schema import (
-    ComponentField,
-    ComponentSchema,
-    FieldKind,
-    StructuredRepresentation,
-    compile_schema,
-    extract_json_block,
-    validate_representation,
-)
-
-__all__ = [
-    "AutoscoreError",
-    "OutOfRange",
-    "Score",
-    "ScoreRange",
-    "ScoredRecord",
-    "StudentResponse",
-    "TaskContext",
-    "Transcript",
-    "validate_score",
-    "ComponentField",
-    "ComponentSchema",
-    "FieldKind",
-    "StructuredRepresentation",
-    "compile_schema",
-    "extract_json_block",
-    "validate_representation",
-]
-
-__version__ = "0.1.0"

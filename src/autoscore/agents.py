@@ -32,7 +32,6 @@ from .core import (
 from .schema import (
     KINDS,
     ComponentSchema,
-    MissingField,
     SchemaError,
     StructuredRepresentation,
     extract_json_block,
@@ -41,26 +40,9 @@ from .schema import (
 
 DEFAULT_MAX_RETRIES = 3
 
-PLACEHOLDER_NAMES = (
-    "question",
-    "reference_material",
-    "rubric_text",
-    "response",
-    "schema_description",
-    "representation_json",
-    "score_min",
-    "score_max",
-    "previous_output",
-    "error",
-)
-
 
 class UnboundPlaceholder(AutoscoreError):
     pass
-
-
-class NonInteger(AutoscoreError):
-    """The score field is present but is not a JSON integer."""
 
 
 @dataclass
@@ -83,7 +65,6 @@ class RetriesExhausted(AutoscoreError):
     outcome so callers can persist transcripts or impute a floor score."""
 
     def __init__(self, last_error: Exception, outcome: AgentOutcome):
-        self.last_error = last_error
         self.outcome = outcome
         super().__init__(
             f"gave up after {len(outcome.transcripts)} attempts: {last_error}"
@@ -106,9 +87,9 @@ class PromptTemplate:
     user_text: str
 
 
-_PLACEHOLDER_RE = re.compile(
-    r"\{(" + "|".join(re.escape(n) for n in PLACEHOLDER_NAMES) + r")\}"
-)
+# a placeholder is any {identifier}; every other brace is plain text, so
+# the {"score": <integer>} of a reply format stays as written
+_PLACEHOLDER_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
 
 
 def render(template_text: str, bindings: dict[str, str]) -> str:
@@ -118,15 +99,17 @@ def render(template_text: str, bindings: dict[str, str]) -> str:
     Raises UnboundPlaceholder if the template uses a placeholder that is
     not bound, so a template can never silently ship with a hole in it.
     """
-    used = {m.group(1) for m in _PLACEHOLDER_RE.finditer(template_text)}
-    missing = sorted(used - bindings.keys())
-    if missing:
-        raise UnboundPlaceholder(
-            f"placeholders left unbound after rendering: {missing}"
-        )
-    return _PLACEHOLDER_RE.sub(
-        lambda m: str(bindings[m.group(1)]), template_text
-    )
+    def bind(match: re.Match) -> str:
+        try:
+            return str(bindings[match.group(1)])
+        except KeyError:
+            missing = sorted(set(_PLACEHOLDER_RE.findall(template_text))
+                             - bindings.keys())
+            raise UnboundPlaceholder(
+                f"placeholders left unbound after rendering: {missing}"
+            ) from None
+
+    return _PLACEHOLDER_RE.sub(bind, template_text)
 
 
 def describe_schema(schema: ComponentSchema) -> str:
@@ -177,10 +160,10 @@ def parse_score(raw_text: str, score_range: ScoreRange) -> Score:
     block = extract_json_block(raw_text)
     parsed = json.loads(block)
     if "score" not in parsed:
-        raise MissingField("score")
+        raise SchemaError("required field 'score' is missing")
     value = parsed["score"]
     if isinstance(value, bool) or not isinstance(value, int):
-        raise NonInteger(f"score must be a JSON integer, got {value!r}")
+        raise SchemaError(f"score must be a JSON integer, got {value!r}")
     return validate_score(value, score_range)
 
 
@@ -268,7 +251,7 @@ def run_stage(
         outcome.wall_time_ms += reply.latency_ms
         try:
             outcome.value = stage.parse(reply.text, context, input)
-        except (SchemaError, NonInteger, OutOfRange) as exc:
+        except (SchemaError, OutOfRange) as exc:
             last_error = exc
             repair = render(
                 prompts.RETRY_USER,

@@ -46,7 +46,6 @@ class Transport(AutoscoreError):
 
     def __init__(self, status: int, body: str):
         self.status = status
-        self.body = body
         super().__init__(f"transport error (status {status}): {body[:200]}")
 
 
@@ -57,10 +56,6 @@ class RateLimited(Transport):
 class ReplayMiss(AutoscoreError):
     """A replay fixture has no entry for the request digest; fixtures never
     fall through to the network."""
-
-    def __init__(self, digest: str):
-        self.digest = digest
-        super().__init__(f"no replay fixture for request digest {digest}")
 
 
 class ScriptExhausted(AutoscoreError):
@@ -455,7 +450,7 @@ class CachingBackend:
         if hit is not None:
             return ChatResponse(*hit)
         if self.inner is None:
-            raise ReplayMiss(digest)
+            raise ReplayMiss(f"no replay fixture for request digest {digest}")
         while True:
             with self._lock:
                 hit = self._index.get(digest)

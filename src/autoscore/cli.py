@@ -156,7 +156,7 @@ def cmd_score(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if args.resume:
-        result = pipeline.resume(Path(args.out), run_config, dataset)
+        result = pipeline.resume(run_config, dataset)
     else:
         result = pipeline.score_dataset(run_config, dataset)
     mean_ms = result.mean_wall_time_ms()
@@ -276,7 +276,7 @@ def cmd_case(args) -> int:
     dataset = load_dataset(item.dataset_spec)
     text_by_id = {r.response_id: r.text for r in dataset.responses}
     if args.response_id not in text_by_id:
-        raise report.NotFound(
+        raise DatasetError(
             f"response {args.response_id!r} not present in dataset {item_id!r}"
         )
     record = report.case_record(
@@ -318,8 +318,7 @@ def main(argv=None) -> int:
     except (ConfigError, SchemaError) as exc:
         logger.error("configuration error: %s", exc)
         return EXIT_CONFIG
-    except (DatasetError, pipeline.ManifestMismatch, report.NotFound,
-            report.Unpaired) as exc:
+    except (DatasetError, pipeline.ManifestMismatch) as exc:
         logger.error("dataset error: %s", exc)
         return EXIT_DATASET
     except BackendUnavailable as exc:

@@ -38,7 +38,6 @@ ITEM_KEYS = ("family", "tsv_path", "essay_set", "gold_rule", "score_range",
 class ItemConfig:
     """Everything registered for one item id."""
 
-    item_id: str
     dataset_spec: DatasetSpec
     context: TaskContext
     schema: ComponentSchema | None
@@ -119,7 +118,6 @@ def _parse_item(item_id: str, raw: dict, config_dir: Path) -> ItemConfig:
             family=_require(raw, "family", where),
             tsv_path=tsv_path,
             essay_set=int(_require(raw, "essay_set", where)),
-            item_id=item_id,
             score_range=score_range,
             gold_rule=raw.get("gold_rule", "first_rater"),
         )
@@ -141,7 +139,6 @@ def _parse_item(item_id: str, raw: dict, config_dir: Path) -> ItemConfig:
                 for part in ("system", "user")]
     overrides = _mapping(raw.get("templates"), f"{where}.templates", accepted)
     return ItemConfig(
-        item_id=item_id,
         dataset_spec=dataset_spec,
         context=context,
         schema=schema,

@@ -18,7 +18,6 @@ class OutOfRange(AutoscoreError):
     """An agent emitted a score point outside the rubric's score range."""
 
     def __init__(self, value: int, score_range: "ScoreRange"):
-        self.value = value
         self.score_range = score_range
         super().__init__(
             f"score {value} outside allowed range "
@@ -77,7 +76,6 @@ class StudentResponse:
     """
 
     response_id: str
-    item_id: str
     text: str
     gold_score: int | None = None
 

@@ -21,23 +21,7 @@ from .core import AutoscoreError, ScoreRange, StudentResponse
 
 
 class DatasetError(AutoscoreError):
-    """Base class for dataset loading failures."""
-
-
-class MissingColumn(DatasetError):
-    def __init__(self, column: str):
-        self.column = column
-        super().__init__(f"required column {column!r} not found")
-
-
-class MalformedRow(DatasetError):
-    def __init__(self, line_no: int, reason: str):
-        self.line_no = line_no
-        super().__init__(f"line {line_no}: {reason}")
-
-
-class EmptySelection(DatasetError):
-    pass
+    """Unusable input: a dataset file or row, gold, or a report's runs."""
 
 
 # family -> (required columns, (id, set, text) columns, gold column per gold
@@ -64,7 +48,6 @@ class DatasetSpec:
     family: str  # "sas" | "aes"
     tsv_path: str
     essay_set: int
-    item_id: str
     score_range: ScoreRange
     gold_rule: str = "first_rater"
 
@@ -81,7 +64,6 @@ class DatasetSpec:
 
 @dataclass(frozen=True)
 class Dataset:
-    spec: DatasetSpec
     responses: tuple[StudentResponse, ...]
 
     def __len__(self) -> int:
@@ -116,7 +98,8 @@ def _parse_int(text: str, line_no: int, what: str) -> int:
     try:
         return int(text.strip())
     except ValueError:
-        raise MalformedRow(line_no, f"{what} is not an integer: {text!r}") from None
+        raise DatasetError(f"line {line_no}: {what} is not an integer: "
+                           f"{text!r}") from None
 
 
 def load_dataset(spec: DatasetSpec) -> Dataset:
@@ -135,7 +118,7 @@ def load_dataset(spec: DatasetSpec) -> Dataset:
     index = {name: i for i, name in enumerate(header)}
     for column in required:
         if column not in index:
-            raise MissingColumn(column)
+            raise DatasetError(f"required column {column!r} not found")
 
     responses: list[StudentResponse] = []
     seen_ids: set[str] = set()
@@ -144,40 +127,38 @@ def load_dataset(spec: DatasetSpec) -> Dataset:
             continue
         parts = line.split("\t")
         if len(parts) != len(header):
-            raise MalformedRow(
-                line_no, f"expected {len(header)} fields, found {len(parts)}"
-            )
+            raise DatasetError(f"line {line_no}: expected {len(header)} "
+                               f"fields, found {len(parts)}")
         essay_set = _parse_int(parts[index[set_col]], line_no, set_col)
         if essay_set != spec.essay_set:
             continue
         response_id = parts[index[id_col]].strip()
         if response_id in seen_ids:
-            raise MalformedRow(line_no, f"duplicate response id {response_id!r}")
+            raise DatasetError(
+                f"line {line_no}: duplicate response id {response_id!r}")
         seen_ids.add(response_id)
         gold = _parse_int(parts[index[gold_col]], line_no, gold_col)
         if not spec.score_range.contains(gold):
-            raise MalformedRow(
-                line_no,
-                f"gold score {gold} outside range "
-                f"{spec.score_range.min}..{spec.score_range.max}",
+            raise DatasetError(
+                f"line {line_no}: gold score {gold} outside range "
+                f"{spec.score_range.min}..{spec.score_range.max}"
             )
         text = parts[index[text_col]]
         if not text.strip():
-            raise MalformedRow(line_no, "empty response text")
+            raise DatasetError(f"line {line_no}: empty response text")
         responses.append(
             StudentResponse(
                 response_id=response_id,
-                item_id=spec.item_id,
                 text=text,
                 gold_score=gold,
             )
         )
 
     if not responses:
-        raise EmptySelection(
+        raise DatasetError(
             f"no rows with {set_col}={spec.essay_set} in {path}"
         )
-    return Dataset(spec=spec, responses=tuple(responses))
+    return Dataset(responses=tuple(responses))
 
 
 def sample_size(total: int, fraction: float) -> int:

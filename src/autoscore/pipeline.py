@@ -87,7 +87,7 @@ class RunConfig:
     parallelism: int = 1
     max_retries: int = agents.DEFAULT_MAX_RETRIES
     seed: int = 0
-    # stage name -> prompt; a stage left out uses its shipped default
+    # stage name -> prompt; __post_init__ fills in the default of a stage left out
     templates: dict[str, agents.PromptTemplate] = field(default_factory=dict)
     dataset_ref: str = ""
     imputation: str = "fail"
@@ -108,8 +108,11 @@ class RunConfig:
         if self.mode == "autoscore" and self.schema is None:
             raise ValueError(f"item {self.context.item_id!r} has no component "
                              f"schema; autoscore needs one")
-        for stage in STAGES[self.mode]:
-            template = self.templates.get(stage) or agents.STAGES[stage].template
+        self.templates = {
+            stage: self.templates.get(stage) or agents.STAGES[stage].template
+            for stage in STAGES[self.mode]
+        }
+        for stage, template in self.templates.items():
             unbound = agents.unbound_placeholders(stage, template)
             if unbound:
                 raise ValueError(f"the {stage} template uses placeholders its "
@@ -158,8 +161,7 @@ def _manifest_for(config: RunConfig, dataset: Dataset) -> dict:
             config.schema.to_definition() if config.schema is not None else None
         ),
         "templates": {
-            stage: asdict(config.templates.get(stage) or agents.STAGES[stage].template)
-            for stage in STAGES[config.mode]
+            stage: asdict(template) for stage, template in config.templates.items()
         },
         "started_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "finished_at": None,
@@ -216,7 +218,7 @@ def _score_one(config: RunConfig, response: StudentResponse):
             # wrapper set on agents.run_<stage> sees it
             outcome = getattr(agents, f"run_{stage}")(
                 config.backend, config.context, response, value,
-                template=config.templates.get(stage),
+                template=config.templates[stage],
                 max_retries=config.max_retries,
                 max_output_tokens=config.max_output_tokens,
             )
@@ -391,13 +393,11 @@ def score_dataset(config: RunConfig, dataset: Dataset) -> RunResult:
     return _execute(config, dataset, manifest)
 
 
-def resume(run_dir, config: RunConfig, dataset: Dataset) -> RunResult:
-    """Continue an interrupted run; already-persisted responses are skipped
-    and the completed result is identical to an uninterrupted run (given a
-    deterministic backend)."""
-    run_dir = Path(run_dir)
-    config.run_dir = run_dir
-    manifest = _read_manifest(run_dir)
+def resume(config: RunConfig, dataset: Dataset) -> RunResult:
+    """Continue the interrupted run in config.run_dir; already-persisted
+    responses are skipped and the completed result is identical to an
+    uninterrupted run (given a deterministic backend)."""
+    manifest = _read_manifest(config.run_dir)
     current = _manifest_for(config, dataset)
     for key in RESUME_KEYS:
         if key not in manifest:  # written before the key was recorded

@@ -15,21 +15,12 @@ import logging
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
-from .core import AutoscoreError
+from .ingest import DatasetError
 
 logger = logging.getLogger(__name__)
 
 LOWER_IS_BETTER = ("mae", "rmse")
 METRIC_ORDER = ("qwk", "accuracy", "pearson", "spearman", "mae", "rmse")
-
-
-class NotFound(AutoscoreError):
-    pass
-
-
-class Unpaired(AutoscoreError):
-    """A case's runs are not an autoscore and a baseline run that
-    comparison_table would pair."""
 
 
 def delta_percent(base: float, new: float) -> float:
@@ -212,14 +203,14 @@ def case_record(
     auto, base = autoscore_run.manifest, baseline_run.manifest
     if (auto["mode"], base["mode"]) != ("autoscore", "baseline") or (
             pairing_key(auto) != pairing_key(base)):
-        raise Unpaired("a case needs an autoscore and a baseline run of one "
+        raise DatasetError("a case needs an autoscore and a baseline run of one "
                        "dataset through one backend")
 
     def find(run, mode):
         for record in run.records:
             if record.response_id == response_id:
                 return record
-        raise NotFound(f"response {response_id!r} not scored in the {mode} run")
+        raise DatasetError(f"response {response_id!r} not scored in the {mode} run")
 
     auto_rec = find(autoscore_run, "autoscore")
     base_rec = find(baseline_run, "baseline")

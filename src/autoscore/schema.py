@@ -24,27 +24,7 @@ _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
 class SchemaError(AutoscoreError):
-    """Base class for schema definition and validation errors."""
-
-
-class NoJsonFound(SchemaError):
-    """The model output contains no balanced top-level JSON object."""
-
-
-class MissingField(SchemaError):
-    def __init__(self, name: str):
-        self.name = name
-        super().__init__(f"required field {name!r} is missing")
-
-
-class TypeMismatch(SchemaError):
-    def __init__(self, name: str, expected: str, found: str):
-        self.name = name
-        self.expected = expected
-        self.found = found
-        super().__init__(
-            f"field {name!r} expected {expected}, found {found}"
-        )
+    """A schema that does not compile, or model output it does not admit."""
 
 
 class FieldKind(enum.Enum):
@@ -206,13 +186,13 @@ def extract_json_block(raw_model_output: str) -> str:
         except ValueError:  # JSONDecodeError, or an integer past int_max_str_digits
             continue
         except RecursionError:
-            raise NoJsonFound("model output nests JSON too deeply to parse")
+            raise SchemaError("model output nests JSON too deeply to parse")
         if isinstance(obj, dict):
             return raw_model_output[match.start():end]
-    raise NoJsonFound("no balanced JSON object found in model output")
+    raise SchemaError("no balanced JSON object found in model output")
 
 
-# kind -> (label in the extraction prompt, label in a TypeMismatch, check)
+# kind -> (label in the extraction prompt, label in a type error, check)
 KINDS = {
     FieldKind.BOOLEAN: ("true or false", "boolean", lambda v: type(v) is bool),
     FieldKind.TEXT_LIST: (
@@ -245,7 +225,8 @@ def validate_representation(
     """
     parsed = json.loads(json_text)
     if not isinstance(parsed, dict):
-        raise TypeMismatch("$", "object", _JSON_TYPE.get(type(parsed), "null"))
+        found = _JSON_TYPE.get(type(parsed), "null")
+        raise SchemaError(f"field '$' expected object, found {found}")
 
     known = set(schema.field_names())
     unknown = [k for k in parsed if k not in known]
@@ -258,11 +239,12 @@ def validate_representation(
     flags: list[str] = []
     for f in schema.fields:
         if f.name not in parsed:
-            raise MissingField(f.name)
+            raise SchemaError(f"required field {f.name!r} is missing")
         value = parsed[f.name]
         _, expected, check = KINDS[f.kind]
         if not check(value):
-            raise TypeMismatch(f.name, expected, _JSON_TYPE.get(type(value), "null"))
+            found = _JSON_TYPE.get(type(value), "null")
+            raise SchemaError(f"field {f.name!r} expected {expected}, found {found}")
         values[f.name] = value
 
     for f in schema.fields:

@@ -11,7 +11,7 @@ import pytest
 
 from autoscore.backend import ScriptedBackend
 from autoscore.core import ScoreRange, StudentResponse, TaskContext
-from autoscore.ingest import Dataset, DatasetSpec
+from autoscore.ingest import Dataset
 from autoscore.schema import compile_schema
 
 SCIENCE_SCHEMA_DEF = {
@@ -116,23 +116,15 @@ def synth_context():
 
 @pytest.fixture
 def synth_dataset():
-    spec = DatasetSpec(
-        family="sas",
-        tsv_path="(synthetic)",
-        essay_set=1,
-        item_id="synth",
-        score_range=ScoreRange(0, 3),
-    )
     responses = tuple(
         StudentResponse(
             response_id=rid,
-            item_id="synth",
             text=synth_response_text(rid),
             gold_score=SYNTH_GOLD[rid],
         )
         for rid in SYNTH_IDS
     )
-    return Dataset(spec=spec, responses=responses)
+    return Dataset(responses=responses)
 
 
 @pytest.fixture

@@ -27,7 +27,7 @@ from pathlib import Path
 
 from autoscore.backend import ScriptedBackend
 from autoscore.core import ScoreRange, StudentResponse, TaskContext
-from autoscore.ingest import Dataset, DatasetSpec
+from autoscore.ingest import Dataset
 from autoscore.pipeline import RunConfig, score_dataset
 
 N = 40
@@ -38,12 +38,8 @@ IDS = [f"i{k:03d}" for k in range(N)]
 
 
 def dataset(n: int = N) -> Dataset:
-    spec = DatasetSpec(
-        family="sas", tsv_path="(synthetic)", essay_set=1,
-        item_id="interrupt", score_range=ScoreRange(0, 3),
-    )
-    return Dataset(spec=spec, responses=tuple(
-        StudentResponse(rid, "interrupt", f"interrupt response {rid}.", k % 4)
+    return Dataset(responses=tuple(
+        StudentResponse(rid, f"interrupt response {rid}.", k % 4)
         for k, rid in enumerate(IDS[:n])
     ))
 

@@ -257,7 +257,7 @@ def test_criterion_3_end_to_end_determinism(
             parallelism=4,
             dataset_ref="synth",
         )
-        resume(interrupted.run_dir, resumed, synth_dataset)
+        resume(resumed, synth_dataset)
         assert (interrupted.run_dir / "records.jsonl").read_bytes() == blobs[1]
 
         report = evaluate_run(result_p1)
@@ -409,7 +409,7 @@ UNPARSEABLE_SCORE_OUTPUTS = [
 def test_criterion_7_robust_parsing(synth_context, science_schema):
     with criterion(7, "malformed-output corpus handled per contract"):
         response = StudentResponse(
-            "r01", "synth", "synthetic response r01: repeat trials."
+            "r01", "synthetic response r01: repeat trials."
         )
 
         for raw, expected in REPAIRABLE_SCORE_OUTPUTS:

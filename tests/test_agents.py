@@ -5,7 +5,7 @@ import pytest
 from autoscore import agents
 from autoscore.backend import ScriptedBackend, request_digest
 from autoscore.core import OutOfRange, Score, ScoreRange, StudentResponse, TaskContext
-from autoscore.schema import MissingField, NoJsonFound, StructuredRepresentation
+from autoscore.schema import SchemaError, StructuredRepresentation
 
 from conftest import SCIENCE_SCHEMA_DEF, z_payload
 from autoscore.schema import compile_schema
@@ -27,7 +27,7 @@ def context():
 
 @pytest.fixture
 def response():
-    return StudentResponse("r01", "synth", "synthetic response r01: repeat trials.")
+    return StudentResponse("r01", "synthetic response r01: repeat trials.")
 
 
 class TestRender:
@@ -40,6 +40,15 @@ class TestRender:
     def test_unbound_placeholder_raises(self):
         with pytest.raises(agents.UnboundPlaceholder):
             agents.render("{question} {rubric_text}", {"question": "q"})
+
+    def test_any_identifier_in_braces_is_a_placeholder(self):
+        # a misspelt name is a hole, not text; every unbound name is listed
+        with pytest.raises(agents.UnboundPlaceholder) as excinfo:
+            agents.render("{respnse} {question} {rubric_text} {respnse}",
+                          {"question": "q"})
+        assert str(excinfo.value) == (
+            "placeholders left unbound after rendering: ['respnse', 'rubric_text']"
+        )
 
     def test_literal_braces_survive(self):
         out = agents.render(
@@ -57,7 +66,9 @@ class TestRender:
     def test_unbound_placeholders_are_those_the_stage_cannot_bind(
         self, context, response, stage, unbound
     ):
-        every = " ".join(f"{{{name}}}" for name in agents.PLACEHOLDER_NAMES)
+        names = (*agents.CONTEXT_PLACEHOLDERS, "schema_description",
+                 "representation_json", "previous_output", "error")
+        every = " ".join(f"{{{name}}}" for name in names)
         for template in (agents.PromptTemplate(every, ""), agents.PromptTemplate("", every)):
             assert agents.unbound_placeholders(stage, template) == unbound
         assert agents.unbound_placeholders(stage, agents.STAGES[stage].template) == []
@@ -82,23 +93,23 @@ class TestParseScore:
         assert agents.parse_score('```json {"score": 3} ```', ScoreRange(0, 3)) == Score(3)
 
     def test_non_integer(self):
-        with pytest.raises(agents.NonInteger):
+        with pytest.raises(SchemaError, match="^score must be a JSON integer, got 2.5$"):
             agents.parse_score('{"score": 2.5}', ScoreRange(0, 3))
 
     def test_string_score(self):
-        with pytest.raises(agents.NonInteger):
+        with pytest.raises(SchemaError, match="^score must be a JSON integer, got '2'$"):
             agents.parse_score('{"score": "2"}', ScoreRange(0, 3))
 
     def test_boolean_score(self):
-        with pytest.raises(agents.NonInteger):
+        with pytest.raises(SchemaError, match="^score must be a JSON integer, got True$"):
             agents.parse_score('{"score": true}', ScoreRange(0, 3))
 
     def test_missing_key(self):
-        with pytest.raises(MissingField):
+        with pytest.raises(SchemaError, match="^required field 'score' is missing$"):
             agents.parse_score('{"points": 2}', ScoreRange(0, 3))
 
     def test_no_json(self):
-        with pytest.raises(NoJsonFound):
+        with pytest.raises(SchemaError, match="^no balanced JSON object found"):
             agents.parse_score("two points", ScoreRange(0, 3))
 
     def test_out_of_range(self):
@@ -107,7 +118,7 @@ class TestParseScore:
 
     def test_over_long_integer_is_a_domain_error(self):
         # longer than int_max_str_digits: json refuses it with a plain ValueError
-        with pytest.raises(NoJsonFound):
+        with pytest.raises(SchemaError, match="^no balanced JSON object found"):
             agents.parse_score(HUGE_SCORE, ScoreRange(0, 3))
 
     def test_over_long_integer_is_retried(self, context, response):
@@ -122,7 +133,7 @@ SCIENCE = compile_schema("synth", SCIENCE_SCHEMA_DEF)
 
 def test_extraction_parser_refuses_over_long_integer(context):
     huge = '{"valid_conclusion": true, "design_count": ' + "9" * 5000 + "}"
-    with pytest.raises(NoJsonFound):
+    with pytest.raises(SchemaError, match="^no balanced JSON object found"):
         agents.STAGES["extraction"].parse(huge, context, SCIENCE)
 
 
@@ -174,7 +185,6 @@ class TestRunExtraction:
         # replayed bit-deterministically through the digest-keyed store
         response = StudentResponse(
             "sci1",
-            "synth",
             "the flight should be repeated with more trials, and the wing "
             "samples should be of equal mass",
         )
@@ -268,7 +278,7 @@ class TestRunBaseline:
         assert outcome.value == Score(0)
 
     def test_near_empty_response_still_goes_to_backend(self, context):
-        response = StudentResponse("r0", "synth", " . ")
+        response = StudentResponse("r0", " . ")
         backend = ScriptedBackend(responses=['{"score": 0}'])
         outcome = agents.run_baseline(backend, context, response)
         assert outcome.value == Score(0)

@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -484,6 +485,25 @@ class TestScoreCommand:
         stage = key.split("_")[0]
         assert (f"the {stage} template uses placeholders its stage does not "
                 f"bind: ['representation_json']") in caplog.text
+        assert not out.exists()
+
+    def test_misspelt_placeholder_in_the_demo_exits_2_before_writing(
+        self, tmp_path, caplog
+    ):
+        # a misspelt name is a placeholder no stage binds, not literal text
+        # sent to the model in place of the response
+        demo = tmp_path / "demo"
+        shutil.copytree(Path(__file__).parent.parent / "demo", demo)
+        (demo / "prompt.txt").write_text(
+            "Score this: {respnse} in {score_min}..{score_max}")
+        config = yaml.safe_load((demo / "config.yaml").read_text())
+        config["items"]["science"]["templates"] = {"baseline_user": "prompt.txt"}
+        (demo / "config.yaml").write_text(yaml.safe_dump(config))
+        out = tmp_path / "x"
+        assert main(["score", "--config", str(demo / "config.yaml"), "--item",
+                     "science", "--mode", "baseline", "--out", str(out)]) == 2
+        assert ("the baseline template uses placeholders its stage does not "
+                "bind: ['respnse']") in caplog.text
         assert not out.exists()
 
     def test_over_long_integer_reply_is_a_recorded_failure(self, workspace, tmp_path):

@@ -144,7 +144,7 @@ def test_overridden_template_drives_the_agent(tmp_path, stage):
     getattr(agents, f"run_{stage}")(
         ScriptedBackend(script=script),
         item.context,
-        StudentResponse("r1", "synth", "some answer"),
+        StudentResponse("r1", "some answer"),
         stage_input,
         template=item.templates[stage],
     )

@@ -69,7 +69,7 @@ def test_task_context_requires_question_and_rubric():
 
 def test_student_response_rejects_blank_text():
     with pytest.raises(ValueError):
-        StudentResponse("r1", "x", "   \n ")
+        StudentResponse("r1", "   \n ")
 
 
 def test_record_mode_representation_invariants():

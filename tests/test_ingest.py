@@ -2,10 +2,8 @@ import pytest
 
 from autoscore.core import ScoreRange
 from autoscore.ingest import (
+    DatasetError,
     DatasetSpec,
-    EmptySelection,
-    MalformedRow,
-    MissingColumn,
     load_dataset,
     sample_ids,
     sample_size,
@@ -25,7 +23,6 @@ def _sas_spec(tmp_path, rows, essay_set=1, gold_rule="first_rater",
         family="sas",
         tsv_path=str(path),
         essay_set=essay_set,
-        item_id="science",
         score_range=score_range,
         gold_rule=gold_rule,
     )
@@ -38,7 +35,6 @@ def _aes_spec(tmp_path, rows, gold_rule="first_rater"):
         family="aes",
         tsv_path=str(path),
         essay_set=1,
-        item_id="essay1",
         score_range=ScoreRange(1, 6),
         gold_rule=gold_rule,
     )
@@ -64,34 +60,34 @@ class TestLoadSas:
         path.write_text("Id\tEssaySet\tScore1\tEssayText\n1\t1\t2\tx\n")
         spec = DatasetSpec(
             family="sas", tsv_path=str(path), essay_set=1,
-            item_id="science", score_range=ScoreRange(0, 3),
+            score_range=ScoreRange(0, 3),
         )
-        with pytest.raises(MissingColumn):
+        with pytest.raises(DatasetError, match="^required column 'Score2' not found$"):
             load_dataset(spec)
 
     def test_gold_outside_range_is_malformed(self, tmp_path):
         spec = _sas_spec(tmp_path, ["1\t1\t7\t3\ttext"])
-        with pytest.raises(MalformedRow):
+        with pytest.raises(DatasetError, match="^line 2: gold score 7 outside range 0..3$"):
             load_dataset(spec)
 
     def test_non_integer_score_is_malformed(self, tmp_path):
         spec = _sas_spec(tmp_path, ["1\t1\ttwo\t3\ttext"])
-        with pytest.raises(MalformedRow):
+        with pytest.raises(DatasetError, match="^line 2: Score1 is not an integer: 'two'$"):
             load_dataset(spec)
 
     def test_short_row_is_malformed(self, tmp_path):
         spec = _sas_spec(tmp_path, ["1\t1\t2\ttext"])
-        with pytest.raises(MalformedRow):
+        with pytest.raises(DatasetError, match="^line 2: expected 5 fields, found 4$"):
             load_dataset(spec)
 
     def test_duplicate_ids_rejected(self, tmp_path):
         spec = _sas_spec(tmp_path, ["1\t1\t2\t2\ta", "1\t1\t1\t1\tb"])
-        with pytest.raises(MalformedRow):
+        with pytest.raises(DatasetError, match="^line 3: duplicate response id '1'$"):
             load_dataset(spec)
 
     def test_no_rows_for_set(self, tmp_path):
         spec = _sas_spec(tmp_path, ["1\t2\t2\t2\ttext"])
-        with pytest.raises(EmptySelection):
+        with pytest.raises(DatasetError, match="^no rows with EssaySet=1 in "):
             load_dataset(spec)
 
     def test_resolved_rule_unavailable_for_sas(self, tmp_path):
@@ -111,7 +107,7 @@ class TestLoadSas:
         )
         spec = DatasetSpec(
             family="sas", tsv_path=str(path), essay_set=1,
-            item_id="science", score_range=ScoreRange(0, 3),
+            score_range=ScoreRange(0, 3),
         )
         dataset = load_dataset(spec)
         assert [r.text for r in dataset.responses] == [
@@ -125,7 +121,7 @@ class TestLoadSas:
         path.write_bytes(good + bad)
         spec = DatasetSpec(
             family="sas", tsv_path=str(path), essay_set=1,
-            item_id="science", score_range=ScoreRange(0, 3),
+            score_range=ScoreRange(0, 3),
         )
         dataset = load_dataset(spec)
         assert [r.text for r in dataset.responses] == ["café utf8", "café latin1"]
@@ -156,9 +152,9 @@ class TestLoadAes:
         path.write_text("essay_id\tessay_set\trater1_domain1\n10\t1\t4\n")
         spec = DatasetSpec(
             family="aes", tsv_path=str(path), essay_set=1,
-            item_id="essay1", score_range=ScoreRange(1, 6),
+            score_range=ScoreRange(1, 6),
         )
-        with pytest.raises(MissingColumn):
+        with pytest.raises(DatasetError, match="^required column 'essay' not found$"):
             load_dataset(spec)
 
     def test_extra_columns_tolerated(self, tmp_path):
@@ -168,7 +164,7 @@ class TestLoadAes:
         )
         spec = DatasetSpec(
             family="aes", tsv_path=str(path), essay_set=1,
-            item_id="essay1", score_range=ScoreRange(1, 6),
+            score_range=ScoreRange(1, 6),
         )
         assert load_dataset(spec).responses[0].gold_score == 3
 

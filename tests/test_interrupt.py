@@ -70,7 +70,7 @@ def _resume_matches_uninterrupted(tmp_path, run_dir):
     assert 0 < persisted < child.N
     assert expected.startswith(partial)
     fresh = child.run_config(run_dir, ScriptedBackend(script=child.answer))
-    result = resume(run_dir, fresh, child.dataset())
+    result = resume(fresh, child.dataset())
     assert (run_dir / "records.jsonl").read_bytes() == expected
     assert len(result.records) == child.N
     # one call per response, and none for the persisted prefix

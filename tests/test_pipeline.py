@@ -1,15 +1,16 @@
-import _thread
 import json
 import logging
+import os
 import re
 import sys
 import threading
+import types
 
 import pytest
 
 from autoscore.backend import CachingBackend, ScriptedBackend
-from autoscore.core import ScoreRange, StudentResponse
-from autoscore.ingest import Dataset, DatasetSpec
+from autoscore.core import StudentResponse
+from autoscore.ingest import Dataset
 from autoscore.pipeline import (
     ManifestMismatch,
     RunConfig,
@@ -348,7 +349,7 @@ class TestResume:
             tmp_path, scripted_backend_factory(), schema=science_schema,
             context=synth_context, parallelism=2, name="interrupted",
         )
-        result = resume(config.run_dir, fresh, synth_dataset)
+        result = resume(fresh, synth_dataset)
         assert (config.run_dir / "records.jsonl").read_bytes() == expected
         assert [r.response_id for r in result.records] == SYNTH_IDS
         # the resume never re-scored the persisted prefix
@@ -367,7 +368,7 @@ class TestResume:
         again = make_config(
             tmp_path, idle, schema=science_schema, context=synth_context,
         )
-        result = resume(config.run_dir, again, synth_dataset)
+        result = resume(again, synth_dataset)
         assert idle.call_count == 0
         assert result.records == first.records
 
@@ -385,7 +386,7 @@ class TestResume:
             context=synth_context,
         )
         with pytest.raises(ManifestMismatch):
-            resume(config.run_dir, other, synth_dataset)
+            resume(other, synth_dataset)
 
     def test_resume_with_edited_dataset_is_a_mismatch(
         self, tmp_path, synth_dataset, synth_context, science_schema,
@@ -406,7 +407,7 @@ class TestResume:
             context=synth_context,
         )
         with pytest.raises(ManifestMismatch):
-            resume(config.run_dir, again, edited)
+            resume(again, edited)
 
 
 MANY_IDS = [f"m{k:03d}" for k in range(60)]
@@ -414,12 +415,8 @@ MANY_IDS = [f"m{k:03d}" for k in range(60)]
 
 def _many(n):
     """A baseline-ready dataset of the first n of MANY_IDS."""
-    spec = DatasetSpec(
-        family="sas", tsv_path="(synthetic)", essay_set=1, item_id="synth",
-        score_range=ScoreRange(0, 3),
-    )
-    return Dataset(spec=spec, responses=tuple(
-        StudentResponse(rid, "synth", f"many response {rid}.", k % 4)
+    return Dataset(responses=tuple(
+        StudentResponse(rid, f"many response {rid}.", k % 4)
         for k, rid in enumerate(MANY_IDS[:n])
     ))
 
@@ -499,23 +496,37 @@ class TestExecutor:
         ("interrupt", KeyboardInterrupt),
     ])
     def test_no_worker_thread_outlives_the_run(
-        self, tmp_path, synth_context, ending, raised,
+        self, tmp_path, synth_context, monkeypatch, ending, raised,
     ):
         before = set(threading.enumerate())
+        landed = threading.Event()
 
         def script(request):
             if _asked_about(request) == "m005" and ending == "worker_error":
                 raise RuntimeError("model crashed")
-            if _asked_about(request) == "m005" and ending == "interrupt":
-                _thread.interrupt_main()  # Ctrl-C in the calling thread
+            if _asked_about(request) >= "m005" and ending == "interrupt":
+                landed.wait(10)  # held until the Ctrl-C below lands
             return json.dumps({"score": 1})
 
+        def interrupting_fsync(fd):
+            # Ctrl-C in the calling thread, at its first fsync while workers run
+            if set(threading.enumerate()) - before:
+                landed.set()
+                raise KeyboardInterrupt
+            os.fsync(fd)
+
+        if ending == "interrupt":
+            monkeypatch.setattr("autoscore.pipeline.os", types.SimpleNamespace(
+                **{**vars(os), "fsync": interrupting_fsync}))
         if raised is None:
             self._run(tmp_path, synth_context, script, 20, parallelism=4)
         else:
             with pytest.raises(raised):
                 self._run(tmp_path, synth_context, script, 20, parallelism=4)
         assert set(threading.enumerate()) <= before
+        if ending == "interrupt":
+            written = (tmp_path / "run" / "records.jsonl").read_bytes().count(b"\n")
+            assert 0 < written < 20
 
     def test_progress_line_with_rate_and_eta_during_the_run(
         self, tmp_path, synth_context, caplog,
@@ -613,7 +624,7 @@ class TestRunDirLayout:
             tmp_path, scripted_backend_factory(), schema=science_schema,
             context=synth_context,
         )
-        result = resume(config.run_dir, again, synth_dataset)
+        result = resume(again, synth_dataset)
         assert (config.run_dir / "records.jsonl").read_bytes() == pristine
         assert len(result.records) == 12
 
@@ -643,7 +654,7 @@ class TestRunDirLayout:
             tmp_path, ScriptedBackend(script=refuse_r03), schema=science_schema,
             context=synth_context,
         )
-        result = resume(config.run_dir, again, synth_dataset)
+        result = resume(again, synth_dataset)
         assert (records_file.read_bytes(), failures_file.read_bytes()) == pristine
         assert [rid for rid, _ in result.failures] == ["r03"]
         assert load_run(config.run_dir).failures == result.failures

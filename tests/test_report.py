@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from autoscore.core import ScoreRange
+from autoscore.ingest import DatasetError
 from autoscore.metrics import PairedScores, compute_report
 from autoscore.pipeline import RunConfig, RunResult, load_run, score_dataset
 from autoscore.report import (
-    NotFound,
-    Unpaired,
     case_record,
     comparison_table,
     delta_percent,
@@ -258,7 +257,7 @@ class TestCaseRecord:
         assert "\n  - improvement 0 from r02" in markdown  # bulleted lists
 
     def test_missing_response_id(self, run_dirs):
-        with pytest.raises(NotFound):
+        with pytest.raises(DatasetError, match="^response 'r99' not scored in the autoscore run$"):
             case_record(
                 load_run(run_dirs["autoscore"]), load_run(run_dirs["baseline"]),
                 "r99",
@@ -273,7 +272,7 @@ class TestCaseRecord:
             if '"r03"' not in line
         ]
         records_path.write_text("".join(line + "\n" for line in kept))
-        with pytest.raises(NotFound, match="baseline"):
+        with pytest.raises(DatasetError, match="^response 'r03' not scored in the baseline run$"):
             case_record(
                 load_run(run_dirs["autoscore"]), load_run(run_dirs["baseline"]),
                 "r03",
@@ -281,7 +280,7 @@ class TestCaseRecord:
             )
 
     def test_refuses_swapped_runs(self, run_dirs):
-        with pytest.raises(Unpaired, match="an autoscore and a baseline run of one dataset"):
+        with pytest.raises(DatasetError, match="an autoscore and a baseline run of one dataset"):
             case_record(
                 load_run(run_dirs["baseline"]), load_run(run_dirs["autoscore"]),
                 "r05", response_text=synth_response_text("r05"),
@@ -290,7 +289,7 @@ class TestCaseRecord:
     def test_refuses_runs_over_different_datasets(self, run_dirs):
         baseline = load_run(run_dirs["baseline"])
         baseline.manifest["dataset_digest"] = "0" * 64
-        with pytest.raises(Unpaired, match="an autoscore and a baseline run of one dataset"):
+        with pytest.raises(DatasetError, match="an autoscore and a baseline run of one dataset"):
             case_record(
                 load_run(run_dirs["autoscore"]), baseline,
                 "r05", response_text=synth_response_text("r05"),
@@ -299,7 +298,7 @@ class TestCaseRecord:
     def test_refuses_runs_through_different_backends(self, run_dirs):
         baseline = load_run(run_dirs["baseline"])
         baseline.manifest["backend_identity"] = "scripted:other-model"
-        with pytest.raises(Unpaired, match="through one backend"):
+        with pytest.raises(DatasetError, match="through one backend"):
             case_record(
                 load_run(run_dirs["autoscore"]), baseline,
                 "r05", response_text=synth_response_text("r05"),

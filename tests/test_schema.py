@@ -6,10 +6,7 @@ from hypothesis import strategies as st
 
 from autoscore.schema import (
     FieldKind,
-    MissingField,
-    NoJsonFound,
     SchemaError,
-    TypeMismatch,
     compile_schema,
     extract_json_block,
     validate_representation,
@@ -106,19 +103,19 @@ def test_extract_json_skips_unbalanced_braces():
 
 
 def test_extract_json_refuses_prose():
-    with pytest.raises(NoJsonFound):
+    with pytest.raises(SchemaError, match="^no balanced JSON object found in model output$"):
         extract_json_block("I cannot produce JSON.")
 
 
 def test_extract_json_refuses_truncated_object():
-    with pytest.raises(NoJsonFound):
+    with pytest.raises(SchemaError, match="^no balanced JSON object found in model output$"):
         extract_json_block('{"score": ')
 
 
 def test_extract_json_skips_object_with_over_long_integer():
     # json raises a plain ValueError past the interpreter's int_max_str_digits
     huge = '{"score": ' + "9" * 5000 + "}"
-    with pytest.raises(NoJsonFound):
+    with pytest.raises(SchemaError, match="^no balanced JSON object found in model output$"):
         extract_json_block(huge)
     assert extract_json_block(huge + ' {"score": 2}') == '{"score": 2}'
 
@@ -183,22 +180,24 @@ def test_declared_count_loses_to_list_length(science_schema):
 def test_missing_field(science_schema):
     payload = json.loads(_z())
     del payload["valid_conclusion"]
-    with pytest.raises(MissingField):
+    with pytest.raises(SchemaError, match="^required field 'valid_conclusion' is missing$"):
         validate_representation(json.dumps(payload), science_schema)
 
 
 def test_string_boolean_is_a_type_mismatch(science_schema):
-    with pytest.raises(TypeMismatch):
+    with pytest.raises(SchemaError, match="^field 'valid_conclusion' expected boolean, found string$"):
         validate_representation(_z(valid_conclusion="yes"), science_schema)
 
 
 def test_float_count_is_a_type_mismatch(science_schema):
-    with pytest.raises(TypeMismatch):
+    with pytest.raises(SchemaError,
+                       match="^field 'design_count' expected non-negative integer, found number$"):
         validate_representation(_z(design_count=2.0), science_schema)
 
 
 def test_negative_count_is_a_type_mismatch(science_schema):
-    with pytest.raises(TypeMismatch):
+    with pytest.raises(SchemaError,
+                       match="^field 'validity_count' expected non-negative integer, found integer$"):
         validate_representation(_z(validity_count=-1), science_schema)
 
 
@@ -221,7 +220,7 @@ _EXPECTED = {
 def test_type_mismatch_text(kind, json_type):
     # the message is the error the repair prompt quotes back to the model
     schema = compile_schema("k", {"fields": [{"name": "f", "kind": kind}]})
-    with pytest.raises(TypeMismatch) as excinfo:
+    with pytest.raises(SchemaError) as excinfo:
         validate_representation(f'{{"f": {_WRONG_JSON[json_type]}}}', schema)
     assert str(excinfo.value) == (
         f"field 'f' expected {_EXPECTED[kind]}, found {json_type}"

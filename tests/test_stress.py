@@ -10,9 +10,9 @@ import pytest
 
 from autoscore.backend import CachingBackend, ChatRequest, ScriptedBackend
 from autoscore.core import ScoreRange, StudentResponse, TaskContext
-from autoscore.ingest import Dataset, DatasetSpec
+from autoscore.ingest import Dataset
 from autoscore.pipeline import RunConfig, score_dataset
-from autoscore.schema import NoJsonFound, compile_schema, extract_json_block
+from autoscore.schema import SchemaError, compile_schema, extract_json_block
 
 from conftest import SCIENCE_SCHEMA_DEF
 
@@ -21,15 +21,11 @@ IDS = [f"s{i:03d}" for i in range(N)]
 
 
 def _dataset():
-    spec = DatasetSpec(
-        family="sas", tsv_path="(synthetic)", essay_set=1,
-        item_id="stress", score_range=ScoreRange(0, 3),
-    )
     responses = tuple(
-        StudentResponse(rid, "stress", f"stress response {rid} text.", i % 4)
+        StudentResponse(rid, f"stress response {rid} text.", i % 4)
         for i, rid in enumerate(IDS)
     )
-    return Dataset(spec=spec, responses=responses)
+    return Dataset(responses=responses)
 
 
 def _script(request):
@@ -118,7 +114,7 @@ def test_extract_json_survives_pathological_text():
 
 def test_extract_json_rejects_nesting_too_deep_to_parse():
     deep = '{"score": ' + "[" * 100_000 + "]" * 100_000 + "}"
-    with pytest.raises(NoJsonFound, match="too deeply"):
+    with pytest.raises(SchemaError, match="too deeply"):
         extract_json_block("prose " + deep + ' then {"score": 1}')
 
 
