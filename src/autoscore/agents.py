@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 
 from . import prompts
 # request_digest stays importable here: bench/spans.py traces it per module
-from .backend import ChatRequest, request_digest  # noqa: F401
+from .backend import ChatRequest, EscapedText, escape, request_digest  # noqa: F401
 from .core import (
     AutoscoreError,
     OutOfRange,
@@ -92,24 +92,52 @@ class PromptTemplate:
 _PLACEHOLDER_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
 
 
+class Prompt(NamedTuple):
+    """A template text with its bound placeholders substituted: the text up
+    to the first hole a call fills, then each hole with the text after it,
+    every constant piece kept with its JSON-escaped form."""
+
+    text: str
+    escaped: str
+    rest: tuple[tuple[str, str, str], ...]  # (hole, text, escaped text)
+
+    def fill(self, values: dict[str, str]) -> EscapedText:
+        """The text with each hole replaced by its value, carrying its
+        escaped form; a value is inserted as it is, never scanned."""
+        texts, escaped = [self.text], [self.escaped]
+        for hole, text, escaped_text in self.rest:
+            value = values[hole]
+            texts += (value, text)
+            escaped += (escape(value), escaped_text)
+        return EscapedText("".join(texts), "".join(escaped))
+
+
+def compile_text(
+    template_text: str, bindings: dict[str, str], holes: tuple[str, ...] = ()
+) -> Prompt:
+    """Substitute the bound {name} placeholders in a single pass and leave
+    those in `holes` for Prompt.fill; every other brace in the template (and
+    anything inside bound values) is left untouched. Any other placeholder
+    raises UnboundPlaceholder, so a template never ships with a hole in it."""
+    parts = _PLACEHOLDER_RE.split(template_text)  # text, name, text, ..., text
+    missing = sorted(set(parts[1::2]) - bindings.keys() - set(holes))
+    if missing:
+        raise UnboundPlaceholder(f"placeholders left unbound after rendering: {missing}")
+    pieces, names = [[parts[0]]], []
+    for name, text in zip(parts[1::2], parts[2::2]):
+        if name in holes:
+            names.append(name)
+            pieces.append([text])
+        else:
+            pieces[-1] += (str(bindings[name]), text)
+    texts = ["".join(piece) for piece in pieces]
+    escaped = [escape(text) for text in texts]
+    return Prompt(texts[0], escaped[0], tuple(zip(names, texts[1:], escaped[1:])))
+
+
 def render(template_text: str, bindings: dict[str, str]) -> str:
-    """Substitute {name} placeholders in a single pass; every other brace in
-    the template (and anything inside bound values) is left untouched.
-
-    Raises UnboundPlaceholder if the template uses a placeholder that is
-    not bound, so a template can never silently ship with a hole in it.
-    """
-    def bind(match: re.Match) -> str:
-        try:
-            return str(bindings[match.group(1)])
-        except KeyError:
-            missing = sorted(set(_PLACEHOLDER_RE.findall(template_text))
-                             - bindings.keys())
-            raise UnboundPlaceholder(
-                f"placeholders left unbound after rendering: {missing}"
-            ) from None
-
-    return _PLACEHOLDER_RE.sub(bind, template_text)
+    """compile_text with every placeholder bound: the finished text."""
+    return compile_text(template_text, bindings).fill({})
 
 
 def describe_schema(schema: ComponentSchema) -> str:
@@ -142,14 +170,12 @@ CONTEXT_PLACEHOLDERS = ("question", "reference_material", "rubric_text", "respon
                         "score_min", "score_max")
 
 
-def _context_bindings(
-    context: TaskContext, response: StudentResponse
-) -> dict[str, str]:
+def _context_bindings(context: TaskContext) -> dict[str, str]:
+    """Every one of CONTEXT_PLACEHOLDERS but the response, which calls fill."""
     return {
         "question": context.question,
         "reference_material": context.reference_material or "(none)",
         "rubric_text": context.rubric_text,
-        "response": response.text,
         "score_min": str(context.score_range.min),
         "score_max": str(context.score_range.max),
     }
@@ -178,13 +204,15 @@ def _parse_score(raw: str, context: TaskContext, _input) -> Score:
 
 
 class Stage(NamedTuple):
-    """What sets one agent apart: its default prompt, the placeholders its
-    input binds (each with the function that renders it from the input), how
-    a reply is parsed, the failure raised when retries run out, and the
-    default output budget."""
+    """What sets one agent apart: its default prompt, the placeholders it
+    binds once per run from the run's schema and those it binds per call
+    from its input (each with the function that renders it), how a reply
+    is parsed, the failure raised when retries run out, and the default
+    output budget."""
 
     template: PromptTemplate
-    bindings: dict[str, Callable[[object], str]]
+    constants: dict[str, Callable[[ComponentSchema], str]]
+    holes: dict[str, Callable[[object], str]]
     parse: Callable[[str, TaskContext, object], object]
     failure: type[RetriesExhausted]
     max_output_tokens: int
@@ -195,19 +223,41 @@ class Stage(NamedTuple):
 STAGES = {
     "extraction": Stage(
         PromptTemplate(prompts.EXTRACTION_SYSTEM, prompts.EXTRACTION_USER),
-        {"schema_description": describe_schema},
+        {"schema_description": describe_schema}, {},
         _parse_representation, ExtractionFailed, 1024,
     ),
     "scoring": Stage(
         PromptTemplate(prompts.SCORING_SYSTEM, prompts.SCORING_USER),
-        {"representation_json": representation_block},
+        {}, {"representation_json": representation_block},
         _parse_score, ScoringFailed, 128,
     ),
     "baseline": Stage(
         PromptTemplate(prompts.BASELINE_SYSTEM, prompts.BASELINE_USER),
-        {}, _parse_score, ScoringFailed, 128,
+        {}, {}, _parse_score, ScoringFailed, 128,
     ),
 }
+
+
+class StagePrompt(NamedTuple):
+    """A stage's system and user text compiled for one run."""
+
+    system: Prompt
+    user: Prompt
+
+
+def compile_prompt(
+    name: str, template: PromptTemplate, context: TaskContext,
+    schema: ComponentSchema | None,
+) -> StagePrompt:
+    """Compile stage `name`'s template for a run: bind the task context and
+    the placeholders the stage binds from the run's schema, and leave
+    {response} and those bound from each call's input as holes."""
+    stage = STAGES[name]
+    bindings = _context_bindings(context)
+    bindings.update((key, bind(schema)) for key, bind in stage.constants.items())
+    holes = ("response", *stage.holes)
+    return StagePrompt(compile_text(template.system_text, bindings, holes),
+                       compile_text(template.user_text, bindings, holes))
 
 
 def run_stage(
@@ -217,26 +267,27 @@ def run_stage(
     response: StudentResponse,
     input,
     *,
-    template: PromptTemplate | None = None,
+    template: PromptTemplate | StagePrompt | None = None,
     max_retries: int = DEFAULT_MAX_RETRIES,
     max_output_tokens: int | None = None,
 ) -> AgentOutcome:
     """Run stage `name` on one response: call, parse, and on failure
     re-prompt with the error appended, up to max_retries model calls in
     total. `input` is what the stage works from (extraction: the schema,
-    scoring: the representation, baseline: nothing); a missing template or
+    scoring: the representation, baseline: nothing); a template not yet
+    compiled by compile_prompt is compiled here, and a missing template or
     output budget falls back to the stage's default."""
     stage = STAGES[name]
     if max_retries < 1:
         raise ValueError("max_retries must be at least 1")
-    template = template or stage.template
+    if not isinstance(template, StagePrompt):
+        template = compile_prompt(name, template or stage.template, context, input)
     if max_output_tokens is None:
         max_output_tokens = stage.max_output_tokens
-    bindings = _context_bindings(context, response)
-    bindings.update((key, bind(input)) for key, bind in stage.bindings.items())
-    system_text = render(template.system_text, bindings)
-    user_text = render(template.user_text, bindings)
-    messages: list[tuple[str, str]] = [("system", system_text), ("user", user_text)]
+    values = {"response": response.text}
+    values.update((key, bind(input)) for key, bind in stage.holes.items())
+    messages: list[tuple[str, str]] = [("system", template.system.fill(values)),
+                                       ("user", template.user.fill(values))]
 
     outcome = AgentOutcome(value=None, transcripts=[])
     last_error: Exception | None = None
@@ -255,7 +306,7 @@ def run_stage(
             last_error = exc
             repair = render(
                 prompts.RETRY_USER,
-                {**bindings, "previous_output": reply.text, "error": _describe(exc)},
+                {"previous_output": reply.text, "error": _describe(exc)},
             )
             messages.append(("user", repair))
             continue
@@ -266,7 +317,8 @@ def run_stage(
 def unbound_placeholders(name: str, template: PromptTemplate) -> list[str]:
     """The placeholders in the template's system and user text that stage
     `name` does not bind, so that every render of it would fail."""
-    bound = {*CONTEXT_PLACEHOLDERS, *STAGES[name].bindings}
+    stage = STAGES[name]
+    bound = {*CONTEXT_PLACEHOLDERS, *stage.constants, *stage.holes}
     used = {match.group(1) for text in (template.system_text, template.user_text)
             for match in _PLACEHOLDER_RE.finditer(text)}
     return sorted(used - bound)

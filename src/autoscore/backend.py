@@ -62,6 +62,16 @@ class ScriptExhausted(AutoscoreError):
     """The scripted backend has no response left (or no rule matched)."""
 
 
+class EscapedText(str):
+    """Message text that carries its JSON-escaped form, so that
+    `request_digest` need not escape it again; compiled prompts build it."""
+
+    def __new__(cls, text: str, escaped: str) -> "EscapedText":
+        self = super().__new__(cls, text)
+        self.escaped = escaped
+        return self
+
+
 @dataclass(frozen=True)
 class ChatRequest:
     """One chat-completion request, always at temperature 0 with a JSON
@@ -84,8 +94,8 @@ class ChatRequest:
         for role, _ in self.messages:
             if role not in ("system", "user"):
                 raise ValueError(f"unsupported message role {role!r}")
-        if self.max_output_tokens <= 0:
-            raise ValueError("max_output_tokens must be positive")
+        if type(self.max_output_tokens) is not int or self.max_output_tokens <= 0:
+            raise ValueError("max_output_tokens must be a positive integer")
         object.__setattr__(self, "digest", request_digest(self))
 
 
@@ -102,30 +112,39 @@ class ChatResponse:
             raise ValueError("zero latency is only permitted for cache hits")
 
 
-def request_digest(request: ChatRequest) -> str:
-    """Deterministic cross-platform digest (hex SHA-256) of the full request.
+def escape(text: str) -> str:
+    """What json.dumps(text, ensure_ascii=False) writes between the quotes
+    (each character on its own, so pieces escape apart and join)."""
+    if type(text) is EscapedText:
+        return text.escaped
+    return json.encoder.encode_basestring(text)[1:-1]
 
-    Canonical form sorts the payload keys; message content is hashed
-    verbatim, with no whitespace normalization anywhere. The constant
-    temperature and JSON format stay in the payload, so that digests, and
-    the cache and replay files keyed on them, do not change."""
-    payload = {
-        "model_name": request.model_name,
-        "messages": [[role, content] for role, content in request.messages],
-        "temperature": 0.0,
-        "max_output_tokens": request.max_output_tokens,
-        "force_json": True,
-    }
-    canonical = json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False
+
+def request_digest(request: ChatRequest) -> str:
+    """Deterministic cross-platform digest: the hex SHA-256 of the UTF-8
+    bytes of json.dumps(payload, sort_keys=True, separators=(",", ":"),
+    ensure_ascii=False), that is of
+
+        {"force_json":true,"max_output_tokens":N,"messages":[["system","..."],
+         ["user","..."],...],"model_name":"...","temperature":0.0}
+
+    written out here from escaped pieces. Message content is hashed
+    verbatim. The constant temperature and JSON format stay in the payload,
+    so that digests, and the cache and replay files keyed on them, do not
+    change."""
+    messages = ",".join(f'["{role}","{escape(text)}"]'  # role: system or user
+                        for role, text in request.messages)
+    canonical = (
+        f'{{"force_json":true,"max_output_tokens":{request.max_output_tokens},'
+        f'"messages":[{messages}],"model_name":"{escape(request.model_name)}",'
+        f'"temperature":0.0}}'
     )
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 class _KeptAlive(dict):
-    """One thread's open connections by (scheme, host:port, proxy,
-    timeout); closed when the thread ends and its thread-local storage is
-    dropped."""
+    """One thread's open connections by (scheme, host:port, timeout);
+    closed when the thread ends and its thread-local storage is dropped."""
 
     def __del__(self) -> None:
         for conn in self.values():
@@ -141,12 +160,13 @@ def _default_transport(
     """POST `body` as JSON and return (status, text), or (0, reason) when
     no response came back.
 
-    Each thread keeps one connection alive per (scheme, host:port, proxy,
+    Each thread keeps one connection alive per (scheme, host:port,
     timeout). A kept-alive connection the server closed while it sat idle
     fails on send or on the status line; that one failure is retried at
     once on a fresh connection. Proxies come from the standard environment
-    variables (http_proxy, https_proxy, no_proxy); https goes through a
-    CONNECT tunnel and verifies certificates against the system trust
+    variables (http_proxy, https_proxy, no_proxy), read when a connection
+    is opened: a kept-alive connection keeps its route. https goes through
+    a CONNECT tunnel and verifies certificates against the system trust
     store.
     """
     # imported on first use, so only runs that reach a remote model pay it
@@ -155,10 +175,7 @@ def _default_transport(
     from urllib.request import getproxies, proxy_bypass
 
     parts = urlsplit(url)
-    proxy = getproxies().get(parts.scheme)
-    if proxy and proxy_bypass(parts.netloc):
-        proxy = None
-    key = (parts.scheme, parts.netloc, proxy, timeout_s)
+    key = (parts.scheme, parts.netloc, timeout_s)
     pool = getattr(_thread_connections, "pool", None)
     if pool is None:
         pool = _thread_connections.pool = _KeptAlive()
@@ -166,10 +183,11 @@ def _default_transport(
     target = parts.path or "/"
     if parts.query:
         target += "?" + parts.query
-    if proxy and parts.scheme == "http":
-        target = url  # a plain-http proxy takes the absolute URI
 
     def connect() -> http.client.HTTPConnection:
+        proxy = getproxies().get(parts.scheme)
+        if proxy and proxy_bypass(parts.netloc):
+            proxy = None
         host, port = parts.hostname, parts.port
         if proxy:
             proxy_parts = urlsplit(proxy if "://" in proxy else "http://" + proxy)
@@ -178,11 +196,13 @@ def _default_transport(
             conn = http.client.HTTPSConnection(host, port, timeout=timeout_s)
             if proxy:
                 conn.set_tunnel(parts.hostname, parts.port or 443)
-            return conn
-        return http.client.HTTPConnection(host, port, timeout=timeout_s)
+        else:
+            conn = http.client.HTTPConnection(host, port, timeout=timeout_s)
+        conn.absolute = proxy and parts.scheme == "http"  # a plain-http proxy's
+        return conn
 
     def exchange(conn: http.client.HTTPConnection) -> http.client.HTTPResponse:
-        conn.request("POST", target, payload, headers)
+        conn.request("POST", url if conn.absolute else target, payload, headers)
         return conn.getresponse()
 
     conn = pool.pop(key, None)

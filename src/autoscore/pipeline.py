@@ -117,6 +117,9 @@ class RunConfig:
             if unbound:
                 raise ValueError(f"the {stage} template uses placeholders its "
                                  f"stage does not bind: {unbound}")
+            if "{response}" not in template.user_text:
+                raise ValueError(f"the {stage} user prompt has no {{response}}, "
+                                 f"so the model would never see the response")
         if self.imputation not in ("fail", "floor"):
             raise ValueError(f"unknown imputation policy {self.imputation!r}")
 
@@ -205,11 +208,13 @@ def _read_manifest(run_dir: Path) -> dict:
     return manifest
 
 
-def _score_one(config: RunConfig, response: StudentResponse):
-    """Run the mode's stages for one response: ("record" | "failure", its
-    JSON line, the value). Domain errors become failure entries (or, for a
-    scoring stage under the "floor" policy, a record of the rubric minimum
-    that keeps the failed attempts); anything else aborts the run."""
+def _score_one(config: RunConfig, prompts: dict[str, agents.StagePrompt],
+               response: StudentResponse):
+    """Run the mode's stages, with their compiled prompts, for one response:
+    ("record" | "failure", its JSON line, the value). Domain errors become
+    failure entries (or, for a scoring stage under the "floor" policy, a
+    record of the rubric minimum that keeps the failed attempts); anything
+    else aborts the run."""
     outcomes: list[agents.AgentOutcome] = []
     value = config.schema  # each stage works from the value of the one before
     try:
@@ -218,7 +223,7 @@ def _score_one(config: RunConfig, response: StudentResponse):
             # wrapper set on agents.run_<stage> sees it
             outcome = getattr(agents, f"run_{stage}")(
                 config.backend, config.context, response, value,
-                template=config.templates[stage],
+                template=prompts[stage],
                 max_retries=config.max_retries,
                 max_output_tokens=config.max_output_tokens,
             )
@@ -283,6 +288,11 @@ def _execute(config: RunConfig, dataset: Dataset, manifest: dict) -> RunResult:
             "the run dir is corrupt or belongs to another dataset"
         )
     todo = ordered[prefix_len:]
+    # compiled here, from what the manifest records, so that a config changed
+    # after it was built cannot send prompts its manifest does not show
+    prompts = {stage: agents.compile_prompt(stage, config.templates[stage],
+                                            config.context, config.schema)
+               for stage in STAGES[config.mode]}
 
     with (config.run_dir / RECORDS).open("a", encoding="utf-8") as rec, \
             (config.run_dir / FAILURES).open("a", encoding="utf-8") as fail:
@@ -321,7 +331,7 @@ def _execute(config: RunConfig, dataset: Dataset, manifest: dict) -> RunResult:
                         if claimed == len(todo) or stopping:
                             return
                         position, claimed = claimed, claimed + 1
-                    outcome = _score_one(config, todo[position])
+                    outcome = _score_one(config, prompts, todo[position])
             except BaseException as exc:  # re-raised by the calling thread
                 stopping = True
                 updates.put(exc)

@@ -47,10 +47,20 @@ class ComponentField:
 
 @dataclass(frozen=True)
 class ComponentSchema:
-    """Ordered field declarations for one item's component representation."""
+    """Ordered field declarations for one item's component representation,
+    and what validate_representation checks, compiled once: each field
+    name -> (type label, check), and the (derived count, source) pairs."""
 
     item_id: str
     fields: tuple[ComponentField, ...]
+    checks: dict = field(init=False, repr=False, compare=False)
+    derived: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "checks", {
+            f.name: KINDS[f.kind][1:] for f in self.fields})
+        object.__setattr__(self, "derived", tuple(
+            (f.name, f.derived_from) for f in self.fields if f.derived_from is not None))
 
     def field_names(self) -> list[str]:
         return [f.name for f in self.fields]
@@ -228,31 +238,28 @@ def validate_representation(
         found = _JSON_TYPE.get(type(parsed), "null")
         raise SchemaError(f"field '$' expected object, found {found}")
 
-    known = set(schema.field_names())
-    unknown = [k for k in parsed if k not in known]
+    checks = schema.checks
+    unknown = [k for k in parsed if k not in checks]
     if unknown:
         logger.warning(
             "dropping unknown keys %s for schema %s", unknown, schema.item_id
         )
 
     values: dict = {}
-    flags: list[str] = []
-    for f in schema.fields:
-        if f.name not in parsed:
-            raise SchemaError(f"required field {f.name!r} is missing")
-        value = parsed[f.name]
-        _, expected, check = KINDS[f.kind]
+    for name, (expected, check) in checks.items():
+        if name not in parsed:
+            raise SchemaError(f"required field {name!r} is missing")
+        value = values[name] = parsed[name]
         if not check(value):
             found = _JSON_TYPE.get(type(value), "null")
-            raise SchemaError(f"field {f.name!r} expected {expected}, found {found}")
-        values[f.name] = value
+            raise SchemaError(f"field {name!r} expected {expected}, found {found}")
 
-    for f in schema.fields:
-        if f.kind is FieldKind.COUNT and f.derived_from is not None:
-            true_count = len(values[f.derived_from])
-            if values[f.name] != true_count:
-                values[f.name] = true_count
-                flags.append(f.name)
+    flags: list[str] = []
+    for name, source in schema.derived:
+        true_count = len(values[source])
+        if values[name] != true_count:
+            values[name] = true_count
+            flags.append(name)
 
     return StructuredRepresentation(
         schema_id=schema.item_id, values=values, inconsistency_flags=tuple(flags)

@@ -1,6 +1,9 @@
 import json
+import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from autoscore import agents
 from autoscore.backend import ScriptedBackend, request_digest
@@ -72,8 +75,9 @@ class TestRender:
         for template in (agents.PromptTemplate(every, ""), agents.PromptTemplate("", every)):
             assert agents.unbound_placeholders(stage, template) == unbound
         assert agents.unbound_placeholders(stage, agents.STAGES[stage].template) == []
-        # the context bindings every stage renders are the ones the check assumes
-        assert set(agents._context_bindings(context, response)) == set(
+        # the context bindings every stage compiles, and the response each
+        # call fills, are the ones the check assumes
+        assert {*agents._context_bindings(context), "response"} == set(
             agents.CONTEXT_PLACEHOLDERS)
 
     def test_inserted_content_is_never_rescanned(self):
@@ -83,6 +87,68 @@ class TestRender:
             {"previous_output": "oops {response} here", "error": "bad"},
         )
         assert out == "oops {response} here / bad"
+
+
+# text that stresses the single pass and the JSON escaping: placeholders
+# of every kind, stray braces, quotes, control and line-separator
+# characters, and a character outside the BMP
+_TRICKY = st.lists(st.sampled_from([
+    "-", " ", "{", "}", "{{", '"', "\\", "\n", "\x00", "\x1f", "\u2028",
+    "\u2029", "\U0001F600", "é", "{response}", "{question}", "{error}",
+    "{representation_json}", '{"score": <integer>}',
+])).map("".join)
+_VALUES = _TRICKY | st.text(st.characters(blacklist_categories=("Cs",)))
+_NAMES = ("question", "rubric_text", "response", "representation_json")
+
+
+def _oracle(template_text, bindings):
+    """The one-pass substitution every compiled prompt must reproduce."""
+    return re.sub(r"\{([A-Za-z_][A-Za-z0-9_]*)\}",
+                  lambda match: bindings[match.group(1)], template_text)
+
+
+class TestCompiledPrompt:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(template=st.lists(_TRICKY | st.sampled_from(
+               [f"{{{name}}}" for name in _NAMES])).map("".join),
+           values=st.fixed_dictionaries({name: _VALUES for name in _NAMES}),
+           holes=st.lists(st.sampled_from(_NAMES), unique=True).map(tuple))
+    @example(template="{question} {response}{response}", values=dict.fromkeys(
+        _NAMES, "{response} {question} }{"), holes=("response",))
+    def test_filled_text_equals_render_and_carries_its_escape(
+        self, template, values, holes
+    ):
+        bindings = {**values, "error": "e"}
+        constants = {k: v for k, v in bindings.items() if k not in holes}
+        filled = agents.compile_text(template, constants, holes).fill(values)
+        assert filled == agents.render(template, bindings) == _oracle(template, bindings)
+        assert filled.escaped == json.dumps(filled, ensure_ascii=False)[1:-1]
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(stage=st.sampled_from(["extraction", "scoring", "baseline"]),
+           question=_VALUES, rubric=_VALUES, text=_VALUES)
+    def test_each_stage_sends_what_render_gives(self, stage, question, rubric, text):
+        # never blank, as TaskContext and StudentResponse require
+        question, rubric, text = "Q " + question, "R " + rubric, "T " + text
+        context = TaskContext("i", question, rubric, ScoreRange(0, 3), None)
+        response = StudentResponse("r", text)
+        rep = StructuredRepresentation("i", z_payload("r02"))
+        stage_input = {"extraction": SCIENCE, "scoring": rep, "baseline": None}[stage]
+        sent = []
+        backend = ScriptedBackend(
+            script=lambda request: sent.append(request.messages) or "{}")
+        with pytest.raises(agents.RetriesExhausted):
+            agents.run_stage(stage, backend, context, response, stage_input,
+                             max_retries=1)
+        bindings = {
+            "question": question, "reference_material": "(none)",
+            "rubric_text": rubric, "response": text, "score_min": "0",
+            "score_max": "3", "schema_description": agents.describe_schema(SCIENCE),
+            "representation_json": agents.representation_block(rep),
+        }
+        template = agents.STAGES[stage].template
+        assert sent == [(("system", _oracle(template.system_text, bindings)),
+                         ("user", _oracle(template.user_text, bindings)))]
 
 
 class TestParseScore:

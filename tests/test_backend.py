@@ -1,3 +1,4 @@
+import hashlib
 import http.server
 import json
 import threading
@@ -5,12 +6,15 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from autoscore.backend import (
     BackendUnavailable,
     CachingBackend,
     ChatRequest,
     ChatResponse,
+    EscapedText,
     RateLimited,
     RemoteBackend,
     ReplayMiss,
@@ -18,6 +22,7 @@ from autoscore.backend import (
     ScriptExhausted,
     Transport,
     _default_transport,
+    escape,
     request_digest,
 )
 
@@ -54,6 +59,35 @@ class TestRequestDigest:
         )
 
 
+# every text UTF-8 can encode: any code point but a lone surrogate
+_ENCODABLE = st.text(st.characters(blacklist_categories=("Cs",)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(model=_ENCODABLE, tokens=st.integers(1, 2**40), messages=st.lists(
+    st.tuples(st.sampled_from(["system", "user"]), _ENCODABLE, st.booleans()),
+    min_size=1, max_size=5))
+@example(model='m"\\', tokens=64, messages=[
+    ("system", '"\\\x00\x1f\x7f\u2028\u2029\U0001F600', True),
+    ("user", "é\t\n{response}", False), ("user", "repair turn", True)])
+def test_digest_is_the_sha256_of_the_canonical_json(model, tokens, messages):
+    # a message may carry its escaped text (as compiled prompts do) or not
+    # (hand-built requests, repair turns); the digest is the same
+    request = ChatRequest(model, tuple(
+        (role, EscapedText(text, escape(text)) if carried else text)
+        for role, text, carried in messages), tokens)
+    payload = {
+        "model_name": model,
+        "messages": [[role, text] for role, text, _ in messages],
+        "temperature": 0.0,
+        "max_output_tokens": tokens,
+        "force_json": True,
+    }
+    canonical = json.dumps(
+        payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    assert request.digest == hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
 class TestChatRequestInvariants:
     def test_needs_messages(self):
         with pytest.raises(ValueError):
@@ -62,6 +96,11 @@ class TestChatRequestInvariants:
     def test_role_whitelist(self):
         with pytest.raises(ValueError):
             _req(messages=(("assistant", "hi"),))
+
+    @pytest.mark.parametrize("tokens", [0, True, 64.0])
+    def test_max_output_tokens_is_a_positive_integer(self, tokens):
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            _req(max_output_tokens=tokens)
 
 
 def test_chat_response_zero_latency_only_from_cache():
@@ -283,6 +322,18 @@ class TestRemoteRetryPolicy:
         assert seen["headers"]["Authorization"] == "Bearer k"
         assert seen["body"]["max_tokens"] == 64
 
+    def test_body_bytes_ignore_carried_escapes(self):
+        bodies = []
+
+        def transport(url, headers, body, timeout_s):
+            bodies.append(json.dumps(body).encode("utf-8"))
+            return 200, _ok_body()
+
+        text = 'line "one"\n\u2028é'
+        for content in (text, EscapedText(text, escape(text))):
+            _remote(transport).complete(_req(messages=(("user", content),)))
+        assert bodies[0] == bodies[1]
+
 
 class TestCachingBackend:
     def test_second_identical_request_hits_cache(self, tmp_path):
@@ -496,3 +547,16 @@ class TestDefaultTransport:
         assert _on_fresh_thread(lambda: _post(origin.url)) == (200, "direct")
         assert origin.targets == ["/chat/completions"]
         assert len(proxy.targets) == 2
+
+    def test_proxies_are_read_when_a_connection_opens(self, serve, monkeypatch):
+        import urllib.request
+
+        reads = []
+        getproxies = urllib.request.getproxies
+        monkeypatch.setattr(urllib.request, "getproxies",
+                            lambda: reads.append(1) or getproxies())
+        server = serve(lambda h: _reply(h, 200, "ok"))
+        results = _on_fresh_thread(lambda: [_post(server.url) for _ in range(5)])
+        assert results == [(200, "ok")] * 5
+        assert server.connections == 1
+        assert len(reads) == 1

@@ -506,6 +506,23 @@ class TestScoreCommand:
                 "bind: ['respnse']") in caplog.text
         assert not out.exists()
 
+    def test_user_prompt_without_the_response_exits_2_before_writing(
+        self, tmp_path, caplog
+    ):
+        # every placeholder is bound, but the model would never see the response
+        demo = tmp_path / "demo"
+        shutil.copytree(Path(__file__).parent.parent / "demo", demo)
+        (demo / "prompt.txt").write_text("Score this in {score_min}..{score_max}")
+        config = yaml.safe_load((demo / "config.yaml").read_text())
+        config["items"]["science"]["templates"] = {"baseline_user": "prompt.txt"}
+        (demo / "config.yaml").write_text(yaml.safe_dump(config))
+        out = tmp_path / "x"
+        assert main(["score", "--config", str(demo / "config.yaml"), "--item",
+                     "science", "--mode", "baseline", "--out", str(out)]) == 2
+        assert "the baseline user prompt has no {response}" in caplog.text
+        assert not (out / "manifest.json").exists()
+        assert not out.exists()
+
     def test_over_long_integer_reply_is_a_recorded_failure(self, workspace, tmp_path):
         rules = workspace.parent / "rules.jsonl"
         huge = {"match": ["synthetic response r02"],

@@ -8,6 +8,7 @@ import types
 
 import pytest
 
+from autoscore import agents
 from autoscore.backend import CachingBackend, ScriptedBackend
 from autoscore.core import StudentResponse
 from autoscore.ingest import Dataset
@@ -550,6 +551,37 @@ class TestExecutor:
 
         self._run(tmp_path, synth_context, script, 60, parallelism=2)
         assert seen_while_running.is_set()
+
+
+def test_schema_is_described_once_per_run_not_per_response(
+    tmp_path, synth_context, science_schema,
+):
+    # counts every execution of describe_schema's code, however it is
+    # reached, on every thread
+    code = agents.describe_schema.__code__
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(event)
+
+    def script(request):
+        if "Identify the rubric-relevant components" in request.messages[1][1]:
+            return json.dumps(z_payload("r01"))
+        return json.dumps({"score": 1})
+
+    config = make_config(tmp_path, ScriptedBackend(script=script),
+                         schema=science_schema, context=synth_context,
+                         parallelism=2)
+    threading.setprofile(profile)
+    sys.setprofile(profile)
+    try:
+        result = score_dataset(config, _many(30))
+    finally:
+        sys.setprofile(None)
+        threading.setprofile(None)
+    assert len(result.records) == 30
+    assert len(calls) == 1
 
 
 class TestRunDirLayout:
