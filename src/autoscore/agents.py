@@ -165,22 +165,6 @@ def representation_block(representation: StructuredRepresentation) -> str:
     return block
 
 
-# the placeholders every stage binds, from the task context and the response
-CONTEXT_PLACEHOLDERS = ("question", "reference_material", "rubric_text", "response",
-                        "score_min", "score_max")
-
-
-def _context_bindings(context: TaskContext) -> dict[str, str]:
-    """Every one of CONTEXT_PLACEHOLDERS but the response, which calls fill."""
-    return {
-        "question": context.question,
-        "reference_material": context.reference_material or "(none)",
-        "rubric_text": context.rubric_text,
-        "score_min": str(context.score_range.min),
-        "score_max": str(context.score_range.max),
-    }
-
-
 def parse_score(raw_text: str, score_range: ScoreRange) -> Score:
     """Read the strict {"score": <integer>} contract from raw model output."""
     block = extract_json_block(raw_text)
@@ -251,13 +235,29 @@ def compile_prompt(
 ) -> StagePrompt:
     """Compile stage `name`'s template for a run: bind the task context and
     the placeholders the stage binds from the run's schema, and leave
-    {response} and those bound from each call's input as holes."""
+    {response} and those bound from each call's input as holes. A template
+    with a placeholder the stage does not bind, or whose user text never
+    shows the response, raises ValueError."""
     stage = STAGES[name]
-    bindings = _context_bindings(context)
+    bindings = {
+        "question": context.question,
+        "reference_material": context.reference_material or "(none)",
+        "rubric_text": context.rubric_text,
+        "score_min": str(context.score_range.min),
+        "score_max": str(context.score_range.max),
+    }
     bindings.update((key, bind(schema)) for key, bind in stage.constants.items())
     holes = ("response", *stage.holes)
-    return StagePrompt(compile_text(template.system_text, bindings, holes),
-                       compile_text(template.user_text, bindings, holes))
+    texts = (template.system_text, template.user_text)
+    used = {found for text in texts for found in _PLACEHOLDER_RE.findall(text)}
+    unbound = sorted(used - bindings.keys() - set(holes))
+    if unbound:
+        raise ValueError(f"the {name} template uses placeholders its stage "
+                         f"does not bind: {unbound}")
+    if "{response}" not in template.user_text:
+        raise ValueError(f"the {name} user prompt has no {{response}}, so the "
+                         f"model would never see the response")
+    return StagePrompt(*(compile_text(text, bindings, holes) for text in texts))
 
 
 def run_stage(
@@ -275,8 +275,9 @@ def run_stage(
     re-prompt with the error appended, up to max_retries model calls in
     total. `input` is what the stage works from (extraction: the schema,
     scoring: the representation, baseline: nothing); a template not yet
-    compiled by compile_prompt is compiled here, and a missing template or
-    output budget falls back to the stage's default."""
+    compiled by compile_prompt is compiled here, so it is refused before any
+    model call as a run would refuse it, and a missing template or output
+    budget falls back to the stage's default."""
     stage = STAGES[name]
     if max_retries < 1:
         raise ValueError("max_retries must be at least 1")
@@ -312,16 +313,6 @@ def run_stage(
             continue
         return outcome
     raise stage.failure(last_error, outcome)
-
-
-def unbound_placeholders(name: str, template: PromptTemplate) -> list[str]:
-    """The placeholders in the template's system and user text that stage
-    `name` does not bind, so that every render of it would fail."""
-    stage = STAGES[name]
-    bound = {*CONTEXT_PLACEHOLDERS, *stage.constants, *stage.holes}
-    used = {match.group(1) for text in (template.system_text, template.user_text)
-            for match in _PLACEHOLDER_RE.finditer(text)}
-    return sorted(used - bound)
 
 
 def _describe(exc: Exception) -> str:

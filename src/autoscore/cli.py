@@ -5,8 +5,9 @@ in the summary), 2 configuration error (an unknown run or backend key, a
 bad scripted rules line, template override, run setting or
 --sample-fraction too), 3 dataset error or corrupt run directory (a
 manifest that lacks a key, a case pair evaluate would not compare, a
-missing or bad gold annotations file too), 4 backend unavailable (a
-corrupt cache or replay file too).
+missing or bad gold annotations file, and for evaluate a run with no
+records or two run directories of one name too), 4 backend unavailable
+(a corrupt cache or replay file too).
 Logs go to stderr; data goes to files and stdout.
 """
 
@@ -185,8 +186,6 @@ def _mean_first_attempt_ms(result) -> float | None:
 
 
 def cmd_evaluate(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     runs = [pipeline.load_run(Path(r)) for r in args.runs]
     if len(runs) == 2:
         d0 = runs[0].manifest["dataset_digest"]
@@ -194,12 +193,21 @@ def cmd_evaluate(args) -> int:
         if d0 != d1:
             logger.error("dataset digests differ; runs are not comparable")
             return EXIT_DATASET
-
-    reports = []
+    # every run is checked before any report is written
+    stems: dict[str, str] = {}
     for run_dir, result in zip(args.runs, runs):
-        rep = evaluate_run(result)
-        reports.append(rep)
+        if not result.records:
+            raise DatasetError(f"{run_dir} has no successful records to evaluate")
         stem = Path(run_dir).name
+        if stem in stems:
+            raise DatasetError(f"{stems[stem]} and {run_dir} would both write "
+                               f"{stem}.metrics.json; rename one run directory")
+        stems[stem] = run_dir
+    reports = [evaluate_run(result) for result in runs]
+
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for stem, rep in zip(stems, reports):
         (out_dir / f"{stem}.metrics.json").write_text(
             rep.to_json() + "\n", encoding="utf-8"
         )

@@ -112,14 +112,8 @@ class RunConfig:
             stage: self.templates.get(stage) or agents.STAGES[stage].template
             for stage in STAGES[self.mode]
         }
-        for stage, template in self.templates.items():
-            unbound = agents.unbound_placeholders(stage, template)
-            if unbound:
-                raise ValueError(f"the {stage} template uses placeholders its "
-                                 f"stage does not bind: {unbound}")
-            if "{response}" not in template.user_text:
-                raise ValueError(f"the {stage} user prompt has no {{response}}, "
-                                 f"so the model would never see the response")
+        for stage, template in self.templates.items():  # raises on a bad one
+            agents.compile_prompt(stage, template, self.context, self.schema)
         if self.imputation not in ("fail", "floor"):
             raise ValueError(f"unknown imputation policy {self.imputation!r}")
 

@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 from autoscore import agents
 from autoscore.backend import ScriptedBackend, request_digest
 from autoscore.core import OutOfRange, Score, ScoreRange, StudentResponse, TaskContext
-from autoscore.schema import SchemaError, StructuredRepresentation
+from autoscore.schema import (
+    SchemaError,
+    StructuredRepresentation,
+    extract_json_block,
+    validate_representation,
+)
 
 from conftest import SCIENCE_SCHEMA_DEF, z_payload
 from autoscore.schema import compile_schema
@@ -60,26 +65,6 @@ class TestRender:
         )
         assert '{"score": <integer>}' in out
 
-    @pytest.mark.parametrize("stage,unbound", [
-        ("extraction", ["error", "previous_output", "representation_json"]),
-        ("scoring", ["error", "previous_output", "schema_description"]),
-        ("baseline", ["error", "previous_output", "representation_json",
-                      "schema_description"]),
-    ])
-    def test_unbound_placeholders_are_those_the_stage_cannot_bind(
-        self, context, response, stage, unbound
-    ):
-        names = (*agents.CONTEXT_PLACEHOLDERS, "schema_description",
-                 "representation_json", "previous_output", "error")
-        every = " ".join(f"{{{name}}}" for name in names)
-        for template in (agents.PromptTemplate(every, ""), agents.PromptTemplate("", every)):
-            assert agents.unbound_placeholders(stage, template) == unbound
-        assert agents.unbound_placeholders(stage, agents.STAGES[stage].template) == []
-        # the context bindings every stage compiles, and the response each
-        # call fills, are the ones the check assumes
-        assert {*agents._context_bindings(context), "response"} == set(
-            agents.CONTEXT_PLACEHOLDERS)
-
     def test_inserted_content_is_never_rescanned(self):
         # raw model output may itself contain placeholder-shaped text
         out = agents.render(
@@ -87,6 +72,59 @@ class TestRender:
             {"previous_output": "oops {response} here", "error": "bad"},
         )
         assert out == "oops {response} here / bad"
+
+
+class TestStageTemplateRules:
+    """compile_prompt refuses what no run could send, and run_<stage>
+    compiles a plain template through it."""
+
+    @pytest.mark.parametrize("stage,unbound", [
+        ("extraction", ["error", "previous_output", "representation_json"]),
+        ("scoring", ["error", "previous_output", "schema_description"]),
+        ("baseline", ["error", "previous_output", "representation_json",
+                      "schema_description"]),
+    ])
+    def test_placeholders_the_stage_cannot_bind_are_refused(
+        self, context, stage, unbound
+    ):
+        names = ("question", "reference_material", "rubric_text", "response",
+                 "score_min", "score_max", "schema_description",
+                 "representation_json", "previous_output", "error")
+        every = " ".join(f"{{{name}}}" for name in names)
+        for template in (agents.PromptTemplate(every, ""), agents.PromptTemplate("", every)):
+            with pytest.raises(ValueError) as excinfo:
+                agents.compile_prompt(stage, template, context, SCIENCE)
+            assert str(excinfo.value) == (
+                f"the {stage} template uses placeholders its stage does not bind: "
+                f"{unbound}")
+        agents.compile_prompt(stage, agents.STAGES[stage].template, context, SCIENCE)
+
+    def test_a_single_call_names_the_unbound_names_of_both_texts(
+        self, context, response
+    ):
+        template = agents.PromptTemplate("{respnse}", "{response} {schema_description}")
+        backend = ScriptedBackend(responses=['{"score": 1}'])
+        with pytest.raises(ValueError) as excinfo:
+            agents.run_baseline(backend, context, response, template=template)
+        assert str(excinfo.value) == ("the baseline template uses placeholders its "
+                                      "stage does not bind: ['respnse', "
+                                      "'schema_description']")
+        assert backend.call_count == 0
+
+    @pytest.mark.parametrize("stage", ["extraction", "scoring", "baseline"])
+    def test_user_text_without_the_response_is_refused_before_any_call(
+        self, context, response, stage
+    ):
+        template = agents.PromptTemplate("sys", "Score in {score_min}..{score_max}")
+        stage_input = {"extraction": SCIENCE, "baseline": None,
+                       "scoring": StructuredRepresentation("synth", z_payload("r01"))}
+        backend = ScriptedBackend(responses=['{"score": 1}'])
+        with pytest.raises(ValueError) as excinfo:
+            getattr(agents, f"run_{stage}")(backend, context, response,
+                                            stage_input[stage], template=template)
+        assert str(excinfo.value) == (f"the {stage} user prompt has no {{response}}, "
+                                      f"so the model would never see the response")
+        assert backend.call_count == 0
 
 
 # text that stresses the single pass and the JSON escaping: placeholders
@@ -195,6 +233,46 @@ class TestParseScore:
 
 
 SCIENCE = compile_schema("synth", SCIENCE_SCHEMA_DEF)
+
+# replies a model might send: a score or a representation of any value
+# types, other JSON values keyed by the names the parsers look for, JSON-ish
+# fragments that leave objects open or malformed, and arbitrary text
+_LEAVES = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+_KIND_VALUES = {"boolean": st.booleans(), "count": st.integers(-1, 4),
+                "text_list": st.lists(st.text(max_size=6), max_size=3)}
+_JSON_VALUES = (
+    st.fixed_dictionaries({"score": _LEAVES | st.integers(-2, 5)})
+    | st.fixed_dictionaries({f["name"]: _KIND_VALUES[f["kind"]]
+                             for f in SCIENCE_SCHEMA_DEF["fields"]},
+                            optional={"score": _LEAVES})
+    | st.recursive(_LEAVES, lambda children: st.lists(children, max_size=4)
+                   | st.dictionaries(st.sampled_from(["score", *SCIENCE.field_names()])
+                                     | st.text(max_size=4), children, max_size=6),
+                   max_leaves=12)
+).map(json.dumps)
+_FRAGMENTS = st.sampled_from([
+    "{", "}", "[", "]", '"', ":", ",", "\\", '"score": ', '{"score": ', "-1", "1e400",
+    "NaN", "-Infinity", "true", "null", "```json\n", "\n```", "9" * 5000,
+    '{"a": ' + "[" * 100000,
+])
+_REPLIES = st.lists(_JSON_VALUES | _FRAGMENTS | st.text(max_size=12),
+                    max_size=8).map("".join)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(text=_REPLIES)
+def test_no_reply_text_raises_what_run_stage_does_not_catch(text):
+    # run_stage re-prompts on SchemaError and OutOfRange; any other
+    # exception out of a parser would abort the whole run
+    try:
+        assert isinstance(agents.parse_score(text, ScoreRange(0, 3)), Score)
+    except (SchemaError, OutOfRange):
+        pass
+    try:
+        representation = validate_representation(extract_json_block(text), SCIENCE)
+        assert isinstance(representation, StructuredRepresentation)
+    except (SchemaError, OutOfRange):
+        pass
 
 
 def test_extraction_parser_refuses_over_long_integer(context):

@@ -228,6 +228,19 @@ class TestRemoteRetryPolicy:
         assert transport.calls == 5
         assert sleeps == [1.0, 2.0, 4.0, 8.0]
 
+    @pytest.mark.parametrize("status,body", [(503, "unavailable"),
+                                             (0, "connection failure")])
+    def test_5xx_and_dead_endpoint_exhaustion_surface_transport(self, status, body):
+        # retried like a 429, but the last reply surfaces as a plain Transport
+        sleeps = []
+        transport = _FakeTransport([(status, body)] * 5)
+        with pytest.raises(Transport) as excinfo:
+            _remote(transport, sleeps).complete(_req())
+        assert transport.calls == 5
+        assert sleeps == [1.0, 2.0, 4.0, 8.0]
+        assert excinfo.value.status == status
+        assert not isinstance(excinfo.value, RateLimited)
+
     def test_5xx_is_retried(self):
         transport = _FakeTransport([(500, "boom"), (200, _ok_body())])
         assert _remote(transport).complete(_req()).text == "fine"

@@ -685,6 +685,41 @@ class TestEvaluateCommand:
         )
         assert code == 3
 
+    def test_two_runs_of_one_name_exit_3_before_writing(
+        self, workspace, tmp_path, caplog
+    ):
+        # each would write base.metrics.*, the second over the first
+        runs = [tmp_path / "x" / "base", tmp_path / "y" / "base", tmp_path / "x" / "auto"]
+        for run_dir, mode in zip(runs, ["baseline", "baseline", "autoscore"]):
+            assert _score(workspace, mode, run_dir) == 0
+        reports = tmp_path / "reports"
+        argv = ["evaluate", "--out", str(reports)]
+        for run_dir in runs:
+            argv += ["--run", str(run_dir)]
+        assert main(argv) == 3
+        assert (f"{runs[0]} and {runs[1]} would both write base.metrics.json"
+                in caplog.text)
+        assert not reports.exists()
+
+    def test_run_without_records_exits_3_before_writing(
+        self, workspace, tmp_path, caplog
+    ):
+        rules = workspace.parent / "rules.jsonl"
+        kept = rules.read_text()
+        rules.write_text(json.dumps({"match": "no reply matches", "text": "-"}) + "\n")
+        empty = tmp_path / "empty"
+        assert _score(workspace, "baseline", empty) == 0
+        assert not (empty / "records.jsonl").read_text()
+        rules.write_text(kept)
+        full = tmp_path / "full"
+        assert _score(workspace, "baseline", full) == 0
+        reports = tmp_path / "reports"
+        # listed before a valid run: neither run's report is written
+        assert main(["evaluate", "--run", str(empty), "--run", str(full),
+                     "--out", str(reports)]) == 3
+        assert f"{empty} has no successful records to evaluate" in caplog.text
+        assert not reports.exists()
+
 
 class TestValidateComponentsCommand:
     def test_full_coverage_gold(self, workspace, tmp_path, capsys):

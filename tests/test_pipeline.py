@@ -410,6 +410,35 @@ class TestResume:
         with pytest.raises(ManifestMismatch):
             resume(again, edited)
 
+    @pytest.mark.parametrize("corrupt", ["stale-id", "gap"])
+    def test_persisted_ids_that_are_not_a_prefix_are_refused(
+        self, tmp_path, synth_dataset, synth_context, science_schema,
+        scripted_backend_factory, corrupt,
+    ):
+        config = make_config(
+            tmp_path, scripted_backend_factory(), schema=science_schema,
+            context=synth_context,
+        )
+        score_dataset(config, synth_dataset)
+        records_file = config.run_dir / "records.jsonl"
+        lines = records_file.read_bytes().splitlines(True)
+        if corrupt == "stale-id":  # an id the dataset does not have
+            lines[0] = lines[0].replace(b'"response_id": "r01"',
+                                        b'"response_id": "x01"')
+            assert b'"x01"' in lines[0]
+        else:  # r02 lost between r01 and r03
+            del lines[1]
+        records_file.write_bytes(b"".join(lines))
+        idle = scripted_backend_factory()
+        again = make_config(
+            tmp_path, idle, schema=science_schema, context=synth_context,
+        )
+        with pytest.raises(ManifestMismatch, match="^persisted ids are not a "
+                           "prefix of the dataset ordering"):
+            resume(again, synth_dataset)
+        assert records_file.read_bytes() == b"".join(lines)
+        assert idle.call_count == 0
+
 
 MANY_IDS = [f"m{k:03d}" for k in range(60)]
 
