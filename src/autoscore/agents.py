@@ -11,7 +11,6 @@ max_retries total model calls.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -39,10 +38,6 @@ from .schema import (
 )
 
 DEFAULT_MAX_RETRIES = 3
-
-
-class UnboundPlaceholder(AutoscoreError):
-    pass
 
 
 @dataclass
@@ -117,12 +112,9 @@ def compile_text(
 ) -> Prompt:
     """Substitute the bound {name} placeholders in a single pass and leave
     those in `holes` for Prompt.fill; every other brace in the template (and
-    anything inside bound values) is left untouched. Any other placeholder
-    raises UnboundPlaceholder, so a template never ships with a hole in it."""
+    anything inside bound values) is left untouched. Every placeholder must
+    be bound or a hole: compile_prompt checks a stage's template first."""
     parts = _PLACEHOLDER_RE.split(template_text)  # text, name, text, ..., text
-    missing = sorted(set(parts[1::2]) - bindings.keys() - set(holes))
-    if missing:
-        raise UnboundPlaceholder(f"placeholders left unbound after rendering: {missing}")
     pieces, names = [[parts[0]]], []
     for name, text in zip(parts[1::2], parts[2::2]):
         if name in holes:
@@ -167,8 +159,7 @@ def representation_block(representation: StructuredRepresentation) -> str:
 
 def parse_score(raw_text: str, score_range: ScoreRange) -> Score:
     """Read the strict {"score": <integer>} contract from raw model output."""
-    block = extract_json_block(raw_text)
-    parsed = json.loads(block)
+    parsed = extract_json_block(raw_text)
     if "score" not in parsed:
         raise SchemaError("required field 'score' is missing")
     value = parsed["score"]

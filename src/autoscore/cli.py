@@ -4,10 +4,12 @@ Exit codes: 0 success (even with per-record failures, which are reported
 in the summary), 2 configuration error (an unknown run or backend key, a
 bad scripted rules line, template override, run setting or
 --sample-fraction too), 3 dataset error or corrupt run directory (a
-manifest that lacks a key, a case pair evaluate would not compare, a
-missing or bad gold annotations file, and for evaluate a run with no
-records or two run directories of one name too), 4 backend unavailable
-(a corrupt cache or replay file too).
+manifest that lacks a key, a record score outside the run's range, a case
+pair evaluate would not compare, a missing or bad gold annotations file,
+an empty validate-components sample, and for evaluate a run with no
+records, two run directories of one name, or two runs of one mode over one
+dataset through one backend too), 4 backend unavailable (a corrupt cache
+or replay file too).
 Logs go to stderr; data goes to files and stdout.
 """
 
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -187,22 +190,23 @@ def _mean_first_attempt_ms(result) -> float | None:
 
 def cmd_evaluate(args) -> int:
     runs = [pipeline.load_run(Path(r)) for r in args.runs]
-    if len(runs) == 2:
-        d0 = runs[0].manifest["dataset_digest"]
-        d1 = runs[1].manifest["dataset_digest"]
-        if d0 != d1:
-            logger.error("dataset digests differ; runs are not comparable")
-            return EXIT_DATASET
     # every run is checked before any report is written
     stems: dict[str, str] = {}
+    slots: dict[tuple, str] = {}
     for run_dir, result in zip(args.runs, runs):
         if not result.records:
             raise DatasetError(f"{run_dir} has no successful records to evaluate")
-        stem = Path(run_dir).name
+        # abspath, not resolve: "." gets its directory's name, a symlink keeps its own
+        stem = os.path.basename(os.path.abspath(run_dir))
         if stem in stems:
             raise DatasetError(f"{stems[stem]} and {run_dir} would both write "
                                f"{stem}.metrics.json; rename one run directory")
         stems[stem] = run_dir
+        slot = (report.pairing_key(result.manifest), result.manifest["mode"])
+        if slot in slots:
+            raise DatasetError(f"{slots[slot]} and {run_dir} are both {slot[1]} runs of "
+                               f"one dataset through one backend; compare one of each")
+        slots[slot] = run_dir
     reports = [evaluate_run(result) for result in runs]
 
     out_dir = Path(args.out)

@@ -37,13 +37,11 @@ class ZeroVariance(AutoscoreError):
     """Correlation is undefined: one of the vectors has no variance."""
 
 
-class EmptyInput(AutoscoreError):
-    pass
-
-
 @dataclass(frozen=True)
 class PairedScores:
-    """Gold/predicted integer score pairs over one rubric scale."""
+    """Gold/predicted integer score pairs over one rubric scale. No pairs or
+    a score off the scale is bad data (DatasetError); unequal lengths are a
+    caller's bug (ValueError)."""
 
     gold: tuple[int, ...]
     pred: tuple[int, ...]
@@ -51,12 +49,12 @@ class PairedScores:
 
     def __post_init__(self) -> None:
         if len(self.gold) == 0:
-            raise EmptyInput("no score pairs")
+            raise DatasetError("no score pairs")
         if len(self.gold) != len(self.pred):
             raise ValueError("gold and pred must have equal lengths")
         for v in (*self.gold, *self.pred):
             if not self.range.contains(v):
-                raise ValueError(
+                raise DatasetError(
                     f"score {v} outside range {self.range.min}..{self.range.max}"
                 )
 
@@ -165,7 +163,7 @@ def cohen_kappa_binary(gold, pred) -> float:
     """
     n = len(gold)
     if n == 0:
-        raise EmptyInput("no label pairs")
+        raise DatasetError("no label pairs")
     if len(pred) != n:
         raise ValueError("gold and pred must have equal lengths")
     agree = sum(1 for g, r in zip(gold, pred) if bool(g) == bool(r))
@@ -186,7 +184,7 @@ def f1_binary(gold, pred) -> float:
     convention; with positives present but none predicted it is 0.
     """
     if len(gold) == 0:
-        raise EmptyInput("no label pairs")
+        raise DatasetError("no label pairs")
     if len(pred) != len(gold):
         raise ValueError("gold and pred must have equal lengths")
     tp = sum(1 for g, r in zip(gold, pred) if g and r)
@@ -203,7 +201,7 @@ def count_agreement(gold_counts, pred_counts):
     (mae, rmse, pearson or None when undefined, exact_match_rate)."""
     n = len(gold_counts)
     if n == 0:
-        raise EmptyInput("no count pairs")
+        raise DatasetError("no count pairs")
     if len(pred_counts) != n:
         raise ValueError("gold and pred must have equal lengths")
     l1 = sum(abs(g - r) for g, r in zip(gold_counts, pred_counts))
@@ -299,7 +297,7 @@ def evaluate_run(result) -> MetricsReport:
     count echoed in the report). Every record must carry a gold score."""
     records = result.records
     if not records:
-        raise EmptyInput("run has no successful records")
+        raise DatasetError("run has no successful records")
     missing = [r.response_id for r in records if r.gold_score is None]
     if missing:
         raise DatasetError(f"records without gold scores: {missing[:5]}")
@@ -382,7 +380,7 @@ def validate_components(
             f"extra gold: {extra})"
         )
     if not predicted:
-        raise EmptyInput("no responses to validate")
+        raise DatasetError("no responses to validate")
 
     ids = sorted(pred_ids)
     for rid in ids:

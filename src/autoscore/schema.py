@@ -183,8 +183,8 @@ def compile_schema(item_id: str, definition: dict) -> ComponentSchema:
 _JSON_DECODER = json.JSONDecoder()
 
 
-def extract_json_block(raw_model_output: str) -> str:
-    """Return the first balanced top-level JSON object embedded in the text.
+def extract_json_block(raw_model_output: str) -> dict:
+    """Decode the first balanced top-level JSON object embedded in the text.
 
     Code fences and surrounding prose are ignored by construction: every
     "{" is tried as the start of an object until one parses. Nesting too
@@ -192,13 +192,13 @@ def extract_json_block(raw_model_output: str) -> str:
     """
     for match in re.finditer(r"\{", raw_model_output):
         try:
-            obj, end = _JSON_DECODER.raw_decode(raw_model_output, match.start())
+            obj, _ = _JSON_DECODER.raw_decode(raw_model_output, match.start())
         except ValueError:  # JSONDecodeError, or an integer past int_max_str_digits
             continue
         except RecursionError:
             raise SchemaError("model output nests JSON too deeply to parse")
         if isinstance(obj, dict):
-            return raw_model_output[match.start():end]
+            return obj
     raise SchemaError("no balanced JSON object found in model output")
 
 
@@ -215,7 +215,7 @@ KINDS = {
     FieldKind.TEXT: ("string", "string", lambda v: type(v) is str),
 }
 
-# the JSON type of a json.loads value; the one left out, NoneType, is "null"
+# the JSON type of a decoded value; the one left out, NoneType, is "null"
 _JSON_TYPE = {
     bool: "boolean", int: "integer", float: "number", str: "string",
     list: "array", dict: "object",
@@ -223,9 +223,9 @@ _JSON_TYPE = {
 
 
 def validate_representation(
-    json_text: str, schema: ComponentSchema
+    parsed: dict, schema: ComponentSchema
 ) -> StructuredRepresentation:
-    """Validate extracted JSON against the schema and normalize counts.
+    """Validate a decoded JSON object against the schema and normalize counts.
 
     Every declared field must be present with the declared kind. Derived
     counts are recomputed from their source list; a disagreeing supplied
@@ -233,11 +233,6 @@ def validate_representation(
     name is recorded in inconsistency_flags. Unknown keys are dropped with
     a warning.
     """
-    parsed = json.loads(json_text)
-    if not isinstance(parsed, dict):
-        found = _JSON_TYPE.get(type(parsed), "null")
-        raise SchemaError(f"field '$' expected object, found {found}")
-
     checks = schema.checks
     unknown = [k for k in parsed if k not in checks]
     if unknown:

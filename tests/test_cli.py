@@ -20,6 +20,7 @@ from conftest import (
 )
 
 DATA_DIR = Path(__file__).parent / "data"
+DEMO = Path(__file__).parent.parent / "demo"
 
 
 def _write_workspace(root: Path) -> Path:
@@ -130,6 +131,10 @@ def _edit_last_response(config, root):
 
 def _create_replay_fixture(config, root):
     (root / "missing-fixture.jsonl").touch()
+
+
+def _empty_demo_tsv(config, root):
+    (root / "data.tsv").write_bytes(b"")
 
 
 # per manifest key that a resume must keep: a change to the config (or the
@@ -447,6 +452,35 @@ class TestScoreCommand:
         assert ", ".join(accepted) in caplog.text
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit,code,message", [
+        (_setting("items", "science", "family", value="gre"), 2,
+         "unknown dataset family 'gre'"),
+        (_setting("items", "science", "essay_set", value=0), 2,
+         "essay_set must be positive"),
+        (_setting("items", "science", "score_range", value={"min": 0}), 2,
+         "items.science.score_range: 'max'"),
+        (_setting("backend", "script_path", value="absent.jsonl"), 2,
+         "scripted rules file not found"),
+        (_setting("items", "science", "tsv_path", value="absent.tsv"), 3,
+         "dataset file not found"),
+        (_empty_demo_tsv, 3, "dataset file is empty"),
+    ], ids=["unknown-family", "essay-set-0", "range-without-max",
+            "missing-rules-file", "missing-tsv", "empty-tsv"])
+    def test_demo_config_refusal_exits_before_writing(
+        self, tmp_path, caplog, edit, code, message
+    ):
+        root = tmp_path / "demo"
+        shutil.copytree(DEMO, root)
+        config_path = root / "config.yaml"
+        config = yaml.safe_load(config_path.read_text())
+        edit(config, root)
+        config_path.write_text(yaml.safe_dump(config))
+        out = tmp_path / "x"
+        assert main(["score", "--config", str(config_path), "--item", "science",
+                     "--mode", "baseline", "--out", str(out)]) == code
+        assert message in caplog.text
+        assert not out.exists()
+
     def test_autoscore_without_schema_exits_2_before_writing(
         self, workspace, tmp_path, caplog
     ):
@@ -664,26 +698,72 @@ class TestEvaluateCommand:
         assert (reports / "solo.metrics.json").exists()
         assert not (reports / "comparison.md").exists()
 
-    def test_digest_mismatch_exits_3(self, workspace, tmp_path):
+    def test_runs_over_other_datasets_get_metrics_but_no_comparison(
+        self, workspace, tmp_path
+    ):
         run_dir = tmp_path / "full"
         _score(workspace, "baseline", run_dir)
-        # second run over an edited dataset (one response text changed)
+        # an autoscore run over an edited dataset (one response text changed)
         edited_root = tmp_path / "edited"
         edited_root.mkdir()
         edited_config = _write_workspace(edited_root)
         tsv = edited_root / "data.tsv"
         tsv.write_text(tsv.read_text().replace("r01:", "r01 EDITED:"))
         other_dir = tmp_path / "other"
-        assert _score(edited_config, "baseline", other_dir) == 0
+        assert _score(edited_config, "autoscore", other_dir) == 0
+        reports = tmp_path / "reports"
         code = main(
             [
                 "evaluate",
                 "--run", str(run_dir),
                 "--run", str(other_dir),
-                "--out", str(tmp_path / "reports"),
+                "--out", str(reports),
             ]
         )
-        assert code == 3
+        assert code == 0
+        assert (reports / "full.metrics.json").exists()
+        assert (reports / "other.metrics.json").exists()
+        assert not (reports / "comparison.md").exists()
+
+    def test_second_run_of_one_mode_in_a_pairing_group_exits_3_before_writing(
+        self, workspace, tmp_path, caplog
+    ):
+        # b1 and b2 would both be the group's baseline; one would be dropped
+        runs = [tmp_path / "b1", tmp_path / "b2", tmp_path / "auto"]
+        for run_dir, mode in zip(runs, ["baseline", "baseline", "autoscore"]):
+            assert _score(workspace, mode, run_dir) == 0
+        reports = tmp_path / "reports"
+        argv = ["evaluate", "--out", str(reports)]
+        for run_dir in runs:
+            argv += ["--run", str(run_dir)]
+        assert main(argv) == 3
+        assert f"{runs[0]} and {runs[1]} are both baseline runs" in caplog.text
+        assert not reports.exists()
+
+    def test_run_dot_names_the_report_after_the_directory(
+        self, workspace, tmp_path, monkeypatch
+    ):
+        run_dir = tmp_path / "solo"
+        assert _score(workspace, "baseline", run_dir) == 0
+        monkeypatch.chdir(run_dir)
+        reports = tmp_path / "reports"
+        assert main(["evaluate", "--run", ".", "--out", str(reports)]) == 0
+        assert sorted(p.name for p in reports.iterdir()) == [
+            "solo.metrics.json", "solo.metrics.txt"]
+
+    def test_record_score_out_of_range_exits_3(self, workspace, tmp_path, caplog):
+        run_dir = tmp_path / "auto"
+        assert _score(workspace, "autoscore", run_dir) == 0
+        records = run_dir / "records.jsonl"
+        lines = records.read_text().splitlines(True)
+        record = json.loads(lines[0])
+        record["predicted_score"] = 93
+        lines[0] = json.dumps(record) + "\n"
+        records.write_text("".join(lines))
+        reports = tmp_path / "reports"
+        assert main(["evaluate", "--run", str(run_dir), "--out", str(reports)]) == 3
+        assert "score 93 outside range 0..3" in caplog.text
+        assert not reports.exists()
 
     def test_two_runs_of_one_name_exit_3_before_writing(
         self, workspace, tmp_path, caplog
@@ -821,6 +901,24 @@ class TestValidateComponentsCommand:
             ["validate-components", "--run", str(run_dir), "--gold", str(gold)]
         )
         assert code == 0
+
+    def test_empty_sample_exits_3(self, workspace, tmp_path, caplog):
+        run_dir = tmp_path / "auto"
+        _score(workspace, "autoscore", run_dir)
+        out = tmp_path / "rel"
+        # 1% of 12 responses rounds to none
+        code = main(
+            [
+                "validate-components",
+                "--run", str(run_dir),
+                "--gold", str(workspace.parent / "gold.jsonl"),
+                "--sample-fraction", "0.01",
+                "--out", str(out),
+            ]
+        )
+        assert code == 3
+        assert "no responses to validate" in caplog.text
+        assert not out.exists()
 
     @pytest.mark.parametrize("fraction", ["0", "1.5"])
     def test_sample_fraction_outside_unit_interval_exits_2(

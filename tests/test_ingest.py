@@ -103,6 +103,7 @@ class TestLoadSas:
         path.write_bytes(
             b"Id\tEssaySet\tScore1\tScore2\tEssayText\r\n"
             b"1\t1\t2\t2\tfirst answer\r\n"
+            b"\r\n"  # a blank line is skipped
             b"2\t1\t1\t1\tsecond answer\r\n"
         )
         spec = DatasetSpec(

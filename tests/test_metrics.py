@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from autoscore.core import ScoreRange
 from autoscore.ingest import DatasetError
 from autoscore.metrics import (
-    EmptyInput,
     MetricsReport,
     PairedScores,
     ZeroVariance,
@@ -157,7 +156,7 @@ class TestCountAgreement:
         assert c_exact == pytest.approx(2 / 3, abs=1e-15)
 
     def test_empty_is_an_error(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(DatasetError, match="^no count pairs$"):
             count_agreement([], [])
 
 

@@ -89,17 +89,17 @@ def test_schema_definition_roundtrip(science_schema):
 
 
 def test_extract_json_from_fenced_block():
-    assert extract_json_block('```json\n{"a":1}\n```') == '{"a":1}'
+    assert extract_json_block('```json\n{"a":1}\n```') == {"a": 1}
 
 
 def test_extract_json_from_prose():
     raw = 'Here is the result: {"a":[1,2]} hope this helps'
-    assert extract_json_block(raw) == '{"a":[1,2]}'
+    assert extract_json_block(raw) == {"a": [1, 2]}
 
 
 def test_extract_json_skips_unbalanced_braces():
     raw = 'weights {w: not json} but later {"ok": true} trailing'
-    assert json.loads(extract_json_block(raw)) == {"ok": True}
+    assert extract_json_block(raw) == {"ok": True}
 
 
 def test_extract_json_refuses_prose():
@@ -117,7 +117,7 @@ def test_extract_json_skips_object_with_over_long_integer():
     huge = '{"score": ' + "9" * 5000 + "}"
     with pytest.raises(SchemaError, match="^no balanced JSON object found in model output$"):
         extract_json_block(huge)
-    assert extract_json_block(huge + ' {"score": 2}') == '{"score": 2}'
+    assert extract_json_block(huge + ' {"score": 2}') == {"score": 2}
 
 
 _json_values = st.recursive(
@@ -148,8 +148,7 @@ def test_extract_json_finds_any_embedded_object(obj, prefix, suffix, fenced, new
     if fenced:
         body = f"```json{newline}{body}{newline}```"
     raw = prefix + newline + body + newline + suffix
-    extracted = extract_json_block(raw)
-    assert isinstance(json.loads(extracted), dict)
+    assert isinstance(extract_json_block(raw), dict)
 
 
 def _z(**overrides):
@@ -162,7 +161,7 @@ def _z(**overrides):
         "validity_count": 0,
     }
     base.update(overrides)
-    return json.dumps(base)
+    return base
 
 
 def test_validate_consistent_representation(science_schema):
@@ -178,10 +177,10 @@ def test_declared_count_loses_to_list_length(science_schema):
 
 
 def test_missing_field(science_schema):
-    payload = json.loads(_z())
+    payload = _z()
     del payload["valid_conclusion"]
     with pytest.raises(SchemaError, match="^required field 'valid_conclusion' is missing$"):
-        validate_representation(json.dumps(payload), science_schema)
+        validate_representation(payload, science_schema)
 
 
 def test_string_boolean_is_a_type_mismatch(science_schema):
@@ -221,24 +220,24 @@ def test_type_mismatch_text(kind, json_type):
     # the message is the error the repair prompt quotes back to the model
     schema = compile_schema("k", {"fields": [{"name": "f", "kind": kind}]})
     with pytest.raises(SchemaError) as excinfo:
-        validate_representation(f'{{"f": {_WRONG_JSON[json_type]}}}', schema)
+        validate_representation({"f": json.loads(_WRONG_JSON[json_type])}, schema)
     assert str(excinfo.value) == (
         f"field 'f' expected {_EXPECTED[kind]}, found {json_type}"
     )
 
 
 def test_unknown_keys_dropped_with_warning(science_schema, caplog):
-    payload = json.loads(_z())
+    payload = _z()
     payload["commentary"] = "great essay!"
     with caplog.at_level("WARNING"):
-        rep = validate_representation(json.dumps(payload), science_schema)
+        rep = validate_representation(payload, science_schema)
     assert "commentary" not in rep.values
     assert any("unknown keys" in message for message in caplog.messages)
 
 
 def test_validation_is_idempotent(science_schema):
     first = validate_representation(_z(design_count=5), science_schema)
-    second = validate_representation(first.values_json(), science_schema)
+    second = validate_representation(json.loads(first.values_json()), science_schema)
     assert second.values == first.values
     assert second.inconsistency_flags == ()
 
@@ -258,16 +257,14 @@ _SCIENCE = compile_schema("synth", SCIENCE_SCHEMA_DEF)
 def test_derived_counts_always_equal_list_lengths(
     design, validity, declared_design, declared_validity, flag
 ):
-    raw = json.dumps(
-        {
-            "valid_conclusion": flag,
-            "conclusions": [],
-            "design_improvements": design,
-            "validity_improvements": validity,
-            "design_count": declared_design,
-            "validity_count": declared_validity,
-        }
-    )
+    raw = {
+        "valid_conclusion": flag,
+        "conclusions": [],
+        "design_improvements": design,
+        "validity_improvements": validity,
+        "design_count": declared_design,
+        "validity_count": declared_validity,
+    }
     rep = validate_representation(raw, _SCIENCE)
     assert rep.values["design_count"] == len(design)
     assert rep.values["validity_count"] == len(validity)

@@ -108,8 +108,7 @@ def test_extract_json_survives_pathological_text():
         + json.dumps({"payload": ["x" * 500, {"nested": {"deep": [1, 2, 3]}}]})
         + "}" * 200
     )
-    block = extract_json_block(noisy)
-    assert json.loads(block)["payload"][1]["nested"]["deep"] == [1, 2, 3]
+    assert extract_json_block(noisy)["payload"][1]["nested"]["deep"] == [1, 2, 3]
 
 
 def test_extract_json_rejects_nesting_too_deep_to_parse():
@@ -120,7 +119,7 @@ def test_extract_json_rejects_nesting_too_deep_to_parse():
 
 def test_extract_json_first_object_wins_among_many():
     text = " ".join(json.dumps({"index": i}) for i in range(50))
-    assert json.loads(extract_json_block(text)) == {"index": 0}
+    assert extract_json_block(text) == {"index": 0}
 
 
 def test_max_output_tokens_flows_into_requests(tmp_path, synth_dataset,
