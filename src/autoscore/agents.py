@@ -11,8 +11,10 @@ max_retries total model calls.
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
 from . import prompts
@@ -59,7 +61,7 @@ class RetriesExhausted(AutoscoreError):
     """Every model call failed to parse/validate; carries the stage's
     outcome so callers can persist transcripts or impute a floor score."""
 
-    def __init__(self, last_error: Exception, outcome: AgentOutcome):
+    def __init__(self, last_error: str, outcome: AgentOutcome):
         self.outcome = outcome
         super().__init__(
             f"gave up after {len(outcome.transcripts)} attempts: {last_error}"
@@ -144,10 +146,45 @@ def describe_schema(schema: ComponentSchema) -> str:
     return "\n".join(lines)
 
 
+# numbers, booleans and null, through the C encoder (json.dumps with an
+# indent takes the pure-Python one, whose closures form reference cycles)
+_encode_scalar = json.JSONEncoder().encode
+
+
+def _indented_json(value, indent: str = "") -> str:
+    """json.dumps(value, ensure_ascii=True, indent=2), byte for byte, for a
+    value a JSON text decodes to (objects with string keys), joined from
+    C-encoded pieces. A plain function and plain loops, so a call makes no
+    closure and leaves no garbage for the cycle collector."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = []
+        for key, item in value.items():
+            items.append(encode_basestring_ascii(key) + ": "
+                         + _indented_json(item, inner))
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        items = []
+        for item in value:
+            items.append(_indented_json(item, inner))
+        brackets = "[]"
+    else:
+        return _encode_scalar(value)
+    return (brackets[0] + "\n" + inner + (",\n" + inner).join(items)
+            + "\n" + indent + brackets[1])
+
+
 def representation_block(representation: StructuredRepresentation) -> str:
     """The scoring agent's view of Z: canonical JSON plus a note naming any
     counts that were corrected against their evidence lists."""
-    block = representation.values_json(indent=2)
+    block = _indented_json(representation.values)
     if representation.inconsistency_flags:
         flagged = ", ".join(representation.inconsistency_flags)
         block += (
@@ -282,7 +319,9 @@ def run_stage(
                                        ("user", template.user.fill(values))]
 
     outcome = AgentOutcome(value=None, transcripts=[])
-    last_error: Exception | None = None
+    # the error's text, not the error: its traceback holds this frame, which
+    # would hold it back, a cycle only the collector frees
+    last_error = ""
     for _ in range(max_retries):
         request = ChatRequest(
             model_name=backend.model_name,
@@ -295,7 +334,7 @@ def run_stage(
         try:
             outcome.value = stage.parse(reply.text, context, input)
         except (SchemaError, OutOfRange) as exc:
-            last_error = exc
+            last_error = str(exc)
             repair = render(
                 prompts.RETRY_USER,
                 {"previous_output": reply.text, "error": _describe(exc)},

@@ -111,10 +111,6 @@ class StructuredRepresentation:
             inconsistency_flags=tuple(data["inconsistency_flags"]),
         )
 
-    def values_json(self, indent: int | None = None) -> str:
-        """Canonical serialization of the values in schema field order."""
-        return json.dumps(self.values, ensure_ascii=True, indent=indent)
-
 
 def compile_schema(item_id: str, definition: dict) -> ComponentSchema:
     """Build a ComponentSchema from a parsed config definition.

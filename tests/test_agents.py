@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import pytest
@@ -174,6 +175,35 @@ class TestCompiledPrompt:
         template = agents.STAGES[stage].template
         assert sent == [(("system", _oracle(template.system_text, bindings)),
                          ("user", _oracle(template.user_text, bindings)))]
+
+
+# quotes, backslashes, control characters, U+2028/U+2029, non-BMP characters
+# and lone surrogates, each with its own escape
+_JSON_STRINGS = st.text(st.sampled_from(
+    'a é"\\/\x00\x1f\x7f\u2028\u2029\U0001F600\U0010ffff\ud800\udfff'), max_size=6)
+_FLAT_VALUES = st.dictionaries(_JSON_STRINGS, st.one_of(
+    st.booleans(), st.integers(min_value=0), _JSON_STRINGS,
+    st.lists(_JSON_STRINGS, max_size=3)), max_size=4)
+_NESTED_VALUES = st.dictionaries(_JSON_STRINGS, st.recursive(
+    st.none() | st.booleans() | st.integers() | _JSON_STRINGS
+    | st.sampled_from([0.5, -1e-07, 1e300, math.nan, math.inf, -math.inf]),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(_JSON_STRINGS, children, max_size=3)),
+    max_leaves=4,
+), max_size=3)
+_NOTE = ("\n\nNote: the following count fields disagreed with their evidence "
+         "lists and were corrected to the list lengths: ")
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(values=_FLAT_VALUES | _NESTED_VALUES,
+       flags=st.sampled_from([(), ("design_count",), ("design_count", "n")]))
+@example(values={}, flags=())
+@example(values={"a": [], "b": {}, "c": [[]]}, flags=())
+def test_representation_block_is_json_dumps_with_indent_2(values, flags):
+    block = agents.representation_block(StructuredRepresentation("i", values, flags))
+    note = _NOTE + ", ".join(flags) + "." if flags else ""
+    assert block == json.dumps(values, ensure_ascii=True, indent=2) + note
 
 
 class TestParseScore:

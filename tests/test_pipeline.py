@@ -1,3 +1,4 @@
+import gc
 import json
 import logging
 import os
@@ -5,10 +6,11 @@ import re
 import sys
 import threading
 import types
+from collections import Counter
 
 import pytest
 
-from autoscore import agents
+from autoscore import agents, pipeline
 from autoscore.backend import CachingBackend, ScriptedBackend
 from autoscore.core import StudentResponse
 from autoscore.ingest import Dataset
@@ -611,6 +613,72 @@ def test_schema_is_described_once_per_run_not_per_response(
         threading.setprofile(None)
     assert len(result.records) == 30
     assert len(calls) == 1
+
+
+_Z_FLAGGED = json.dumps(z_payload("r04"))  # a corrected count: the note is sent too
+# response -> (extraction replies, scoring replies), the last one repeated
+_GARBAGE_CASES = {
+    "clean": ([_Z_FLAGGED], ['{"score": 2}']),
+    "extraction malformed first": (["no json here", _Z_FLAGGED], ['{"score": 2}']),
+    "scoring malformed first": ([_Z_FLAGGED], ['{"score": 9}', '{"score": 2}']),
+    "extraction exhausted": (["no json here"], ['{"score": 2}']),
+    "scoring exhausted": ([_Z_FLAGGED], ['{"score": "two"}']),
+}
+
+
+def _garbage_case_reply(request):
+    case = next(c for c in _GARBAGE_CASES if f"<<{c}>>" in request.messages[1][1])
+    extraction, scoring = _GARBAGE_CASES[case]
+    replies = (extraction if "Identify the rubric-relevant components"
+               in request.messages[1][1] else scoring)
+    return replies[min(len(request.messages) - 2, len(replies) - 1)]
+
+
+def test_scoring_a_response_leaves_no_cyclic_garbage(
+    tmp_path, synth_context, science_schema,
+):
+    # a reference cycle per response (json.dumps with an indent, an error kept
+    # with its traceback) makes the cycle collector run over the whole heap
+    # again and again in a long run
+    backend = ScriptedBackend(script=_garbage_case_reply)
+    runs = []
+    for mode, imputation in (("autoscore", "fail"), ("autoscore", "floor"),
+                             ("baseline", "fail")):
+        config = RunConfig(
+            mode=mode, run_dir=tmp_path / "unused", backend=backend,
+            context=synth_context, imputation=imputation,
+            schema=science_schema if mode == "autoscore" else None,
+        )
+        prompts = {stage: agents.compile_prompt(stage, template, config.context,
+                                                config.schema)
+                   for stage, template in config.templates.items()}
+        runs.append((config, prompts))
+    responses = [StudentResponse(case, f"<<{case}>> repeat the trials", 1)
+                 for case in _GARBAGE_CASES]
+
+    def score_all():
+        return [pipeline._score_one(config, prompts, response)[0]
+                for config, prompts in runs for response in responses]
+
+    assert score_all() == [
+        "record", "record", "record", "failure", "failure",  # autoscore, fail
+        "record", "record", "record", "failure", "record",  # autoscore, floor
+        "record", "record", "record", "record", "failure",  # baseline
+    ]
+    enabled, debug = gc.isenabled(), gc.get_debug()
+    gc.disable()
+    gc.collect()  # frees what was there before, as DEBUG_SAVEALL would not
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        score_all()
+        found = gc.collect()
+        kinds = Counter(type(obj).__name__ for obj in gc.garbage).most_common(5)
+    finally:
+        gc.set_debug(debug)
+        del gc.garbage[:]
+        if enabled:
+            gc.enable()
+    assert found == 0, kinds
 
 
 class TestRunDirLayout:

@@ -237,7 +237,9 @@ def test_unknown_keys_dropped_with_warning(science_schema, caplog):
 
 def test_validation_is_idempotent(science_schema):
     first = validate_representation(_z(design_count=5), science_schema)
-    second = validate_representation(json.loads(first.values_json()), science_schema)
+    second = validate_representation(
+        json.loads(json.dumps(first.values, ensure_ascii=True)), science_schema
+    )
     assert second.values == first.values
     assert second.inconsistency_flags == ()
 
