@@ -20,6 +20,7 @@ import contextlib
 import hashlib
 import json
 import logging
+import math
 import os
 import threading
 import time
@@ -227,6 +228,13 @@ def _default_transport(
     return resp.status, text
 
 
+def _count(value, name: str) -> int:
+    """`value` if it is an int >= 1 (a bool is not); else ValueError."""
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return value
+
+
 class RemoteBackend:
     """OpenAI-compatible chat-completions client with retry and backoff.
 
@@ -250,21 +258,22 @@ class RemoteBackend:
         transport: Callable[..., tuple[int, str]] | None = None,
         sleeper: Callable[[float], None] = time.sleep,
     ):
-        key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
-        if not key:
-            raise BackendUnavailable(
-                f"remote backend needs an API key in ${API_KEY_ENV}"
-            )
-        if not base_url:
-            raise BackendUnavailable("remote backend needs a base_url")
+        if not isinstance(base_url, str) or not base_url:
+            raise ValueError(f"base_url must be a non-empty URL, got {base_url!r}")
+        if type(timeout_s) not in (int, float) or not 0 < timeout_s < math.inf:
+            raise ValueError(
+                f"timeout_s must be a positive number of seconds, got {timeout_s!r}")
+        self._gate = (contextlib.nullcontext() if max_in_flight is None else
+                      threading.BoundedSemaphore(_count(max_in_flight, "max_in_flight")))
+        # arguments first: a bad one is a ValueError even with no key as well
+        self._api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
+        if not self._api_key:
+            raise BackendUnavailable(f"remote backend needs an API key in ${API_KEY_ENV}")
         self.base_url = base_url.rstrip("/")
         self.model_name = model_name
-        self._api_key = key
         self._timeout_s = timeout_s
         self._transport = transport or _default_transport
         self._sleeper = sleeper
-        self._gate = (threading.BoundedSemaphore(max_in_flight) if max_in_flight
-                      else contextlib.nullcontext())
 
     @property
     def identity(self) -> str:
@@ -318,14 +327,30 @@ class RemoteBackend:
         raise Transport(status, text)
 
 
+def scripted_rule(rule, latency_ms: int = 1) -> dict:
+    """The one check of a scripted rule: a mapping with `match` (a string or
+    a list of strings), `text` and an optional `latency_ms` (default: the
+    argument), returned as {"match": [...], "text": str, "latency_ms": int}."""
+    if not isinstance(rule, dict) or not {"match", "text"} <= rule.keys():
+        raise ValueError('a rule needs "match" and "text"')
+    needles = rule["match"]
+    needles = [needles] if isinstance(needles, str) else needles
+    if (not isinstance(needles, list)
+            or not all(isinstance(text, str) for text in [*needles, rule["text"]])):
+        raise ValueError('"match" must be a string or a list of strings and '
+                         '"text" a string')
+    return {"match": needles, "text": rule["text"],
+            "latency_ms": _count(rule.get("latency_ms", latency_ms), "latency_ms")}
+
+
 class ScriptedBackend:
     """Scripted mock for tests and dry runs. Exactly one source is given:
 
     - responses: a list consumed in call order (single-threaded tests),
     - script: a callable(request) -> str, keyed on request content, safe
       under any parallelism,
-    - rules: [{"match": [substr, ...], "text": str}]; the first rule whose
-      substrings all occur in the rendered messages wins.
+    - rules: mappings that `scripted_rule` admits, checked here; the first
+      rule whose substrings all occur in the rendered messages wins.
 
     Counts every call, for cache/no-network assertions.
     """
@@ -341,11 +366,11 @@ class ScriptedBackend:
         sources = [s is not None for s in (responses, script, rules)]
         if sum(sources) != 1:
             raise ValueError("provide exactly one of responses, script, rules")
+        self._latency_ms = _count(latency_ms, "latency_ms")
         self.model_name = model_name
         self._queue = list(responses) if responses is not None else None
         self._script = script
-        self._rules = rules
-        self._latency_ms = max(1, latency_ms)
+        self._rules = [scripted_rule(rule, latency_ms) for rule in rules or ()]
         self._lock = threading.Lock()
         self._calls = 0
 
@@ -368,14 +393,9 @@ class ScriptedBackend:
         if self._script is not None:
             return ChatResponse(self._script(request), self._latency_ms)
         blob = "\n".join(content for _, content in request.messages)
-        for rule in self._rules or []:
-            needles = rule["match"]
-            if isinstance(needles, str):
-                needles = [needles]
-            if all(needle in blob for needle in needles):
-                return ChatResponse(
-                    rule["text"], int(rule.get("latency_ms", self._latency_ms))
-                )
+        for rule in self._rules:
+            if all(needle in blob for needle in rule["match"]):
+                return ChatResponse(rule["text"], rule["latency_ms"])
         raise ScriptExhausted("no scripted rule matched the request")
 
 
@@ -441,9 +461,9 @@ class CachingBackend:
         def parse(line: str) -> tuple[str, tuple[str, int, bool]]:
             # digest -> the (text, latency_ms, from_cache) a hit returns
             entry = json.loads(line)
+            latency_ms = _count(entry.get("latency_ms", 1), "latency_ms")
             if inner is not None:
                 return entry["digest"], (entry["text"], 0, True)
-            latency_ms = max(1, int(entry.get("latency_ms", 1)))
             return entry["digest"], (entry["text"], latency_ms, False)
 
         entries, end = read_jsonl(self._path, parse, BackendUnavailable)

@@ -1,15 +1,15 @@
 """Command-line entry point.
 
 Exit codes: 0 success (even with per-record failures, which are reported
-in the summary), 2 configuration error (an unknown run or backend key, a
-bad scripted rules line, template override, run setting or
---sample-fraction too), 3 dataset error or corrupt run directory (a
-manifest that lacks a key, a record score outside the run's range, a case
-pair evaluate would not compare, a missing or bad gold annotations file,
-an empty validate-components sample, and for evaluate a run with no
-records, two run directories of one name, or two runs of one mode over one
-dataset through one backend too), 4 backend unavailable (a corrupt cache
-or replay file too).
+in the summary), 2 configuration error (an unknown key; a bad rules line,
+template override, run or backend setting, score_range or essay_set; an
+empty base_url; a bad --sample-fraction), 3 dataset error or corrupt run
+directory (a manifest that lacks a key or has a malformed value, a record
+score outside the run's range, a case pair evaluate would not compare, a
+missing or bad gold file, an empty validate-components sample, and for
+evaluate a run with no records, two run directories of one name, or two
+runs of one mode over one dataset through one backend), 4 backend
+unavailable (a corrupt cache or replay line, say a bad latency_ms, too).
 Logs go to stderr; data goes to files and stdout.
 """
 
@@ -270,7 +270,9 @@ def cmd_validate_components(args) -> int:
 
 def cmd_tradeoff(args) -> int:
     runs = [pipeline.load_run(Path(run_dir)) for run_dir in args.runs]
-    # a run without records has no mean time, and evaluate_run refuses it
+    for run_dir, run in zip(args.runs, runs):
+        if not run.records:  # no mean time, and evaluate_run refuses it
+            logger.warning("tradeoff leaves out %s: it has no records", run_dir)
     csv_text = report.tradeoff_csv(
         [(run, evaluate_run(run)) for run in runs if run.records])
     out = Path(args.out)

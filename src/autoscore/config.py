@@ -7,14 +7,14 @@ the AUTOSCORE_API_KEY environment variable only.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
 
 from . import agents
-from .backend import CachingBackend, RemoteBackend, ScriptedBackend, parse_jsonl
+from .backend import (CachingBackend, RemoteBackend, ScriptedBackend, parse_jsonl,
+                      scripted_rule)
 from .core import AutoscoreError, ScoreRange, TaskContext
 from .ingest import DatasetSpec
 from .schema import ComponentSchema, compile_schema
@@ -106,7 +106,7 @@ def _parse_item(item_id: str, raw: dict, config_dir: Path) -> ItemConfig:
     where = f"items.{item_id}"
     range_raw = _require(raw, "score_range", where)
     try:
-        score_range = ScoreRange(int(range_raw["min"]), int(range_raw["max"]))
+        score_range = ScoreRange(range_raw["min"], range_raw["max"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{where}.score_range: {exc}") from exc
 
@@ -117,7 +117,7 @@ def _parse_item(item_id: str, raw: dict, config_dir: Path) -> ItemConfig:
         dataset_spec = DatasetSpec(
             family=_require(raw, "family", where),
             tsv_path=tsv_path,
-            essay_set=int(_require(raw, "essay_set", where)),
+            essay_set=_require(raw, "essay_set", where),
             score_range=score_range,
             gold_rule=raw.get("gold_rule", "first_rater"),
         )
@@ -174,21 +174,6 @@ def load_config(path) -> Config:
     )
 
 
-def _rule(line: str) -> dict:
-    """One scripted rule: a JSON object with `match`, `text` and an optional
-    `latency_ms`, each of the type ScriptedBackend reads."""
-    rule = json.loads(line)
-    if not isinstance(rule, dict) or not {"match", "text"} <= rule.keys():
-        raise ValueError('a rule needs "match" and "text"')
-    needles, latency_ms = rule["match"], rule.get("latency_ms", 1)
-    needles = [needles] if isinstance(needles, str) else needles
-    if (not isinstance(needles, list) or type(latency_ms) is not int or latency_ms < 1
-            or not all(isinstance(text, str) for text in [*needles, rule["text"]])):
-        raise ValueError('"match" must be a string or a list of strings, "text" '
-                         'a string and "latency_ms" an integer >= 1')
-    return rule
-
-
 def build_backend(config: Config, kind_override: str | None = None):
     """Instantiate the configured backend; with `cache_path` set, a remote or
     scripted backend is wrapped in the write-through cache.
@@ -213,26 +198,13 @@ def build_backend(config: Config, kind_override: str | None = None):
         return p if p.is_absolute() else config_dir / p
 
     if kind == "remote":
-        timeout_s = settings.get("timeout_s", 120.0)
-        if type(timeout_s) not in (int, float) or not 0 < timeout_s < math.inf:
-            raise ConfigError(
-                f"backend.timeout_s must be a positive number of seconds, "
-                f"got {timeout_s!r}"
-            )
-        max_in_flight = settings.get("max_in_flight")
-        if max_in_flight is not None and (
-            type(max_in_flight) is not int or max_in_flight < 1
-        ):
-            raise ConfigError(
-                f"backend.max_in_flight must be an integer >= 1, "
-                f"got {max_in_flight!r}"
-            )
-        backend = RemoteBackend(
-            base_url=_require(settings, "base_url", "backend"),
-            model_name=model_name,
-            timeout_s=timeout_s,
-            max_in_flight=max_in_flight,
-        )
+        limits = {key: settings[key] for key in ("timeout_s", "max_in_flight")
+                  if key in settings}
+        try:
+            backend = RemoteBackend(_require(settings, "base_url", "backend"),
+                                    model_name, **limits)
+        except ValueError as exc:
+            raise ConfigError(f"backend.{exc}") from None
     elif kind == "replay":
         backend = CachingBackend(None, resolve("replay_path"), model_name)
     else:
@@ -240,7 +212,8 @@ def build_backend(config: Config, kind_override: str | None = None):
         if not path.exists():
             raise ConfigError(f"scripted rules file not found: {path}")
         # a hand-written last line may lack its newline: read all the bytes
-        rules = parse_jsonl(path, path.read_bytes(), _rule, ConfigError)
+        rules = parse_jsonl(path, path.read_bytes(),
+                            lambda line: scripted_rule(json.loads(line)), ConfigError)
         backend = ScriptedBackend(rules=rules, model_name=model_name)
 
     if kind != "replay" and settings.get("cache_path"):

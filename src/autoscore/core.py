@@ -33,6 +33,9 @@ class ScoreRange:
     max: int
 
     def __post_init__(self) -> None:
+        if type(self.min) is not int or type(self.max) is not int:
+            raise ValueError(f"score range bounds must be integers, got "
+                             f"{self.min!r}..{self.max!r}")
         if self.min < 0 or self.max < 0:
             raise ValueError("score range bounds must be non-negative")
         if self.max - self.min < 1:
@@ -61,10 +64,10 @@ class TaskContext:
     reference_material: str | None = None
 
     def __post_init__(self) -> None:
-        if not self.question.strip():
-            raise ValueError("question must be non-empty")
-        if not self.rubric_text.strip():
-            raise ValueError("rubric_text must be non-empty")
+        if not isinstance(self.question, str) or not self.question.strip():
+            raise ValueError("question must be a non-empty string")
+        if not isinstance(self.rubric_text, str) or not self.rubric_text.strip():
+            raise ValueError("rubric_text must be a non-empty string")
 
 
 @dataclass(frozen=True)

@@ -52,12 +52,13 @@ class DatasetSpec:
     gold_rule: str = "first_rater"
 
     def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
+        if not isinstance(self.family, str) or self.family not in FAMILIES:
             raise ValueError(f"unknown dataset family {self.family!r}")
-        if self.essay_set <= 0:
-            raise ValueError("essay_set must be positive")
+        if type(self.essay_set) is not int or self.essay_set <= 0:
+            raise ValueError(f"essay_set must be positive: an integer >= 1, "
+                             f"got {self.essay_set!r}")
         gold_rules = FAMILIES[self.family][2]
-        if self.gold_rule not in gold_rules:
+        if not isinstance(self.gold_rule, str) or self.gold_rule not in gold_rules:
             raise ValueError(f"gold_rule {self.gold_rule!r} is not one of the "
                              f"{self.family} rules: {', '.join(gold_rules)}")
 

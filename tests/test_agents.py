@@ -114,6 +114,13 @@ class TestStageTemplateRules:
                                       f"so the model would never see the response")
         assert backend.call_count == 0
 
+    def test_max_retries_below_one_is_refused_before_any_call(self, context, response):
+        backend = ScriptedBackend(responses=['{"score": 1}'])
+        with pytest.raises(ValueError, match="^max_retries must be at least 1$"):
+            agents.run_stage("baseline", backend, context, response, None,
+                             max_retries=0)
+        assert backend.call_count == 0
+
 
 # text that stresses the single pass and the JSON escaping: placeholders
 # of every kind, stray braces, quotes, control and line-separator

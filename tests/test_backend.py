@@ -24,6 +24,7 @@ from autoscore.backend import (
     _default_transport,
     escape,
     request_digest,
+    scripted_rule,
 )
 
 
@@ -145,6 +146,22 @@ class TestReplayBackend:
         with pytest.raises(BackendUnavailable):
             CachingBackend(None, tmp_path / "nope.jsonl")
 
+    @pytest.mark.parametrize("latency_ms", [2.7, 0, "5", True, -3, None])
+    def test_latency_that_is_not_a_count_is_corruption(self, tmp_path, latency_ms):
+        fixture = tmp_path / "fixture.jsonl"
+        fixture.write_text(json.dumps({"digest": _req().digest, "text": "ok"}) + "\n")
+        # a line without latency_ms reports the 1 ms default
+        assert CachingBackend(None, fixture, "m1").complete(_req()).latency_ms == 1
+        with fixture.open("a") as handle:
+            handle.write(json.dumps({"digest": "d2", "text": "x",
+                                     "latency_ms": latency_ms}) + "\n")
+        # replay, and a cache that would serve the line as a hit
+        for inner in (None, ScriptedBackend(responses=[])):
+            with pytest.raises(BackendUnavailable,
+                               match=r"fixture.jsonl line 2 does not parse: "
+                                     r"ValueError\(.latency_ms must be an integer >= 1"):
+                CachingBackend(inner, fixture, "m1")
+
 
 class TestScriptedBackend:
     def test_queue_mode_pops_in_order(self):
@@ -174,6 +191,27 @@ class TestScriptedBackend:
             ScriptedBackend(responses=["a"], rules=[])
         with pytest.raises(ValueError):
             ScriptedBackend()
+
+    @pytest.mark.parametrize("arguments,message", [
+        ({"rules": [{"match": 5, "text": "x"}]}, '"match" must be a string'),
+        ({"rules": [{"match": "hello", "text": "x"}], "latency_ms": 0},
+         "latency_ms must be an integer >= 1, got 0"),
+        ({"responses": ["a"], "latency_ms": 0},
+         "latency_ms must be an integer >= 1, got 0"),
+    ], ids=["match-int", "rules-latency-zero", "responses-latency-zero"])
+    def test_bad_rule_or_latency_is_refused_at_construction(self, arguments, message):
+        with pytest.raises(ValueError, match=message):
+            ScriptedBackend(**arguments)
+
+    def test_scripted_rule_normalises_once(self):
+        assert scripted_rule({"match": "a", "text": "b"}, 7) == {
+            "match": ["a"], "text": "b", "latency_ms": 7}
+        rule = {"match": ["a", "c"], "text": "b", "latency_ms": 3, "note": "-"}
+        assert scripted_rule(rule) == {"match": ["a", "c"], "text": "b",
+                                       "latency_ms": 3}
+        backend = ScriptedBackend(rules=[{"match": "hello", "text": "x"}],
+                                  latency_ms=5)
+        assert backend.complete(_req()) == ChatResponse("x", 5)
 
 
 class _FakeTransport:
@@ -279,6 +317,17 @@ class TestRemoteRetryPolicy:
         monkeypatch.delenv("AUTOSCORE_API_KEY", raising=False)
         with pytest.raises(BackendUnavailable):
             RemoteBackend(base_url="https://api.example/v1", model_name="m1")
+
+    @pytest.mark.parametrize("key,value", [
+        ("max_in_flight", 0), ("max_in_flight", -1), ("max_in_flight", 2.5),
+        ("timeout_s", -5), ("timeout_s", float("inf")), ("base_url", ""),
+    ])
+    def test_bad_argument_is_refused_at_construction(self, monkeypatch, key, value):
+        # refused as the caller's error even when the key is missing as well
+        monkeypatch.delenv("AUTOSCORE_API_KEY", raising=False)
+        arguments = {"base_url": "https://api.example/v1", key: value}
+        with pytest.raises(ValueError, match=f"^{key} must be "):
+            RemoteBackend(model_name="m1", **arguments)
 
     def test_in_flight_gate_bounds_concurrency(self):
         import threading

@@ -333,6 +333,8 @@ class TestScoreCommand:
         ("max_in_flight", 0),
         ("max_in_flight", 2.5),
         ("max_in_flight", "two"),
+        ("base_url", ""),
+        ("base_url", 5),
     ])
     def test_bad_remote_setting_exits_2_before_writing(
         self, workspace, tmp_path, monkeypatch, key, value
@@ -457,14 +459,34 @@ class TestScoreCommand:
          "unknown dataset family 'gre'"),
         (_setting("items", "science", "essay_set", value=0), 2,
          "essay_set must be positive"),
+        (_setting("items", "science", "essay_set", value=1.7), 2,
+         "essay_set must be positive"),
+        (_setting("items", "science", "essay_set", value=True), 2,
+         "essay_set must be positive"),
+        (_setting("items", "science", "essay_set", value="1"), 2,
+         "essay_set must be positive"),
         (_setting("items", "science", "score_range", value={"min": 0}), 2,
          "items.science.score_range: 'max'"),
+        (_setting("items", "science", "score_range", value={"min": 0, "max": 3.9}),
+         2, "score range bounds must be integers, got 0..3.9"),
+        (_setting("items", "science", "score_range", value={"min": 0, "max": "3"}),
+         2, "score range bounds must be integers, got 0..'3'"),
+        (_setting("items", "science", "score_range", value={"min": True, "max": 3}),
+         2, "score range bounds must be integers, got True..3"),
+        (_setting("items", "science", "family", value=["sas"]), 2,
+         "unknown dataset family ['sas']"),
+        (_setting("items", "science", "gold_rule", value=["first_rater"]), 2,
+         "gold_rule ['first_rater'] is not one of the sas rules"),
+        (_setting("items", "science", "question", value=5), 2,
+         "question must be a non-empty string"),
         (_setting("backend", "script_path", value="absent.jsonl"), 2,
          "scripted rules file not found"),
         (_setting("items", "science", "tsv_path", value="absent.tsv"), 3,
          "dataset file not found"),
         (_empty_demo_tsv, 3, "dataset file is empty"),
-    ], ids=["unknown-family", "essay-set-0", "range-without-max",
+    ], ids=["unknown-family", "essay-set-0", "essay-set-float", "essay-set-true",
+            "essay-set-string", "range-without-max", "range-float", "range-string",
+            "range-true", "family-list", "gold-rule-list", "question-int",
             "missing-rules-file", "missing-tsv", "empty-tsv"])
     def test_demo_config_refusal_exits_before_writing(
         self, tmp_path, caplog, edit, code, message
@@ -640,9 +662,10 @@ class TestEvaluateCommand:
         ("context", {"rubric_text": "r"}),
         ("context", {"question": "q", "rubric_text": 5}),
         ("context", "q"),
+        ("score_range", {"min": 0, "max": 3.5}),
     ], ids=["range-empty", "range-inverted", "range-list", "mode-unknown",
             "mode-list", "context-no-question", "context-rubric-int",
-            "context-string"])
+            "context-string", "range-float"])
     def test_malformed_manifest_value_exits_3(
         self, workspace, tmp_path, caplog, key, value
     ):
@@ -936,6 +959,18 @@ class TestValidateComponentsCommand:
         )
         assert code == 2
 
+    def test_manifest_without_schema_exits_2(self, workspace, tmp_path, caplog):
+        run_dir = tmp_path / "auto"
+        _score(workspace, "autoscore", run_dir)
+        manifest_path = run_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["schema"] = None
+        manifest_path.write_text(json.dumps(manifest))
+        code = main(["validate-components", "--run", str(run_dir),
+                     "--gold", str(workspace.parent / "gold.jsonl")])
+        assert code == 2
+        assert "run manifest carries no schema definition" in caplog.text
+
     def test_baseline_run_exits_2(self, workspace, tmp_path):
         run_dir = tmp_path / "base"
         _score(workspace, "baseline", run_dir)
@@ -978,6 +1013,28 @@ class TestTradeoffCommand:
         out = tmp_path / "tradeoff.csv"
         assert main(["tradeoff", "--run", str(run_dir), "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 2
+
+    def test_runs_without_records_are_named_and_left_out(
+        self, workspace, tmp_path, caplog
+    ):
+        rules = workspace.parent / "rules.jsonl"
+        kept = rules.read_text()
+        rules.write_text(json.dumps({"match": "no reply matches", "text": "-"}) + "\n")
+        empties = [tmp_path / "empty1", tmp_path / "empty2"]
+        for empty in empties:
+            assert _score(workspace, "baseline", empty) == 0
+        rules.write_text(kept)
+        full = tmp_path / "full"
+        assert _score(workspace, "baseline", full) == 0
+        out, alone = tmp_path / "tradeoff.csv", tmp_path / "alone.csv"
+        caplog.clear()
+        assert main(["tradeoff", "--run", str(empties[0]), "--run", str(full),
+                     "--run", str(empties[1]), "--out", str(out)]) == 0
+        assert [r.getMessage() for r in caplog.records
+                if r.levelname == "WARNING"] == [
+            f"tradeoff leaves out {empty}: it has no records" for empty in empties]
+        assert main(["tradeoff", "--run", str(full), "--out", str(alone)]) == 0
+        assert out.read_bytes() == alone.read_bytes()
 
     def test_idempotent_given_fixed_out(self, workspace, tmp_path):
         run_dir = tmp_path / "b"

@@ -70,6 +70,19 @@ def test_invalid_yaml(tmp_path):
         load_config(path)
 
 
+def test_top_level_list_exits_2(tmp_path, caplog):
+    from autoscore.cli import main
+
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump([_config_dict()]), encoding="utf-8")
+    with pytest.raises(ConfigError, match="^config must be a mapping$"):
+        load_config(path)
+    assert main(["score", "--config", str(path), "--item", "synth",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "config must be a mapping" in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "absent.yaml")

@@ -418,6 +418,23 @@ class TestValidateComponents:
         with pytest.raises(DatasetError, match="lacks field 'design_count'"):
             validate_components(predicted, gold, SCIENCE)
 
+    def test_representation_of_another_schema(self):
+        predicted, gold = _reliability_fixture()
+        predicted[IDS[2]] = StructuredRepresentation("other", predicted[IDS[2]].values)
+        with pytest.raises(DatasetError, match="^c03: representation belongs to "
+                                               "schema 'other', expected 'synth'$"):
+            validate_components(predicted, gold, SCIENCE)
+
+    def test_schema_without_count_fields_reports_overall_rate_one(self):
+        schema = compile_schema("flags", {"fields": [{"name": "ok", "kind": "boolean"}]})
+        predicted = {"a": StructuredRepresentation("flags", {"ok": True}),
+                     "b": StructuredRepresentation("flags", {"ok": False})}
+        report = validate_components(predicted, {"a": {"ok": True}, "b": {"ok": True}},
+                                     schema)
+        assert report.boolean_fields["ok"].accuracy == 0.5
+        assert report.count_fields == {}
+        assert report.overall_exact_match_rate == 1.0
+
     def test_report_exposes_reliability_quantities(self):
         predicted, gold = _reliability_fixture()
         data = validate_components(predicted, gold, SCIENCE).to_dict()

@@ -10,6 +10,7 @@ from autoscore.ingest import DatasetError
 from autoscore.metrics import PairedScores, compute_report
 from autoscore.pipeline import RunConfig, RunResult, load_run, score_dataset
 from autoscore.report import (
+    _excerpt,
     case_record,
     comparison_table,
     delta_percent,
@@ -213,6 +214,13 @@ class TestTradeoff:
         ]).splitlines()
         assert csv_lines[1] == "m,baseline,100.0,1.0"
         assert csv_lines[2] == "m,autoscore,250.0,1.0"
+
+
+@pytest.mark.parametrize("limit", [20, 21])
+def test_excerpt_cuts_long_text_and_ends_it_with_an_ellipsis(limit):
+    # whitespace runs collapse first; a cut that ends on a space drops it
+    assert _excerpt("word \n " * 100, limit=limit) == "word word word word…"
+    assert _excerpt(" short\ttext ", limit=limit) == "short text"
 
 
 class TestCaseRecord:

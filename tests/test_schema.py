@@ -83,6 +83,16 @@ def test_dangling_derivation_rejected():
         )
 
 
+def test_derivation_on_a_field_that_is_not_a_count_rejected():
+    with pytest.raises(SchemaError) as excinfo:
+        compile_schema("bad", {"fields": [
+            {"name": "t", "kind": "text_list"},
+            {"name": "u", "kind": "text_list", "derived_from": "t"},
+        ]})
+    assert str(excinfo.value) == ("schema for 'bad': derived_from is only valid "
+                                  "on count fields, found on 'u'")
+
+
 def test_schema_definition_roundtrip(science_schema):
     again = compile_schema("synth", science_schema.to_definition())
     assert again == science_schema
