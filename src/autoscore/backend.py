@@ -235,6 +235,13 @@ def _count(value, name: str) -> int:
     return value
 
 
+def _model(value) -> str:
+    """`value` if it is a non-empty string; else ValueError."""
+    if not isinstance(value, str) or not value.strip():
+        raise ValueError(f"model must be a non-empty string, got {value!r}")
+    return value
+
+
 class RemoteBackend:
     """OpenAI-compatible chat-completions client with retry and backoff.
 
@@ -263,6 +270,7 @@ class RemoteBackend:
         if type(timeout_s) not in (int, float) or not 0 < timeout_s < math.inf:
             raise ValueError(
                 f"timeout_s must be a positive number of seconds, got {timeout_s!r}")
+        self.model_name = _model(model_name)
         self._gate = (contextlib.nullcontext() if max_in_flight is None else
                       threading.BoundedSemaphore(_count(max_in_flight, "max_in_flight")))
         # arguments first: a bad one is a ValueError even with no key as well
@@ -270,7 +278,6 @@ class RemoteBackend:
         if not self._api_key:
             raise BackendUnavailable(f"remote backend needs an API key in ${API_KEY_ENV}")
         self.base_url = base_url.rstrip("/")
-        self.model_name = model_name
         self._timeout_s = timeout_s
         self._transport = transport or _default_transport
         self._sleeper = sleeper
@@ -367,7 +374,7 @@ class ScriptedBackend:
         if sum(sources) != 1:
             raise ValueError("provide exactly one of responses, script, rules")
         self._latency_ms = _count(latency_ms, "latency_ms")
-        self.model_name = model_name
+        self.model_name = _model(model_name)
         self._queue = list(responses) if responses is not None else None
         self._script = script
         self._rules = [scripted_rule(rule, latency_ms) for rule in rules or ()]
@@ -453,7 +460,7 @@ class CachingBackend:
 
     def __init__(self, inner, cache_path: str | Path, model_name: str = "replay"):
         self.inner = inner
-        self.model_name = inner.model_name if inner is not None else model_name
+        self.model_name = inner.model_name if inner is not None else _model(model_name)
         self._path = Path(cache_path)
         if inner is None and not self._path.exists():
             raise BackendUnavailable(f"replay fixture not found: {self._path}")

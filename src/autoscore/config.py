@@ -7,7 +7,7 @@ the AUTOSCORE_API_KEY environment variable only.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import yaml
@@ -110,13 +110,10 @@ def _parse_item(item_id: str, raw: dict, config_dir: Path) -> ItemConfig:
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{where}.score_range: {exc}") from exc
 
-    tsv_path = str(_require(raw, "tsv_path", where))
-    if not Path(tsv_path).is_absolute():
-        tsv_path = str(config_dir / tsv_path)
     try:
         dataset_spec = DatasetSpec(
             family=_require(raw, "family", where),
-            tsv_path=tsv_path,
+            tsv_path=_require(raw, "tsv_path", where),
             essay_set=_require(raw, "essay_set", where),
             score_range=score_range,
             gold_rule=raw.get("gold_rule", "first_rater"),
@@ -130,6 +127,9 @@ def _parse_item(item_id: str, raw: dict, config_dir: Path) -> ItemConfig:
         )
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+    # a relative path is read from the config file's directory
+    dataset_spec = replace(dataset_spec,
+                           tsv_path=str(config_dir / dataset_spec.tsv_path))
 
     schema = None
     if "schema" in raw:
@@ -197,24 +197,25 @@ def build_backend(config: Config, kind_override: str | None = None):
         p = Path(value)
         return p if p.is_absolute() else config_dir / p
 
-    if kind == "remote":
-        limits = {key: settings[key] for key in ("timeout_s", "max_in_flight")
-                  if key in settings}
-        try:
+    try:  # each backend checks its own arguments
+        if kind == "remote":
+            limits = {key: settings[key] for key in ("timeout_s", "max_in_flight")
+                      if key in settings}
             backend = RemoteBackend(_require(settings, "base_url", "backend"),
                                     model_name, **limits)
-        except ValueError as exc:
-            raise ConfigError(f"backend.{exc}") from None
-    elif kind == "replay":
-        backend = CachingBackend(None, resolve("replay_path"), model_name)
-    else:
-        path = resolve("script_path")
-        if not path.exists():
-            raise ConfigError(f"scripted rules file not found: {path}")
-        # a hand-written last line may lack its newline: read all the bytes
-        rules = parse_jsonl(path, path.read_bytes(),
-                            lambda line: scripted_rule(json.loads(line)), ConfigError)
-        backend = ScriptedBackend(rules=rules, model_name=model_name)
+        elif kind == "replay":
+            backend = CachingBackend(None, resolve("replay_path"), model_name)
+        else:
+            path = resolve("script_path")
+            if not path.exists():
+                raise ConfigError(f"scripted rules file not found: {path}")
+            # a hand-written last line may lack its newline: read all the bytes
+            rules = parse_jsonl(path, path.read_bytes(),
+                                lambda line: scripted_rule(json.loads(line)),
+                                ConfigError)
+            backend = ScriptedBackend(rules=rules, model_name=model_name)
+    except ValueError as exc:
+        raise ConfigError(f"backend.{exc}") from None
 
     if kind != "replay" and settings.get("cache_path"):
         backend = CachingBackend(backend, resolve("cache_path"))

@@ -68,6 +68,9 @@ class TaskContext:
             raise ValueError("question must be a non-empty string")
         if not isinstance(self.rubric_text, str) or not self.rubric_text.strip():
             raise ValueError("rubric_text must be a non-empty string")
+        if not isinstance(self.reference_material, (str, type(None))):
+            raise ValueError(f"reference_material must be a string, "
+                             f"got {self.reference_material!r}")
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,9 @@ class DatasetSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.family, str) or self.family not in FAMILIES:
             raise ValueError(f"unknown dataset family {self.family!r}")
+        if not isinstance(self.tsv_path, str) or not self.tsv_path.strip():
+            raise ValueError(f"tsv_path must be a non-empty string, "
+                             f"got {self.tsv_path!r}")
         if type(self.essay_set) is not int or self.essay_set <= 0:
             raise ValueError(f"essay_set must be positive: an integer >= 1, "
                              f"got {self.essay_set!r}")

@@ -30,6 +30,12 @@ from .schema import ComponentSchema
 logger = logging.getLogger(__name__)
 
 PROGRESS_EVERY = 25
+# the calling thread looks at the run once per window. One worker runs
+# until a window shows the process on the CPU for under half its length: on
+# a run that never waits, a second worker only takes the interpreter lock
+# from the one that holds the oldest unwritten response, and the lines then
+# reach the file in one burst near the end. At most one fsync round a window.
+WINDOW_S = 0.005
 
 RECORDS = "records.jsonl"
 FAILURES = "failures.jsonl"
@@ -306,11 +312,18 @@ def _execute(config: RunConfig, dataset: Dataset, manifest: dict) -> RunResult:
         # to the calling thread: the kind of each line written at the head,
         # in order, or the exception that ends the run
         updates = queue.SimpleQueue()
+        # a worker claims nothing before it takes a seat: one gets it at the
+        # start, the others once the process is seen waiting. No thread is
+        # started mid-run, since an interrupt inside Thread.start can leave
+        # one that is_alive does not report yet and the join below misses;
+        # a put is one call, done or not.
+        seats = queue.SimpleQueue()
 
         def work() -> None:
             nonlocal claimed, head, stopping
             position = None
             try:
+                seats.get()
                 while True:
                     with lock:
                         if position is not None:
@@ -331,13 +344,28 @@ def _execute(config: RunConfig, dataset: Dataset, manifest: dict) -> RunResult:
                 updates.put(exc)
 
         workers, synced, started = [], 0, time.monotonic()
+        unseated, window = config.parallelism - 1, (started, time.process_time())
         try:
             for _ in range(config.parallelism):
                 workers.append(threading.Thread(target=work))
                 workers[-1].start()
+            seats.put(None)
             while synced < len(todo):
+                began = time.monotonic()
+                if unseated and began - window[0] >= WINDOW_S:
+                    cpu = time.process_time()
+                    # the process waited (on a model, say) for over half the
+                    # window: more workers can use that time
+                    if cpu - window[1] < (began - window[0]) / 2:
+                        for _ in range(unseated):
+                            seats.put(None)
+                        unseated = 0
+                    window = (began, cpu)
                 # everything queued so far: one fsync per file per round
-                batch = [updates.get()]
+                try:
+                    batch = [updates.get(timeout=WINDOW_S if unseated else None)]
+                except queue.Empty:
+                    continue
                 while not updates.empty():
                     batch.append(updates.get())
                 for update in batch:
@@ -353,8 +381,13 @@ def _execute(config: RunConfig, dataset: Dataset, manifest: dict) -> RunResult:
                                 "ETA %.0f s)", done, len(ordered), rate,
                                 (len(todo) - written) / rate)
                 synced = written
+                pause = began + WINDOW_S - time.monotonic()
+                if synced < len(todo) and pause > 0:
+                    time.sleep(pause)
         finally:
             stopping = True
+            for _ in workers:  # a worker still waiting for a seat returns
+                seats.put(None)
             for worker in filter(threading.Thread.is_alive, workers):
                 worker.join()
             if synced < len(todo):  # lines an abort left written but unsynced

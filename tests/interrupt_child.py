@@ -7,9 +7,10 @@ model that appends one line to CALLS_FILE as each call starts and then
 sleeps CALL_S, so the run lasts long enough to be interrupted mid-way.
 The tests import this module to score the same dataset in-process.
 
-    PYTHONPATH=src python tests/interrupt_child.py --ctrl-c WORK_DIR TIMES
+    PYTHONPATH=src python tests/interrupt_child.py --ctrl-c WORK_DIR TIMES [WAIT_S]
 
-interrupts TIMES short runs from a worker thread, as Ctrl-C would; see
+interrupts TIMES short runs from a worker thread, as Ctrl-C would, through
+a model that answers at once or after WAIT_S seconds; see
 interrupt_repeatedly.
 """
 
@@ -73,17 +74,21 @@ def main(run_dir: str, calls_file: str) -> None:
     score_dataset(run_config(run_dir, ScriptedBackend(script=slow)), dataset())
 
 
-def interrupt_repeatedly(work_dir: str, times: str) -> None:
-    """Score 20 responses at PARALLELISM through an instant model whose
-    call about i005 interrupts the calling thread, `times` times over. Each
-    run must end within HANG_S, or every thread's stack is dumped and the
-    process exits 1; no worker thread may outlive a run. Prints how many
-    runs ended in KeyboardInterrupt."""
+def interrupt_repeatedly(work_dir: str, times: str, wait_s: str = "0") -> None:
+    """Score 20 responses at PARALLELISM through a model that answers at
+    once, or after `wait_s` seconds, and whose call about i005 interrupts
+    the calling thread, `times` times over. Each run must end within
+    HANG_S, or every thread's stack is dumped and the process exits 1; no
+    worker thread may outlive a run. Prints how many runs ended in
+    KeyboardInterrupt."""
     before = set(threading.enumerate())
+    wait = float(wait_s)
 
     def interrupting(request) -> str:
         if "interrupt response i005." in request.messages[-1][1]:
             _thread.interrupt_main()
+        if wait:
+            time.sleep(wait)
         return answer(request)
 
     interrupted = 0

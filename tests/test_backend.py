@@ -163,6 +163,21 @@ class TestReplayBackend:
                 CachingBackend(inner, fixture, "m1")
 
 
+@pytest.mark.parametrize("model", [5, "", " ", None])
+@pytest.mark.parametrize("build", [
+    lambda model, tmp_path: ScriptedBackend(responses=["a"], model_name=model),
+    lambda model, tmp_path: CachingBackend(None, tmp_path / "absent.jsonl", model),
+    lambda model, tmp_path: RemoteBackend("https://api.example/v1", model),
+], ids=["scripted", "replay", "remote"])
+def test_model_that_is_not_a_non_empty_string_is_refused(
+    tmp_path, monkeypatch, build, model,
+):
+    # the argument is checked first, so no fixture or key is needed to see it
+    monkeypatch.delenv("AUTOSCORE_API_KEY", raising=False)
+    with pytest.raises(ValueError, match="^model must be a non-empty string, got "):
+        build(model, tmp_path)
+
+
 class TestScriptedBackend:
     def test_queue_mode_pops_in_order(self):
         backend = ScriptedBackend(responses=["a", "b"])

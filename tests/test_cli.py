@@ -335,6 +335,8 @@ class TestScoreCommand:
         ("max_in_flight", "two"),
         ("base_url", ""),
         ("base_url", 5),
+        ("model", ""),
+        ("model", 5),
     ])
     def test_bad_remote_setting_exits_2_before_writing(
         self, workspace, tmp_path, monkeypatch, key, value
@@ -479,6 +481,12 @@ class TestScoreCommand:
          "gold_rule ['first_rater'] is not one of the sas rules"),
         (_setting("items", "science", "question", value=5), 2,
          "question must be a non-empty string"),
+        (_setting("items", "science", "reference_material", value=5), 2,
+         "items.science: reference_material must be a string, got 5"),
+        (_setting("items", "science", "tsv_path", value=["a"]), 2,
+         "items.science: tsv_path must be a non-empty string, got ['a']"),
+        (_setting("backend", "model", value=5), 2,
+         "backend.model must be a non-empty string, got 5"),
         (_setting("backend", "script_path", value="absent.jsonl"), 2,
          "scripted rules file not found"),
         (_setting("items", "science", "tsv_path", value="absent.tsv"), 3,
@@ -487,6 +495,7 @@ class TestScoreCommand:
     ], ids=["unknown-family", "essay-set-0", "essay-set-float", "essay-set-true",
             "essay-set-string", "range-without-max", "range-float", "range-string",
             "range-true", "family-list", "gold-rule-list", "question-int",
+            "reference-material-int", "tsv-path-list", "model-int",
             "missing-rules-file", "missing-tsv", "empty-tsv"])
     def test_demo_config_refusal_exits_before_writing(
         self, tmp_path, caplog, edit, code, message

@@ -88,17 +88,27 @@ def test_sigint_stops_after_the_calls_already_running(tmp_path):
     _resume_matches_uninterrupted(tmp_path, run_dir)
 
 
-def test_repeated_ctrl_c_never_hangs_a_run(tmp_path):
-    # an interrupt can land in the calling thread at any bytecode; repeated
-    # runs reach the rare landing points, and the child dumps every thread's
-    # stack and exits 1 if one run hangs
-    times = 500
+def _interrupt_repeatedly(tmp_path, times, *wait_s):
     proc = subprocess.run(
         [sys.executable, str(Path(child.__file__)), "--ctrl-c", str(tmp_path),
-         str(times)],
+         str(times), *wait_s],
         env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True,
         text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-4000:]
     # an interrupt checked inside a finalizer is dropped, so a run may finish
     assert int(proc.stdout) > times // 2
+
+
+def test_repeated_ctrl_c_never_hangs_a_run(tmp_path):
+    # an interrupt can land in the calling thread at any bytecode; repeated
+    # runs reach the rare landing points, and the child dumps every thread's
+    # stack and exits 1 if one run hangs
+    _interrupt_repeatedly(tmp_path, 500)
+
+
+def test_repeated_ctrl_c_while_workers_take_their_seats(tmp_path):
+    # a model that waits about 1 ms per call leaves the process idle, so the
+    # calling thread seats the other workers about when the call about i005
+    # interrupts it
+    _interrupt_repeatedly(tmp_path, 100, "0.001")

@@ -5,6 +5,7 @@ import os
 import re
 import sys
 import threading
+import time
 import types
 from collections import Counter
 
@@ -484,18 +485,67 @@ class TestExecutor:
         self._run(tmp_path, synth_context, script, 20, parallelism=1)
         assert lines_seen == {rid: k for k, rid in enumerate(MANY_IDS[:20])}
 
+    @staticmethod
+    def _process_time(monkeypatch, process_time):
+        monkeypatch.setattr("autoscore.pipeline.time", types.SimpleNamespace(
+            **{**vars(time), "process_time": process_time}))
+
+    def test_a_process_that_never_waits_scores_on_one_worker(
+        self, tmp_path, synth_context, monkeypatch,
+    ):
+        # the CPU clock keeps pace with the wall clock, so every window reads
+        # busy, even though the model below waits off the CPU
+        self._process_time(monkeypatch, time.monotonic)
+        records = tmp_path / "run" / "records.jsonl"
+        lines_seen, callers = {}, set()
+
+        def script(request):
+            callers.add(threading.get_ident())
+            lines_seen[_asked_about(request)] = records.read_bytes().count(b"\n")
+            threading.Event().wait(0.001)
+            return json.dumps({"score": 1})
+
+        self._run(tmp_path, synth_context, script, 40, parallelism=4)
+        assert len(callers) == 1
+        assert lines_seen == {rid: k for k, rid in enumerate(MANY_IDS[:40])}
+
+    def test_a_process_that_waits_seats_every_worker(
+        self, tmp_path, synth_context, monkeypatch,
+    ):
+        self._process_time(monkeypatch, lambda: 0.0)  # never on the CPU
+        callers, deadline = set(), time.monotonic() + 10
+        everyone = threading.Event()
+
+        def script(request):
+            # each call waits (10 s at most) until every worker has made one
+            callers.add(threading.get_ident())
+            if len(callers) == 4:
+                everyone.set()
+            everyone.wait(max(0.0, deadline - time.monotonic()))
+            return _score_many(request)
+
+        self._run(tmp_path, synth_context, script, 20, parallelism=4)
+        assert len(callers) == 4
+
     def test_records_and_failures_under_contention_match_a_serial_run(
         self, tmp_path, synth_context,
     ):
+        callers = set()
+
+        def script(request):
+            # a real 1 ms wait off the CPU: the run seats more than one worker
+            callers.add(threading.get_ident())
+            threading.Event().wait(0.001)
+            return _score_many(request)
+
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            runs = [
-                self._run(tmp_path, synth_context, _score_many, 60, p, f"p{p}")
-                for p in (1, 8)
-            ]
+            runs = [self._run(tmp_path, synth_context, _score_many, 60, 1, "p1"),
+                    self._run(tmp_path, synth_context, script, 60, 8, "p8")]
         finally:
             sys.setswitchinterval(interval)
+        assert len(callers) > 1
         files = [
             tuple((config.run_dir / name).read_bytes()
                   for name in ("records.jsonl", "failures.jsonl"))

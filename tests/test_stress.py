@@ -50,12 +50,20 @@ def test_sixty_responses_deterministic_at_high_parallelism(tmp_path):
         "stress", "Q?", "Score 3: ... Score 0: ...", ScoreRange(0, 3),
     )
     schema = compile_schema("stress", SCIENCE_SCHEMA_DEF)
+    callers = set()
+
+    def waiting(request):
+        # waits off the CPU, so the run seats more than one worker
+        callers.add(threading.get_ident())
+        time.sleep(0.001)
+        return _script(request)
+
     blobs = []
-    for parallelism in (1, 16):
+    for parallelism, script in ((1, _script), (16, waiting)):
         config = RunConfig(
             mode="autoscore",
             run_dir=tmp_path / f"p{parallelism}",
-            backend=ScriptedBackend(script=_script),
+            backend=ScriptedBackend(script=script),
             context=context,
             schema=schema,
             parallelism=parallelism,
@@ -65,6 +73,7 @@ def test_sixty_responses_deterministic_at_high_parallelism(tmp_path):
         assert len(result.records) == N
         blobs.append((config.run_dir / "records.jsonl").read_bytes())
     assert blobs[0] == blobs[1]
+    assert len(callers) > 1
 
 
 def test_cache_under_concurrent_identical_requests(tmp_path):
