@@ -25,6 +25,7 @@ from .core import (
     OutOfRange,
     Score,
     ScoreRange,
+    StructuredRepresentation,
     StudentResponse,
     TaskContext,
     Transcript,
@@ -34,7 +35,6 @@ from .schema import (
     KINDS,
     ComponentSchema,
     SchemaError,
-    StructuredRepresentation,
     extract_json_block,
     validate_representation,
 )

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, TypeVar
 
-from .core import AutoscoreError
+from .core import AutoscoreError, decode_json
 
 logger = logging.getLogger(__name__)
 
@@ -467,7 +467,7 @@ class CachingBackend:
 
         def parse(line: str) -> tuple[str, tuple[str, int, bool]]:
             # digest -> the (text, latency_ms, from_cache) a hit returns
-            entry = json.loads(line)
+            entry = decode_json(line)
             latency_ms = _count(entry.get("latency_ms", 1), "latency_ms")
             if inner is not None:
                 return entry["digest"], (entry["text"], 0, True)

@@ -6,7 +6,6 @@ the AUTOSCORE_API_KEY environment variable only.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -15,7 +14,7 @@ import yaml
 from . import agents
 from .backend import (CachingBackend, RemoteBackend, ScriptedBackend, parse_jsonl,
                       scripted_rule)
-from .core import AutoscoreError, ScoreRange, TaskContext
+from .core import AutoscoreError, ScoreRange, TaskContext, decode_json
 from .ingest import DatasetSpec
 from .schema import ComponentSchema, compile_schema
 
@@ -211,7 +210,7 @@ def build_backend(config: Config, kind_override: str | None = None):
                 raise ConfigError(f"scripted rules file not found: {path}")
             # a hand-written last line may lack its newline: read all the bytes
             rules = parse_jsonl(path, path.read_bytes(),
-                                lambda line: scripted_rule(json.loads(line)),
+                                lambda line: scripted_rule(decode_json(line)),
                                 ConfigError)
             backend = ScriptedBackend(rules=rules, model_name=model_name)
     except ValueError as exc:

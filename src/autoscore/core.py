@@ -1,13 +1,37 @@
 """Core domain types shared by every stage of the scoring pipeline.
 
 Everything here is an immutable value object with its invariants enforced
-at construction time; no I/O happens in this module.
+at construction time, or the JSON decoder every reader of the package's
+files uses; no I/O happens in this module.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+
+_RAW_DECODE = json.JSONDecoder().raw_decode
+
+
+def decode_json(text: str):
+    """json.loads(text): the same value, or the same error, except that JSON
+    nested too deeply to parse raises ValueError, not RecursionError. Every
+    JSON line the package reads, and the manifest, goes through here.
+
+    A text that is one JSON value with nothing around it takes raw_decode,
+    which skips json.loads' whitespace and BOM handling; any other text
+    (whitespace, a BOM, trailing data, an error) goes to json.loads itself,
+    so its values and error texts stay json.loads' own."""
+    try:
+        value, end = _RAW_DECODE(text)
+        if end == len(text):
+            return value
+    except (ValueError, RecursionError):
+        pass
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to parse") from None
 
 
 class AutoscoreError(Exception):
@@ -124,9 +148,25 @@ class Transcript:
             "raw_output": self.raw_output,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Transcript":
-        return cls(data["agent_name"], data["prompt_digest"], data["raw_output"])
+
+@dataclass(frozen=True)
+class StructuredRepresentation:
+    """A validated component representation extracted from one response.
+
+    inconsistency_flags lists count fields whose declared value disagreed
+    with the length of their source list before normalization.
+    """
+
+    schema_id: str
+    values: dict
+    inconsistency_flags: tuple[str, ...] = field(default_factory=tuple)
+
+    def to_dict(self) -> dict:
+        return {
+            "schema_id": self.schema_id,
+            "values": self.values,
+            "inconsistency_flags": list(self.inconsistency_flags),
+        }
 
 
 @dataclass(frozen=True)
@@ -142,22 +182,32 @@ class ScoredRecord:
     mode: str  # "autoscore" | "baseline"
     gold_score: int | None
     predicted_score: int
-    representation: "object | None"  # StructuredRepresentation for autoscore
+    representation: StructuredRepresentation | None  # None for baseline
     transcripts: tuple[Transcript, ...] = field(default_factory=tuple)
     wall_time_ms: int = 0
     retries: int = 0
 
     def __post_init__(self) -> None:
+        # a record read back from a line checks every field readers compute on
+        if type(self.response_id) is not str:
+            raise ValueError(f"response_id must be a string, got {self.response_id!r}")
+        if type(self.predicted_score) is not int:
+            raise ValueError(f"predicted_score must be an integer, "
+                             f"got {self.predicted_score!r}")
+        if self.gold_score is not None and type(self.gold_score) is not int:
+            raise ValueError(f"gold_score must be an integer or null, "
+                             f"got {self.gold_score!r}")
         if self.mode not in ("autoscore", "baseline"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "autoscore" and self.representation is None:
             raise ValueError("autoscore records must carry a representation")
         if self.mode == "baseline" and self.representation is not None:
             raise ValueError("baseline records must not carry a representation")
-        if self.wall_time_ms < 0:
-            raise ValueError("wall_time_ms must be non-negative")
-        if self.retries < 0:
-            raise ValueError("retries must be non-negative")
+        if type(self.wall_time_ms) is not int or self.wall_time_ms < 0:
+            raise ValueError(f"wall_time_ms must be an integer >= 0, "
+                             f"got {self.wall_time_ms!r}")
+        if type(self.retries) is not int or self.retries < 0:
+            raise ValueError(f"retries must be an integer >= 0, got {self.retries!r}")
 
     def to_dict(self) -> dict:
         rep = self.representation
@@ -177,26 +227,19 @@ class ScoredRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScoredRecord":
-        # local import: schema depends on core, not the other way around
-        from .schema import StructuredRepresentation
-
-        rep_data = data.get("representation")
-        rep = (
-            StructuredRepresentation.from_dict(rep_data)
-            if rep_data is not None
-            else None
-        )
+        rep = data.get("representation")
+        if rep is not None:
+            rep = StructuredRepresentation(
+                rep["schema_id"], dict(rep["values"]),
+                tuple(rep["inconsistency_flags"]))
         return cls(
-            response_id=data["response_id"],
-            mode=data["mode"],
-            gold_score=data["gold_score"],
-            predicted_score=data["predicted_score"],
-            representation=rep,
-            transcripts=tuple(Transcript.from_dict(t) for t in data["transcripts"]),
-            wall_time_ms=data["wall_time_ms"],
-            retries=data["retries"],
+            data["response_id"], data["mode"], data["gold_score"],
+            data["predicted_score"], rep,
+            tuple([Transcript(t["agent_name"], t["prompt_digest"], t["raw_output"])
+                   for t in data["transcripts"]]),
+            data["wall_time_ms"], data["retries"],
         )
 
     @classmethod
     def from_jsonl_line(cls, line: str) -> "ScoredRecord":
-        return cls.from_dict(json.loads(line))
+        return cls.from_dict(decode_json(line))

@@ -28,9 +28,9 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .backend import parse_jsonl
-from .core import AutoscoreError, ScoreRange
+from .core import AutoscoreError, ScoreRange, StructuredRepresentation, decode_json
 from .ingest import DatasetError
-from .schema import ComponentSchema, StructuredRepresentation
+from .schema import ComponentSchema
 
 
 class ZeroVariance(AutoscoreError):
@@ -442,7 +442,7 @@ def validate_components(
 
 
 def _gold_annotation(line: str) -> tuple[str, dict]:
-    entry = json.loads(line)
+    entry = decode_json(line)
     values = entry["values"]
     if not isinstance(values, dict):
         raise TypeError(f"values is {type(values).__name__}, not an object")

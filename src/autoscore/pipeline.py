@@ -23,7 +23,8 @@ from pathlib import Path
 
 from . import agents
 from .backend import read_jsonl
-from .core import AutoscoreError, ScoredRecord, ScoreRange, StudentResponse, TaskContext
+from .core import (AutoscoreError, ScoredRecord, ScoreRange, StudentResponse, TaskContext,
+                   decode_json)
 from .ingest import Dataset
 from .schema import ComponentSchema
 
@@ -186,7 +187,7 @@ def _write_manifest(run_dir: Path, manifest: dict) -> None:
 def _read_manifest(run_dir: Path) -> dict:
     path = run_dir / MANIFEST
     try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest = decode_json(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ManifestMismatch(f"{run_dir} has no manifest") from None
     except ValueError as exc:  # not UTF-8 or not JSON
@@ -257,8 +258,12 @@ def _score_one(config: RunConfig, prompts: dict[str, agents.StagePrompt],
 
 
 def _failure_from_line(line: str) -> tuple[str, str]:
-    entry = json.loads(line)
-    return entry["response_id"], entry["error"]
+    entry = decode_json(line)
+    response_id, error = entry["response_id"], entry["error"]
+    if type(response_id) is not str or type(error) is not str:
+        raise ValueError(f"response_id and error must be strings, "
+                         f"got {response_id!r} and {error!r}")
+    return response_id, error
 
 
 def _read_done(run_dir: Path):

@@ -16,7 +16,7 @@ import logging
 import re
 from dataclasses import dataclass, field
 
-from .core import AutoscoreError
+from .core import AutoscoreError, StructuredRepresentation
 
 logger = logging.getLogger(__name__)
 
@@ -82,34 +82,6 @@ class ComponentSchema:
 
     def boolean_fields(self) -> list[ComponentField]:
         return [f for f in self.fields if f.kind is FieldKind.BOOLEAN]
-
-
-@dataclass(frozen=True)
-class StructuredRepresentation:
-    """A validated component representation extracted from one response.
-
-    inconsistency_flags lists count fields whose declared value disagreed
-    with the length of their source list before normalization.
-    """
-
-    schema_id: str
-    values: dict
-    inconsistency_flags: tuple[str, ...] = field(default_factory=tuple)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_id": self.schema_id,
-            "values": self.values,
-            "inconsistency_flags": list(self.inconsistency_flags),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StructuredRepresentation":
-        return cls(
-            schema_id=data["schema_id"],
-            values=dict(data["values"]),
-            inconsistency_flags=tuple(data["inconsistency_flags"]),
-        )
 
 
 def compile_schema(item_id: str, definition: dict) -> ComponentSchema:

@@ -163,6 +163,16 @@ class TestReplayBackend:
                 CachingBackend(inner, fixture, "m1")
 
 
+    def test_line_nested_too_deeply_is_corruption(self, tmp_path):
+        fixture = tmp_path / "fixture.jsonl"
+        fixture.write_text(json.dumps({"digest": "d1", "text": "ok"}) + "\n"
+                           + "[" * 100_000 + "\n")
+        for inner in (None, ScriptedBackend(responses=[])):
+            with pytest.raises(BackendUnavailable,
+                               match=r"fixture.jsonl line 2 does not parse: "
+                                     r"ValueError\(.JSON nested too deeply"):
+                CachingBackend(inner, fixture, "m1")
+
 @pytest.mark.parametrize("model", [5, "", " ", None])
 @pytest.mark.parametrize("build", [
     lambda model, tmp_path: ScriptedBackend(responses=["a"], model_name=model),

@@ -797,6 +797,37 @@ class TestEvaluateCommand:
         assert "score 93 outside range 0..3" in caplog.text
         assert not reports.exists()
 
+    @pytest.mark.parametrize("file,index,edit", [
+        ("records.jsonl", 1, {"response_id": 7}),
+        ("records.jsonl", 1, {"predicted_score": "3"}),
+        ("records.jsonl", 1, {"predicted_score": True}),
+        ("records.jsonl", 1, {"gold_score": 2.5}),
+        ("records.jsonl", 1, {"wall_time_ms": 1.5}),
+        ("records.jsonl", 1, {"retries": 1.5}),
+        ("failures.jsonl", 0, {"response_id": 5}),
+        ("failures.jsonl", 0, {"response_id": None}),
+        ("failures.jsonl", 0, {"error": ["x"]}),
+    ], ids=["id_int", "score_str", "score_bool", "gold_float", "wall_time_float",
+            "retries_float", "failure_id_int",
+            "failure_id_null", "failure_error_list"])
+    def test_line_with_a_field_of_the_wrong_type_exits_3(
+        self, workspace, tmp_path, caplog, file, index, edit
+    ):
+        run_dir = tmp_path / "base"
+        assert _score(workspace, "baseline", run_dir) == 0
+        path = run_dir / file
+        lines = path.read_text().splitlines(True)
+        if file == "failures.jsonl":  # the run has none: write two
+            lines = [json.dumps({"response_id": rid, "error": "ScoringFailed: x"}) + "\n"
+                     for rid in ("r98", "r99")]
+        entry = {**json.loads(lines[index]), **edit}
+        lines[index] = json.dumps(entry) + "\n"
+        path.write_text("".join(lines))
+        reports = tmp_path / "reports"
+        assert main(["evaluate", "--run", str(run_dir), "--out", str(reports)]) == 3
+        assert f"{path} line {index + 1} does not parse" in caplog.text
+        assert not reports.exists()
+
     def test_two_runs_of_one_name_exit_3_before_writing(
         self, workspace, tmp_path, caplog
     ):
@@ -884,9 +915,9 @@ class TestValidateComponentsCommand:
     @pytest.mark.parametrize("bad_line", [
         b'{"response_id": "r03", "val', b'{"response_id": "r03"}', b"[1, 2]",
         b'{"response_id": "r03", "values": 5}',
-        b'{"response_id": "r03\xe9", "values": {}}',
+        b'{"response_id": "r03\xe9", "values": {}}', b"[" * 100_000,
     ], ids=["cut_short", "no_values", "not_an_object", "values_not_an_object",
-            "not_utf8"])
+            "not_utf8", "nested_too_deeply"])
     def test_bad_gold_line_exits_3(self, workspace, tmp_path, caplog, bad_line):
         run_dir = tmp_path / "auto"
         _score(workspace, "autoscore", run_dir)
@@ -991,6 +1022,50 @@ class TestValidateComponentsCommand:
             ]
         )
         assert code == 2
+
+
+class TestLineNestedTooDeeply:
+    """A JSON line nested too deeply to parse is a corrupt line like any
+    other, with its reader's exit code, not a RecursionError."""
+
+    DEEP = "[" * 100_000
+
+    def test_in_a_run_directory_exits_3(self, workspace, tmp_path, caplog):
+        run_dir = tmp_path / "base"
+        assert _score(workspace, "baseline", run_dir) == 0
+        records = run_dir / "records.jsonl"
+        lines = records.read_text().splitlines(True)
+        lines[1] = self.DEEP + "\n"
+        records.write_text("".join(lines))
+        reports = str(tmp_path / "reports")
+        assert main(["evaluate", "--run", str(run_dir), "--out", reports]) == 3
+        assert f"{records} line 2 does not parse" in caplog.text
+
+    def test_as_the_manifest_exits_3(self, workspace, tmp_path, caplog):
+        run_dir = tmp_path / "base"
+        assert _score(workspace, "baseline", run_dir) == 0
+        manifest = run_dir / "manifest.json"
+        manifest.write_text(self.DEEP)
+        reports = str(tmp_path / "reports")
+        assert main(["evaluate", "--run", str(run_dir), "--out", reports]) == 3
+        assert f"{manifest} does not parse" in caplog.text
+
+    def test_in_the_scripted_rules_exits_2(self, workspace, tmp_path, caplog):
+        rules = workspace.parent / "rules.jsonl"
+        lines = rules.read_text().splitlines(True)
+        lines[2] = self.DEEP + "\n"
+        rules.write_text("".join(lines))
+        assert _score(workspace, "baseline", tmp_path / "x") == 2
+        assert f"{rules} line 3 does not parse" in caplog.text
+
+    def test_in_a_replay_fixture_exits_4(self, workspace, tmp_path, caplog):
+        fixture = workspace.parent / "missing-fixture.jsonl"
+        fixture.write_text(self.DEEP + "\n")
+        code = _score(
+            workspace, "baseline", tmp_path / "y", extra=["--backend", "replay"]
+        )
+        assert code == 4
+        assert f"{fixture} line 1 does not parse" in caplog.text
 
 
 class TestTradeoffCommand:

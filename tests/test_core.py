@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from autoscore.core import (
@@ -9,12 +9,13 @@ from autoscore.core import (
     Score,
     ScoredRecord,
     ScoreRange,
+    StructuredRepresentation,
     StudentResponse,
     TaskContext,
     Transcript,
+    decode_json,
     validate_score,
 )
-from autoscore.schema import StructuredRepresentation
 
 
 def test_validate_score_in_range():
@@ -149,3 +150,74 @@ def test_record_jsonl_field_names():
     assert data["transcripts"][0] == {
         "agent_name": "extraction", "prompt_digest": "ab12", "raw_output": "{}",
     }
+
+
+def test_record_line_without_a_representation_key_reads_as_none():
+    record = ScoredRecord("r1", "baseline", None, 2, None)
+    data = json.loads(record.to_jsonl_line())
+    del data["representation"]
+    assert ScoredRecord.from_jsonl_line(json.dumps(data)) == record
+
+
+# any text, lone surrogates included
+_ANY_TEXT = st.text(st.characters(exclude_categories=()))
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _ANY_TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_ANY_TEXT, inner, max_size=4),
+    max_leaves=12,
+)
+# what may stand around a JSON text: JSON whitespace, a BOM, trailing data
+_AROUND = st.sampled_from(["", " ", "\t", "\n", "\r", "\r\n", " \r\n\t", "\ufeff",
+                           " {}", "{}", "x"])
+
+
+@st.composite
+def _json_texts(draw):
+    text = json.dumps(draw(_JSON_VALUES), ensure_ascii=draw(st.booleans()))
+    return draw(_AROUND) + text + draw(_AROUND)
+
+
+def _same(a, b) -> bool:
+    """Equal and of the same types throughout, NaN equal to NaN."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is float:
+        return a == b or (a != a and b != b)
+    if type(a) is list:
+        return len(a) == len(b) and all(map(_same, a, b))
+    if type(a) is dict:
+        return list(a) == list(b) and all(_same(a[k], b[k]) for k in a)
+    return a == b
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.one_of(_json_texts(), _ANY_TEXT, _ANY_TEXT.map(lambda text: f'"{text}"')))
+@example("\ufeff{}")
+@example("{} {}")
+@example("NaN")
+@example("[Infinity, -Infinity, NaN]")
+@example("1" * 4301)  # past int_max_str_digits
+@example('"\\ud800"')
+@example('"tab\tin a string"')
+@example('"\ud800"')
+@example("")
+def test_decode_json_is_json_loads(text):
+    try:
+        want = json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or an integer past int_max_str_digits
+        with pytest.raises(ValueError) as got:
+            decode_json(text)
+        assert type(got.value) is type(exc)
+        assert str(got.value) == str(exc)
+    else:
+        assert _same(decode_json(text), want)
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000, " " + "[" * 100_000,
+                                  '{"a": ' * 100_000])
+def test_decode_json_refuses_nesting_too_deep_with_a_value_error(text):
+    with pytest.raises(RecursionError):
+        json.loads(text)
+    with pytest.raises(ValueError, match="^JSON nested too deeply to parse$"):
+        decode_json(text)
