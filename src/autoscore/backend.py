@@ -28,8 +28,9 @@ import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, TypeVar
+from urllib.parse import urlsplit
 
-from .core import AutoscoreError, decode_json
+from .core import AutoscoreError, decode_json, integer_at_least
 
 logger = logging.getLogger(__name__)
 
@@ -172,7 +173,6 @@ def _default_transport(
     """
     # imported on first use, so only runs that reach a remote model pay it
     import http.client
-    from urllib.parse import urlsplit
     from urllib.request import getproxies, proxy_bypass
 
     parts = urlsplit(url)
@@ -182,8 +182,6 @@ def _default_transport(
         pool = _thread_connections.pool = _KeptAlive()
     payload = json.dumps(body).encode("utf-8")
     target = parts.path or "/"
-    if parts.query:
-        target += "?" + parts.query
 
     def connect() -> http.client.HTTPConnection:
         proxy = getproxies().get(parts.scheme)
@@ -228,18 +226,27 @@ def _default_transport(
     return resp.status, text
 
 
-def _count(value, name: str) -> int:
-    """`value` if it is an int >= 1 (a bool is not); else ValueError."""
-    if type(value) is not int or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    return value
-
-
 def _model(value) -> str:
     """`value` if it is a non-empty string; else ValueError."""
     if not isinstance(value, str) or not value.strip():
         raise ValueError(f"model must be a non-empty string, got {value!r}")
     return value
+
+
+def _base_url(value) -> str:
+    """`value` without its trailing slashes, if it is an http or https URL
+    with a host and no query or fragment, to which /chat/completions can be
+    appended; else ValueError."""
+    try:
+        parts = urlsplit(value)
+        parts.port  # raises ValueError on a port that is not a number
+    except (TypeError, AttributeError, ValueError):
+        parts = None
+    if (parts is None or parts.scheme not in ("http", "https") or not parts.hostname
+            or "?" in value or "#" in value):
+        raise ValueError(f"base_url must be an http:// or https:// URL with a host "
+                         f"and no query or fragment, got {value!r}")
+    return value.rstrip("/")
 
 
 class RemoteBackend:
@@ -265,19 +272,18 @@ class RemoteBackend:
         transport: Callable[..., tuple[int, str]] | None = None,
         sleeper: Callable[[float], None] = time.sleep,
     ):
-        if not isinstance(base_url, str) or not base_url:
-            raise ValueError(f"base_url must be a non-empty URL, got {base_url!r}")
+        self.base_url = _base_url(base_url)
         if type(timeout_s) not in (int, float) or not 0 < timeout_s < math.inf:
             raise ValueError(
                 f"timeout_s must be a positive number of seconds, got {timeout_s!r}")
         self.model_name = _model(model_name)
         self._gate = (contextlib.nullcontext() if max_in_flight is None else
-                      threading.BoundedSemaphore(_count(max_in_flight, "max_in_flight")))
+                      threading.BoundedSemaphore(
+                          integer_at_least(max_in_flight, "max_in_flight", 1)))
         # arguments first: a bad one is a ValueError even with no key as well
         self._api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
         if not self._api_key:
             raise BackendUnavailable(f"remote backend needs an API key in ${API_KEY_ENV}")
-        self.base_url = base_url.rstrip("/")
         self._timeout_s = timeout_s
         self._transport = transport or _default_transport
         self._sleeper = sleeper
@@ -346,8 +352,8 @@ def scripted_rule(rule, latency_ms: int = 1) -> dict:
             or not all(isinstance(text, str) for text in [*needles, rule["text"]])):
         raise ValueError('"match" must be a string or a list of strings and '
                          '"text" a string')
-    return {"match": needles, "text": rule["text"],
-            "latency_ms": _count(rule.get("latency_ms", latency_ms), "latency_ms")}
+    return {"match": needles, "text": rule["text"], "latency_ms": integer_at_least(
+        rule.get("latency_ms", latency_ms), "latency_ms", 1)}
 
 
 class ScriptedBackend:
@@ -373,7 +379,7 @@ class ScriptedBackend:
         sources = [s is not None for s in (responses, script, rules)]
         if sum(sources) != 1:
             raise ValueError("provide exactly one of responses, script, rules")
-        self._latency_ms = _count(latency_ms, "latency_ms")
+        self._latency_ms = integer_at_least(latency_ms, "latency_ms", 1)
         self.model_name = _model(model_name)
         self._queue = list(responses) if responses is not None else None
         self._script = script
@@ -468,7 +474,7 @@ class CachingBackend:
         def parse(line: str) -> tuple[str, tuple[str, int, bool]]:
             # digest -> the (text, latency_ms, from_cache) a hit returns
             entry = decode_json(line)
-            latency_ms = _count(entry.get("latency_ms", 1), "latency_ms")
+            latency_ms = integer_at_least(entry.get("latency_ms", 1), "latency_ms", 1)
             if inner is not None:
                 return entry["digest"], (entry["text"], 0, True)
             return entry["digest"], (entry["text"], latency_ms, False)

@@ -1,8 +1,8 @@
 """Core domain types shared by every stage of the scoring pipeline.
 
 Everything here is an immutable value object with its invariants enforced
-at construction time, or the JSON decoder every reader of the package's
-files uses; no I/O happens in this module.
+at construction time, the JSON decoder every reader of the package's
+files uses, or the one check of a count; no I/O happens in this module.
 """
 
 from __future__ import annotations
@@ -32,6 +32,13 @@ def decode_json(text: str):
         return json.loads(text)
     except RecursionError:
         raise ValueError("JSON nested too deeply to parse") from None
+
+
+def integer_at_least(value, name: str, minimum: int) -> int:
+    """`value` if it is an int (a bool is not one) >= minimum; else ValueError."""
+    if type(value) is not int or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value
 
 
 class AutoscoreError(Exception):
@@ -141,6 +148,14 @@ class Transcript:
     prompt_digest: str
     raw_output: str
 
+    def __post_init__(self) -> None:
+        # built once per model call: plain type tests, nothing more
+        if (type(self.agent_name) is not str or type(self.prompt_digest) is not str
+                or type(self.raw_output) is not str):
+            raise ValueError(f"a transcript's fields must be strings, got "
+                             f"{self.agent_name!r}, {self.prompt_digest!r} and "
+                             f"{self.raw_output!r}")
+
     def to_dict(self) -> dict:
         return {
             "agent_name": self.agent_name,
@@ -160,6 +175,16 @@ class StructuredRepresentation:
     schema_id: str
     values: dict
     inconsistency_flags: tuple[str, ...] = field(default_factory=tuple)
+
+    def __post_init__(self) -> None:
+        if type(self.schema_id) is not str:
+            raise ValueError(f"schema_id must be a string, got {self.schema_id!r}")
+        if type(self.values) is not dict:
+            raise ValueError(f"values must be an object, got {self.values!r}")
+        if type(self.inconsistency_flags) is not tuple or not all(
+                type(flag) is str for flag in self.inconsistency_flags):
+            raise ValueError(f"inconsistency_flags must be strings, "
+                             f"got {self.inconsistency_flags!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -203,11 +228,8 @@ class ScoredRecord:
             raise ValueError("autoscore records must carry a representation")
         if self.mode == "baseline" and self.representation is not None:
             raise ValueError("baseline records must not carry a representation")
-        if type(self.wall_time_ms) is not int or self.wall_time_ms < 0:
-            raise ValueError(f"wall_time_ms must be an integer >= 0, "
-                             f"got {self.wall_time_ms!r}")
-        if type(self.retries) is not int or self.retries < 0:
-            raise ValueError(f"retries must be an integer >= 0, got {self.retries!r}")
+        integer_at_least(self.wall_time_ms, "wall_time_ms", 0)
+        integer_at_least(self.retries, "retries", 0)
 
     def to_dict(self) -> dict:
         rep = self.representation
@@ -229,9 +251,10 @@ class ScoredRecord:
     def from_dict(cls, data: dict) -> "ScoredRecord":
         rep = data.get("representation")
         if rep is not None:
-            rep = StructuredRepresentation(
-                rep["schema_id"], dict(rep["values"]),
-                tuple(rep["inconsistency_flags"]))
+            flags = rep["inconsistency_flags"]
+            if type(flags) is not list:
+                raise ValueError(f"inconsistency_flags must be a list, got {flags!r}")
+            rep = StructuredRepresentation(rep["schema_id"], rep["values"], tuple(flags))
         return cls(
             data["response_id"], data["mode"], data["gold_score"],
             data["predicted_score"], rep,

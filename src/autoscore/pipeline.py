@@ -1,6 +1,10 @@
 """Run orchestration: fan a dataset out over worker threads, time and
 persist each record, and assemble a deterministic result.
 
+A run is described by a RunConfig, which is frozen and checked when it is
+built, and compiles each stage's prompt then; the manifest and the
+prompts every worker sends come from the same fields.
+
 Outcomes are appended to records.jsonl (failures to failures.jsonl) in
 response_id order while the run goes on: whichever worker finishes the
 oldest unwritten response writes and flushes every finished line at the
@@ -20,11 +24,12 @@ import threading
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 
 from . import agents
 from .backend import read_jsonl
 from .core import (AutoscoreError, ScoredRecord, ScoreRange, StudentResponse, TaskContext,
-                   decode_json)
+                   decode_json, integer_at_least)
 from .ingest import Dataset
 from .schema import ComponentSchema
 
@@ -73,10 +78,11 @@ class RunDirConflict(AutoscoreError):
     """score_dataset refuses to write into an already-started run dir."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """Everything one scoring run needs: the mode, the backend handle, the
-    task context (and schema for autoscore), and execution knobs.
+    task context (and schema for autoscore), and execution knobs; frozen,
+    checked and its prompts compiled when it is built.
 
     imputation controls what an exhausted retry budget produces: "fail"
     (default) records a failure; "floor" records the minimum rubric score
@@ -94,33 +100,33 @@ class RunConfig:
     parallelism: int = 1
     max_retries: int = agents.DEFAULT_MAX_RETRIES
     seed: int = 0
-    # stage name -> prompt; __post_init__ fills in the default of a stage left out
+    # stage name -> prompt; __post_init__ fills in each one left out, read-only
     templates: dict[str, agents.PromptTemplate] = field(default_factory=dict)
     dataset_ref: str = ""
     imputation: str = "fail"
     max_output_tokens: int | None = None  # None keeps per-agent defaults
+    # stage name -> its compiled prompt, in the mode's order; read-only
+    prompts: MappingProxyType = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.run_dir = Path(self.run_dir)
+        object.__setattr__(self, "run_dir", Path(self.run_dir))
         if self.mode not in STAGES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        counts = {"parallelism": self.parallelism, "max_retries": self.max_retries}
+        integer_at_least(self.parallelism, "parallelism", 1)
+        integer_at_least(self.max_retries, "max_retries", 1)
         if self.max_output_tokens is not None:
-            counts["max_output_tokens"] = self.max_output_tokens
-        for name, value in counts.items():
-            if type(value) is not int or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            integer_at_least(self.max_output_tokens, "max_output_tokens", 1)
         if type(self.seed) is not int:
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.mode == "autoscore" and self.schema is None:
             raise ValueError(f"item {self.context.item_id!r} has no component "
                              f"schema; autoscore needs one")
-        self.templates = {
-            stage: self.templates.get(stage) or agents.STAGES[stage].template
-            for stage in STAGES[self.mode]
-        }
-        for stage, template in self.templates.items():  # raises on a bad one
-            agents.compile_prompt(stage, template, self.context, self.schema)
+        templates = {stage: self.templates.get(stage) or agents.STAGES[stage].template
+                     for stage in STAGES[self.mode]}
+        object.__setattr__(self, "templates", MappingProxyType(templates))
+        object.__setattr__(self, "prompts", MappingProxyType({  # raises on a bad one
+            stage: agents.compile_prompt(stage, template, self.context, self.schema)
+            for stage, template in templates.items()}))
         if self.imputation not in ("fail", "floor"):
             raise ValueError(f"unknown imputation policy {self.imputation!r}")
 
@@ -209,8 +215,7 @@ def _read_manifest(run_dir: Path) -> dict:
     return manifest
 
 
-def _score_one(config: RunConfig, prompts: dict[str, agents.StagePrompt],
-               response: StudentResponse):
+def _score_one(config: RunConfig, response: StudentResponse):
     """Run the mode's stages, with their compiled prompts, for one response:
     ("record" | "failure", its JSON line, the value). Domain errors become
     failure entries (or, for a scoring stage under the "floor" policy, a
@@ -219,12 +224,12 @@ def _score_one(config: RunConfig, prompts: dict[str, agents.StagePrompt],
     outcomes: list[agents.AgentOutcome] = []
     value = config.schema  # each stage works from the value of the one before
     try:
-        for stage in STAGES[config.mode]:
+        for stage, prompt in config.prompts.items():
             # entered through the module attribute, looked up per call, so a
             # wrapper set on agents.run_<stage> sees it
             outcome = getattr(agents, f"run_{stage}")(
                 config.backend, config.context, response, value,
-                template=prompts[stage],
+                template=prompt,
                 max_retries=config.max_retries,
                 max_output_tokens=config.max_output_tokens,
             )
@@ -293,11 +298,6 @@ def _execute(config: RunConfig, dataset: Dataset, manifest: dict) -> RunResult:
             "the run dir is corrupt or belongs to another dataset"
         )
     todo = ordered[prefix_len:]
-    # compiled here, from what the manifest records, so that a config changed
-    # after it was built cannot send prompts its manifest does not show
-    prompts = {stage: agents.compile_prompt(stage, config.templates[stage],
-                                            config.context, config.schema)
-               for stage in STAGES[config.mode]}
 
     with (config.run_dir / RECORDS).open("a", encoding="utf-8") as rec, \
             (config.run_dir / FAILURES).open("a", encoding="utf-8") as fail:
@@ -343,7 +343,7 @@ def _execute(config: RunConfig, dataset: Dataset, manifest: dict) -> RunResult:
                         if claimed == len(todo) or stopping:
                             return
                         position, claimed = claimed, claimed + 1
-                    outcome = _score_one(config, prompts, todo[position])
+                    outcome = _score_one(config, todo[position])
             except BaseException as exc:  # re-raised by the calling thread
                 stopping = True
                 updates.put(exc)

@@ -110,6 +110,11 @@ def test_chat_response_zero_latency_only_from_cache():
         ChatResponse("ok", 0, from_cache=False)
 
 
+def test_chat_response_refuses_a_negative_latency():
+    with pytest.raises(ValueError, match="^latency_ms must be non-negative$"):
+        ChatResponse("x", -1)
+
+
 class TestReplayBackend:
     def test_replays_recorded_text(self, tmp_path):
         request = _req()
@@ -346,6 +351,9 @@ class TestRemoteRetryPolicy:
     @pytest.mark.parametrize("key,value", [
         ("max_in_flight", 0), ("max_in_flight", -1), ("max_in_flight", 2.5),
         ("timeout_s", -5), ("timeout_s", float("inf")), ("base_url", ""),
+        ("base_url", "localhost:8000/v1"), ("base_url", "ftp://h/v1"),
+        ("base_url", "https://h/x?api-version=1"), ("base_url", "https://h/v1#x"),
+        ("base_url", "http:///v1"), ("base_url", "http://h:port/v1"),
     ])
     def test_bad_argument_is_refused_at_construction(self, monkeypatch, key, value):
         # refused as the caller's error even when the key is missing as well

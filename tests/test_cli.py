@@ -309,6 +309,8 @@ class TestScoreCommand:
         ("run", "max_retries", 0),
         ("backend", "max_output_tokens", -5),
         ("backend", "max_output_tokens", 0),
+        ("run", "seed", "0"),
+        ("run", "seed", 1.5),
     ])
     def test_bad_run_setting_exits_2_before_writing(
         self, workspace, tmp_path, section, key, value
@@ -335,6 +337,9 @@ class TestScoreCommand:
         ("max_in_flight", "two"),
         ("base_url", ""),
         ("base_url", 5),
+        ("base_url", "localhost:8000/v1"),
+        ("base_url", "ftp://h/v1"),
+        ("base_url", "https://h/x?api-version=1"),
         ("model", ""),
         ("model", 5),
     ])
@@ -807,20 +812,35 @@ class TestEvaluateCommand:
         ("failures.jsonl", 0, {"response_id": 5}),
         ("failures.jsonl", 0, {"response_id": None}),
         ("failures.jsonl", 0, {"error": ["x"]}),
+        ("records.jsonl", 1, {"representation.inconsistency_flags": "ab"}),
+        ("records.jsonl", 1, {"representation.inconsistency_flags": [1]}),
+        ("records.jsonl", 1, {"representation.schema_id": 7}),
+        ("records.jsonl", 1, {"representation.values": [["k", 1]]}),
+        ("records.jsonl", 1, {"transcripts.0.raw_output": 5}),
     ], ids=["id_int", "score_str", "score_bool", "gold_float", "wall_time_float",
             "retries_float", "failure_id_int",
-            "failure_id_null", "failure_error_list"])
+            "failure_id_null", "failure_error_list", "flags_str", "flags_int",
+            "schema_id_int", "values_list", "raw_output_int"])
     def test_line_with_a_field_of_the_wrong_type_exits_3(
         self, workspace, tmp_path, caplog, file, index, edit
     ):
+        # a dotted key edits a part of the record: only autoscore records
+        # carry a representation
+        nested = any("." in key for key in edit)
         run_dir = tmp_path / "base"
-        assert _score(workspace, "baseline", run_dir) == 0
+        assert _score(workspace, "autoscore" if nested else "baseline", run_dir) == 0
         path = run_dir / file
         lines = path.read_text().splitlines(True)
         if file == "failures.jsonl":  # the run has none: write two
             lines = [json.dumps({"response_id": rid, "error": "ScoringFailed: x"}) + "\n"
                      for rid in ("r98", "r99")]
-        entry = {**json.loads(lines[index]), **edit}
+        entry = json.loads(lines[index])
+        for key, value in edit.items():
+            *parents, last = key.split(".")
+            part = entry
+            for name in parents:
+                part = part[int(name)] if isinstance(part, list) else part[name]
+            part[last] = value
         lines[index] = json.dumps(entry) + "\n"
         path.write_text("".join(lines))
         reports = tmp_path / "reports"

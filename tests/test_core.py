@@ -14,6 +14,7 @@ from autoscore.core import (
     TaskContext,
     Transcript,
     decode_json,
+    integer_at_least,
     validate_score,
 )
 
@@ -81,6 +82,30 @@ def test_record_mode_representation_invariants():
         ScoredRecord("r1", "baseline", 1, 1, representation=rep)
     with pytest.raises(ValueError):
         ScoredRecord("r1", "verify", 1, 1, representation=None)
+
+
+@pytest.mark.parametrize("value", [0, -1, True, 1.0, "1", None])
+def test_integer_at_least_names_the_setting_and_the_value(value):
+    with pytest.raises(ValueError) as got:
+        integer_at_least(value, "parallelism", 1)
+    assert str(got.value) == f"parallelism must be an integer >= 1, got {value!r}"
+
+
+def test_integer_at_least_returns_the_value():
+    assert integer_at_least(0, "retries", 0) == 0
+    assert integer_at_least(7, "latency_ms", 1) == 7
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Transcript(5, "ab12", "{}"),
+    lambda: Transcript("extraction", None, "{}"),
+    lambda: StructuredRepresentation("x", {}, ["design_count"]),
+], ids=["agent_name_int", "digest_null", "flags_list"])
+def test_record_part_of_the_wrong_type_is_refused(build):
+    # read back from a record line, such a part fails the line: see
+    # test_cli.py::test_line_with_a_field_of_the_wrong_type_exits_3
+    with pytest.raises(ValueError, match="must be strings"):
+        build()
 
 
 def _rep_strategy():

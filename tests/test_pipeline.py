@@ -8,6 +8,7 @@ import threading
 import time
 import types
 from collections import Counter
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -181,6 +182,46 @@ class TestScoreDataset:
         assert "ExtractionFailed" in result.failures[0][1]
 
 
+class TestRunConfig:
+    def test_unknown_mode_is_refused(self, tmp_path, synth_context, scripted_backend):
+        with pytest.raises(ValueError, match="^unknown mode 'x'$"):
+            make_config(tmp_path, scripted_backend, mode="x", context=synth_context)
+
+    @pytest.mark.parametrize("change", [
+        {"parallelism": 0},
+        {"imputation": "flor"},
+        {"templates": {"baseline": agents.PromptTemplate("s", "no response here")}},
+        {"mode": "autoscore"},
+    ], ids=["parallelism", "imputation", "templates", "mode"])
+    def test_a_built_config_cannot_be_changed(
+        self, tmp_path, synth_context, scripted_backend, change
+    ):
+        config = make_config(tmp_path, scripted_backend, mode="baseline",
+                             context=synth_context)
+        (name, value), = change.items()
+        with pytest.raises(FrozenInstanceError):
+            setattr(config, name, value)
+        # replace builds a new config, and checks it as any other
+        with pytest.raises(ValueError):
+            replace(config, **change)
+        assert not config.run_dir.exists()
+
+    def test_templates_and_prompts_are_read_only(
+        self, tmp_path, synth_context, science_schema, scripted_backend
+    ):
+        config = make_config(tmp_path, scripted_backend, schema=science_schema,
+                             context=synth_context)
+        assert list(config.templates) == list(config.prompts) == [
+            "extraction", "scoring"]
+        with pytest.raises(TypeError):
+            config.templates["scoring"] = agents.PromptTemplate("s", "{response}")
+        with pytest.raises(TypeError):
+            config.prompts["scoring"] = config.prompts["extraction"]
+        # the compiled prompts are the templates the manifest records
+        assert config.prompts["scoring"] == agents.compile_prompt(
+            "scoring", config.templates["scoring"], synth_context, science_schema)
+
+
 class TestFloorImputation:
     def _flaky_scoring(self, request):
         blob = "\n".join(c for _, c in request.messages)
@@ -198,7 +239,7 @@ class TestFloorImputation:
             tmp_path, ScriptedBackend(script=self._flaky_scoring),
             schema=science_schema, context=synth_context,
         )
-        config.imputation = "floor"
+        config = replace(config, imputation="floor")
         result = score_dataset(config, synth_dataset)
         assert not result.failures
         r02 = next(r for r in result.records if r.response_id == "r02")
@@ -240,7 +281,7 @@ class TestFloorImputation:
             tmp_path, ScriptedBackend(script=retry_both),
             schema=science_schema, context=synth_context,
         )
-        config.imputation = "floor"
+        config = replace(config, imputation="floor")
         score_dataset(config, synth_dataset)
         line = (config.run_dir / "records.jsonl").read_text().splitlines()[1]
         r02 = json.loads(line)
@@ -271,7 +312,7 @@ class TestFloorImputation:
             tmp_path, ScriptedBackend(script=broken_extraction),
             schema=science_schema, context=synth_context, name="extr",
         )
-        config.imputation = "floor"
+        config = replace(config, imputation="floor")
         result = score_dataset(config, synth_dataset)
         assert [rid for rid, _ in result.failures] == ["r05"]
 
@@ -288,7 +329,7 @@ class TestFloorImputation:
             tmp_path, ScriptedBackend(script=refuse_r09),
             mode="baseline", context=synth_context, name="basefloor",
         )
-        config.imputation = "floor"
+        config = replace(config, imputation="floor")
         result = score_dataset(config, synth_dataset)
         assert not result.failures
         r09 = next(r for r in result.records if r.response_id == "r09")
@@ -401,7 +442,7 @@ class TestResume:
             context=synth_context,
         )
         score_dataset(config, synth_dataset)
-        from dataclasses import replace
+        from dataclasses import FrozenInstanceError, replace
 
         edited_responses = list(synth_dataset.responses)
         edited_responses[0] = replace(edited_responses[0], text="edited text")
@@ -651,12 +692,12 @@ def test_schema_is_described_once_per_run_not_per_response(
             return json.dumps(z_payload("r01"))
         return json.dumps({"score": 1})
 
-    config = make_config(tmp_path, ScriptedBackend(script=script),
-                         schema=science_schema, context=synth_context,
-                         parallelism=2)
     threading.setprofile(profile)
     sys.setprofile(profile)
     try:
+        config = make_config(tmp_path, ScriptedBackend(script=script),
+                             schema=science_schema, context=synth_context,
+                             parallelism=2)
         result = score_dataset(config, _many(30))
     finally:
         sys.setprofile(None)
@@ -699,16 +740,13 @@ def test_scoring_a_response_leaves_no_cyclic_garbage(
             context=synth_context, imputation=imputation,
             schema=science_schema if mode == "autoscore" else None,
         )
-        prompts = {stage: agents.compile_prompt(stage, template, config.context,
-                                                config.schema)
-                   for stage, template in config.templates.items()}
-        runs.append((config, prompts))
+        runs.append(config)
     responses = [StudentResponse(case, f"<<{case}>> repeat the trials", 1)
                  for case in _GARBAGE_CASES]
 
     def score_all():
-        return [pipeline._score_one(config, prompts, response)[0]
-                for config, prompts in runs for response in responses]
+        return [pipeline._score_one(config, response)[0]
+                for config in runs for response in responses]
 
     assert score_all() == [
         "record", "record", "record", "failure", "failure",  # autoscore, fail
