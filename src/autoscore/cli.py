@@ -5,10 +5,11 @@ in the summary), 2 configuration error (an unknown key; a bad rules line,
 template override, run or backend setting, score_range or essay_set; an
 empty base_url; a bad --sample-fraction), 3 dataset error or corrupt run
 directory (a manifest that lacks a key or has a malformed value, a record
-score outside the run's range, a case pair evaluate would not compare, a
-missing or bad gold file, an empty validate-components sample, and for
-evaluate a run with no records, two run directories of one name, or two
-runs of one mode over one dataset through one backend), 4 backend
+score outside the run's range, a case pair evaluate would not compare or
+whose dataset changed since the run, a missing or bad gold file, an empty
+validate-components sample, and for evaluate a run with no records, two
+run directories of one name, or two runs of one mode over one dataset
+through one backend), 4 backend
 unavailable (a corrupt cache or replay line, say a bad latency_ms, too).
 Logs go to stderr; data goes to files and stdout.
 """
@@ -241,7 +242,11 @@ def cmd_validate_components(args) -> int:
     schema_def = result.manifest["schema"]
     if not schema_def:
         raise ConfigError("run manifest carries no schema definition")
-    schema = compile_schema(result.manifest["item_id"], schema_def)
+    try:
+        schema = compile_schema(result.manifest["item_id"], schema_def)
+    except SchemaError as exc:  # a corrupt run directory, not a bad config
+        raise pipeline.ManifestMismatch(
+            f"{Path(args.run) / pipeline.MANIFEST}: {exc}") from None
     gold = load_gold_annotations(args.gold)
 
     # at fraction 1.0 the sample is every id
@@ -288,6 +293,9 @@ def cmd_case(args) -> int:
     item_id = autoscore_run.manifest["item_id"]
     item = config.item(item_id)
     dataset = load_dataset(item.dataset_spec)
+    if dataset.digest() != autoscore_run.manifest["dataset_digest"]:
+        raise DatasetError(f"the dataset of item {item_id!r} is not the one "
+                           f"{args.run_autoscore} scored (dataset_digest differs)")
     text_by_id = {r.response_id: r.text for r in dataset.responses}
     if args.response_id not in text_by_id:
         raise DatasetError(

@@ -369,7 +369,8 @@ def validate_components(
 ) -> ReliabilityReport:
     """Compare extracted representations against gold component annotations,
     aligned by response id. Gold must supply every boolean and count field
-    of the schema for every aligned response."""
+    of the schema for every aligned response, and each such gold and
+    predicted value must pass the schema's own check for its kind."""
     pred_ids = set(predicted)
     gold_ids = set(gold)
     if pred_ids != gold_ids:
@@ -394,16 +395,22 @@ def validate_components(
     bool_fields = schema.boolean_fields()
     count_fields = schema.count_fields()
     for f_ in (*bool_fields, *count_fields):
+        expected, check = schema.checks[f_.name]
         for rid in ids:
             if f_.name not in gold[rid]:
                 raise DatasetError(
                     f"gold annotation for {rid} lacks field {f_.name!r}"
                 )
+            for whose, value in (("gold annotation", gold[rid][f_.name]),
+                                 ("representation", predicted[rid].values.get(f_.name))):
+                if not check(value):
+                    raise DatasetError(f"{whose} for {rid} has {f_.name!r} = "
+                                       f"{value!r}, expected {expected}")
 
     booleans = {}
     for f_ in bool_fields:
-        gold_vec = [bool(gold[rid][f_.name]) for rid in ids]
-        pred_vec = [bool(predicted[rid].values[f_.name]) for rid in ids]
+        gold_vec = [gold[rid][f_.name] for rid in ids]
+        pred_vec = [predicted[rid].values[f_.name] for rid in ids]
         agree = sum(1 for g, r in zip(gold_vec, pred_vec) if g == r)
         booleans[f_.name] = BooleanFieldStats(
             accuracy=agree / len(ids),
@@ -413,8 +420,8 @@ def validate_components(
 
     counts = {}
     for f_ in count_fields:
-        gold_vec = [int(gold[rid][f_.name]) for rid in ids]
-        pred_vec = [int(predicted[rid].values[f_.name]) for rid in ids]
+        gold_vec = [gold[rid][f_.name] for rid in ids]
+        pred_vec = [predicted[rid].values[f_.name] for rid in ids]
         c_mae, c_rmse, c_pearson, c_exact = count_agreement(gold_vec, pred_vec)
         counts[f_.name] = CountFieldStats(
             mae=c_mae, rmse=c_rmse, pearson=c_pearson, exact_match_rate=c_exact
@@ -425,7 +432,7 @@ def validate_components(
             1
             for rid in ids
             if all(
-                int(predicted[rid].values[f_.name]) == int(gold[rid][f_.name])
+                predicted[rid].values[f_.name] == gold[rid][f_.name]
                 for f_ in count_fields
             )
         )

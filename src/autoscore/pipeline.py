@@ -8,10 +8,10 @@ prompts every worker sends come from the same fields.
 Outcomes are appended to records.jsonl (failures to failures.jsonl) in
 response_id order while the run goes on: whichever worker finishes the
 oldest unwritten response writes and flushes every finished line at the
-head, and the calling thread fsyncs them before they count as persisted.
-So the files on disk are always a prefix of the final ordering, two runs
-of the same config are byte-identical regardless of parallelism, and
-resuming skips that prefix.
+head, and once per window the calling thread fsyncs each file that gained
+lines before they count as persisted. So the files on disk are always a
+prefix of the final ordering, two runs of the same config are
+byte-identical regardless of parallelism, and resuming skips that prefix.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ from .schema import ComponentSchema
 logger = logging.getLogger(__name__)
 
 PROGRESS_EVERY = 25
-# the calling thread looks at the run once per window. One worker runs
+# the calling thread looks at the run once per window: it fsyncs the files
+# that gained lines, logs progress and decides on seats. One worker runs
 # until a window shows the process on the CPU for under half its length: on
 # a run that never waits, a second worker only takes the interpreter lock
 # from the one that holds the oldest unwritten response, and the lines then
@@ -304,8 +305,7 @@ def _execute(config: RunConfig, dataset: Dataset, manifest: dict) -> RunResult:
         # cut torn tails off, so the next line does not glue onto them
         rec.truncate(intact[0])
         fail.truncate(intact[1])
-        files = {"record": (rec, records, rec.fileno()),
-                 "failure": (fail, failures, fail.fileno())}
+        files = {"record": (rec, records), "failure": (fail, failures)}
         # only the workers take `lock`, so an interrupt that lands in the
         # calling thread, even just as it took some lock, cannot leave one
         # held that a worker waits for. Under the lock: parked outcomes and
@@ -314,9 +314,9 @@ def _execute(config: RunConfig, dataset: Dataset, manifest: dict) -> RunResult:
         parked: dict[int, tuple] = {}
         claimed, head = 0, 0
         stopping = False  # set on abort: no further response is claimed
-        # to the calling thread: the kind of each line written at the head,
-        # in order, or the exception that ends the run
-        updates = queue.SimpleQueue()
+        # to the calling thread: the exception that ends the run, or None
+        # once the last line is written, so its wait ends early only then
+        ended = queue.SimpleQueue()
         # a worker claims nothing before it takes a seat: one gets it at the
         # start, the others once the process is seen waiting. No thread is
         # started mid-run, since an interrupt inside Thread.start can leave
@@ -337,18 +337,20 @@ def _execute(config: RunConfig, dataset: Dataset, manifest: dict) -> RunResult:
                                 kind, line, payload = parked.pop(head)
                                 files[kind][0].write(line + "\n")
                                 files[kind][0].flush()
-                                files[kind][1].append(payload)
-                                updates.put(kind)
+                                files[kind][1].append(payload)  # once it is flushed
                                 head += 1
+                            if head == len(todo):
+                                ended.put(None)
                         if claimed == len(todo) or stopping:
                             return
                         position, claimed = claimed, claimed + 1
                     outcome = _score_one(config, todo[position])
             except BaseException as exc:  # re-raised by the calling thread
                 stopping = True
-                updates.put(exc)
+                ended.put(exc)
 
         workers, synced, started = [], 0, time.monotonic()
+        counted = {kind: len(appended) for kind, (_, appended) in files.items()}
         unseated, window = config.parallelism - 1, (started, time.process_time())
         try:
             for _ in range(config.parallelism):
@@ -356,29 +358,19 @@ def _execute(config: RunConfig, dataset: Dataset, manifest: dict) -> RunResult:
                 workers[-1].start()
             seats.put(None)
             while synced < len(todo):
-                began = time.monotonic()
-                if unseated and began - window[0] >= WINDOW_S:
-                    cpu = time.process_time()
-                    # the process waited (on a model, say) for over half the
-                    # window: more workers can use that time
-                    if cpu - window[1] < (began - window[0]) / 2:
-                        for _ in range(unseated):
-                            seats.put(None)
-                        unseated = 0
-                    window = (began, cpu)
-                # everything queued so far: one fsync per file per round
                 try:
-                    batch = [updates.get(timeout=WINDOW_S if unseated else None)]
+                    failed = ended.get(timeout=WINDOW_S)
                 except queue.Empty:
-                    continue
-                while not updates.empty():
-                    batch.append(updates.get())
-                for update in batch:
-                    if isinstance(update, BaseException):
-                        raise update
-                written = synced + len(batch)
-                for kind in set(batch):
-                    os.fsync(files[kind][2])  # lines count as persisted now
+                    failed = None
+                if failed is not None:
+                    raise failed
+                # a worker appends a payload only after its line is written
+                # and flushed, so an fsync covers every line counted before it
+                last, counted = counted, {kind: len(files[kind][1]) for kind in files}
+                for kind in files:
+                    if counted[kind] > last[kind]:
+                        os.fsync(files[kind][0].fileno())  # persisted now
+                written = synced + sum(counted.values()) - sum(last.values())
                 done = prefix_len + written
                 if done // PROGRESS_EVERY > (prefix_len + synced) // PROGRESS_EVERY:
                     rate = written / (time.monotonic() - started)
@@ -386,9 +378,15 @@ def _execute(config: RunConfig, dataset: Dataset, manifest: dict) -> RunResult:
                                 "ETA %.0f s)", done, len(ordered), rate,
                                 (len(todo) - written) / rate)
                 synced = written
-                pause = began + WINDOW_S - time.monotonic()
-                if synced < len(todo) and pause > 0:
-                    time.sleep(pause)
+                if unseated:
+                    now, cpu = time.monotonic(), time.process_time()
+                    # the process waited (on a model, say) for over half the
+                    # window: more workers can use that time
+                    if cpu - window[1] < (now - window[0]) / 2:
+                        for _ in range(unseated):
+                            seats.put(None)
+                        unseated = 0
+                    window = (now, cpu)
         finally:
             stopping = True
             for _ in workers:  # a worker still waiting for a seat returns
@@ -396,8 +394,8 @@ def _execute(config: RunConfig, dataset: Dataset, manifest: dict) -> RunResult:
             for worker in filter(threading.Thread.is_alive, workers):
                 worker.join()
             if synced < len(todo):  # lines an abort left written but unsynced
-                for _, _, fileno in files.values():
-                    os.fsync(fileno)
+                for handle, _ in files.values():
+                    os.fsync(handle.fileno())
 
     if len(records) + len(failures) != len(dataset):
         raise AutoscoreError(

@@ -951,6 +951,27 @@ class TestValidateComponentsCommand:
         assert code == 3
         assert f"{gold} line 3" in caplog.text
 
+    @pytest.mark.parametrize("field,value", [
+        ("valid_conclusion", "false"), ("design_count", 2.7), ("design_count", -1),
+        ("design_count", True), ("design_count", "x"), ("design_count", None),
+    ], ids=["bool_as_string", "fraction", "negative", "bool_as_count", "string",
+            "null"])
+    def test_gold_value_of_the_wrong_kind_exits_3(
+        self, workspace, tmp_path, caplog, field, value,
+    ):
+        run_dir = tmp_path / "auto"
+        _score(workspace, "autoscore", run_dir)
+        gold = workspace.parent / "gold.jsonl"
+        entries = [json.loads(line) for line in gold.read_text().splitlines()]
+        entries[2]["values"][field] = value
+        gold.write_text("".join(json.dumps(e) + "\n" for e in entries))
+        out = tmp_path / "rel"
+        code = main(["validate-components", "--run", str(run_dir),
+                     "--gold", str(gold), "--out", str(out)])
+        assert code == 3
+        assert f"gold annotation for r03 has {field!r} = {value!r}" in caplog.text
+        assert not out.exists()
+
     @pytest.mark.parametrize("cut,message", [
         ("id", "predicted/gold ids differ"), ("field", "lacks field 'design_count'"),
     ], ids=["id", "field"])
@@ -1030,6 +1051,18 @@ class TestValidateComponentsCommand:
                      "--gold", str(workspace.parent / "gold.jsonl")])
         assert code == 2
         assert "run manifest carries no schema definition" in caplog.text
+
+    def test_manifest_with_a_malformed_schema_exits_3(self, workspace, tmp_path, caplog):
+        run_dir = tmp_path / "auto"
+        _score(workspace, "autoscore", run_dir)
+        manifest_path = run_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["schema"] = {"fields": "x"}
+        manifest_path.write_text(json.dumps(manifest))
+        code = main(["validate-components", "--run", str(run_dir),
+                     "--gold", str(workspace.parent / "gold.jsonl")])
+        assert code == 3
+        assert f"{manifest_path}: schema for 'synth' must be a mapping" in caplog.text
 
     def test_baseline_run_exits_2(self, workspace, tmp_path):
         run_dir = tmp_path / "base"
@@ -1212,6 +1245,21 @@ class TestCaseCommand:
         assert code == 3
         assert capsys.readouterr().out == ""
 
+
+    def test_dataset_edited_after_the_runs_exits_3(self, workspace, tmp_path, capsys,
+                                                   caplog):
+        base_dir, auto_dir = tmp_path / "b", tmp_path / "a"
+        _score(workspace, "baseline", base_dir)
+        _score(workspace, "autoscore", auto_dir)
+        tsv = workspace.parent / "data.tsv"
+        text = synth_response_text("r02")
+        tsv.write_text(tsv.read_text().replace(text, text + " edited"))
+        code = main(["case", "--run-autoscore", str(auto_dir),
+                     "--run-baseline", str(base_dir), "--id", "r02",
+                     "--config", str(workspace)])
+        assert code == 3
+        assert "dataset_digest differs" in caplog.text
+        assert capsys.readouterr().out == ""
 
     def test_runs_through_other_backends_exit_3(self, workspace, tmp_path, capsys):
         base_dir, auto_dir = tmp_path / "b", tmp_path / "a"

@@ -418,6 +418,14 @@ class TestValidateComponents:
         with pytest.raises(DatasetError, match="lacks field 'design_count'"):
             validate_components(predicted, gold, SCIENCE)
 
+    def test_predicted_value_of_the_wrong_kind(self):
+        predicted, gold = _reliability_fixture()
+        predicted[IDS[4]].values["design_count"] = True
+        with pytest.raises(DatasetError, match="^representation for c05 has "
+                                               "'design_count' = True, expected "
+                                               "non-negative integer$"):
+            validate_components(predicted, gold, SCIENCE)
+
     def test_representation_of_another_schema(self):
         predicted, gold = _reliability_fixture()
         predicted[IDS[2]] = StructuredRepresentation("other", predicted[IDS[2]].values)

@@ -651,6 +651,31 @@ class TestExecutor:
             written = (tmp_path / "run" / "records.jsonl").read_bytes().count(b"\n")
             assert 0 < written < 20
 
+    def test_fsync_rounds_are_one_a_window_at_most_and_skip_an_unchanged_file(
+        self, tmp_path, synth_context, monkeypatch,
+    ):
+        synced = []  # the inode of each file the run fsyncs, once per call
+
+        def recording_fsync(fd):
+            synced.append(os.fstat(fd).st_ino)
+            os.fsync(fd)
+
+        monkeypatch.setattr("autoscore.pipeline.os", types.SimpleNamespace(
+            **{**vars(os), "fsync": recording_fsync}))
+
+        def script(request):
+            threading.Event().wait(0.001)  # a wait off the CPU, and no failure
+            return json.dumps({"score": 1})
+
+        started = time.monotonic()
+        config, result = self._run(tmp_path, synth_context, script, 60, parallelism=4)
+        elapsed = time.monotonic() - started
+        assert not result.failures
+        records, failures = ((config.run_dir / name).stat().st_ino
+                             for name in ("records.jsonl", "failures.jsonl"))
+        assert failures not in synced
+        assert 0 < synced.count(records) <= elapsed / pipeline.WINDOW_S + 2
+
     def test_progress_line_with_rate_and_eta_during_the_run(
         self, tmp_path, synth_context, caplog,
     ):
