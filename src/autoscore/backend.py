@@ -116,9 +116,13 @@ class ChatResponse:
 
 def escape(text: str) -> str:
     """What json.dumps(text, ensure_ascii=False) writes between the quotes
-    (each character on its own, so pieces escape apart and join)."""
+    (each character on its own, so pieces escape apart and join). ASCII
+    text without DEL goes through the C ASCII encoder, which writes the same
+    bytes for it and runs faster; any other text through encode_basestring."""
     if type(text) is EscapedText:
         return text.escaped
+    if text.isascii() and "\x7f" not in text:
+        return json.encoder.encode_basestring_ascii(text)[1:-1]
     return json.encoder.encode_basestring(text)[1:-1]
 
 

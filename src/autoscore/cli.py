@@ -239,14 +239,15 @@ def cmd_validate_components(args) -> int:
     result = pipeline.load_run(Path(args.run))
     if result.manifest["mode"] != "autoscore":
         raise ConfigError("component validation needs an autoscore run")
+    manifest_path = Path(args.run) / pipeline.MANIFEST
     schema_def = result.manifest["schema"]
-    if not schema_def:
-        raise ConfigError("run manifest carries no schema definition")
+    if not schema_def:  # a corrupt run directory, not a bad config
+        raise pipeline.ManifestMismatch(
+            f"{manifest_path}: run manifest carries no schema definition")
     try:
         schema = compile_schema(result.manifest["item_id"], schema_def)
-    except SchemaError as exc:  # a corrupt run directory, not a bad config
-        raise pipeline.ManifestMismatch(
-            f"{Path(args.run) / pipeline.MANIFEST}: {exc}") from None
+    except SchemaError as exc:
+        raise pipeline.ManifestMismatch(f"{manifest_path}: {exc}") from None
     gold = load_gold_annotations(args.gold)
 
     # at fraction 1.0 the sample is every id

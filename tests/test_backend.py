@@ -71,6 +71,7 @@ _ENCODABLE = st.text(st.characters(blacklist_categories=("Cs",)))
 @example(model='m"\\', tokens=64, messages=[
     ("system", '"\\\x00\x1f\x7f\u2028\u2029\U0001F600', True),
     ("user", "é\t\n{response}", False), ("user", "repair turn", True)])
+@example(model="m", tokens=1, messages=[("user", 'a\x7f"\\\x00', False)])
 def test_digest_is_the_sha256_of_the_canonical_json(model, tokens, messages):
     # a message may carry its escaped text (as compiled prompts do) or not
     # (hand-built requests, repair turns); the digest is the same
@@ -87,6 +88,20 @@ def test_digest_is_the_sha256_of_the_canonical_json(model, tokens, messages):
     canonical = json.dumps(
         payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
     assert request.digest == hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+# ASCII text takes escape's fast branch unless it holds a DEL; any other
+# text, lone surrogates included, takes encode_basestring
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(st.one_of(st.text(st.characters(max_codepoint=0x7f)),
+                 st.text(st.characters(exclude_categories=()))))
+@example("")
+@example("\x7f")
+@example("a\x7f")
+@example('"\\\x00\x1f\t')
+@example("é\x7f")
+def test_escape_is_what_json_dumps_writes(text):
+    assert escape(text) == json.encoder.encode_basestring(text)[1:-1]
 
 
 class TestChatRequestInvariants:

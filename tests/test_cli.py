@@ -1040,7 +1040,7 @@ class TestValidateComponentsCommand:
         )
         assert code == 2
 
-    def test_manifest_without_schema_exits_2(self, workspace, tmp_path, caplog):
+    def test_manifest_without_schema_exits_3(self, workspace, tmp_path, caplog):
         run_dir = tmp_path / "auto"
         _score(workspace, "autoscore", run_dir)
         manifest_path = run_dir / "manifest.json"
@@ -1049,8 +1049,9 @@ class TestValidateComponentsCommand:
         manifest_path.write_text(json.dumps(manifest))
         code = main(["validate-components", "--run", str(run_dir),
                      "--gold", str(workspace.parent / "gold.jsonl")])
-        assert code == 2
-        assert "run manifest carries no schema definition" in caplog.text
+        assert code == 3
+        assert (f"{manifest_path}: run manifest carries no schema definition"
+                in caplog.text)
 
     def test_manifest_with_a_malformed_schema_exits_3(self, workspace, tmp_path, caplog):
         run_dir = tmp_path / "auto"
