@@ -23,7 +23,6 @@ from .backend import ChatRequest, EscapedText, escape, request_digest  # noqa: F
 from .core import (
     AutoscoreError,
     OutOfRange,
-    Score,
     ScoreRange,
     StructuredRepresentation,
     StudentResponse,
@@ -48,7 +47,7 @@ class AgentOutcome:
     (None when retries ran out), one Transcript per model call in order,
     and the summed latency of those calls."""
 
-    value: "StructuredRepresentation | Score | None"
+    value: StructuredRepresentation | int | None
     transcripts: list[Transcript]
     wall_time_ms: int = 0
 
@@ -194,13 +193,13 @@ def representation_block(representation: StructuredRepresentation) -> str:
     return block
 
 
-def parse_score(raw_text: str, score_range: ScoreRange) -> Score:
+def parse_score(raw_text: str, score_range: ScoreRange) -> int:
     """Read the strict {"score": <integer>} contract from raw model output."""
     parsed = extract_json_block(raw_text)
     if "score" not in parsed:
         raise SchemaError("required field 'score' is missing")
     value = parsed["score"]
-    if isinstance(value, bool) or not isinstance(value, int):
+    if type(value) is not int:
         raise SchemaError(f"score must be a JSON integer, got {value!r}")
     return validate_score(value, score_range)
 
@@ -211,7 +210,7 @@ def _parse_representation(
     return validate_representation(extract_json_block(raw), schema)
 
 
-def _parse_score(raw: str, context: TaskContext, _input) -> Score:
+def _parse_score(raw: str, context: TaskContext, _input) -> int:
     return parse_score(raw, context.score_range)
 
 

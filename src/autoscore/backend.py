@@ -461,7 +461,9 @@ class CachingBackend:
     CachingBackend(inner, path) is a write-through cache around any
     backend: hits return the recorded text with from_cache=True and zero
     latency, misses call `inner` and append the answer. Concurrent misses
-    on one digest call `inner` once; the others wait and then hit.
+    on one digest call `inner` once: each takes that digest's lock (before
+    the store lock, never inside it), and those behind the one that asks
+    then hit, or, if its call raised, retry one at a time.
 
     CachingBackend(None, path, model_name) is replay: the file must exist,
     a miss raises ReplayMiss (never a network call), and hits report the
@@ -485,7 +487,7 @@ class CachingBackend:
 
         entries, end = read_jsonl(self._path, parse, BackendUnavailable)
         self._index: dict[str, tuple[str, int, bool]] = dict(entries)
-        self._flights: dict[str, threading.Event] = {}
+        self._flights: dict[str, threading.Lock] = {}
         self._lock = threading.Lock()
         if inner is not None:
             self._path.parent.mkdir(parents=True, exist_ok=True)
@@ -508,30 +510,22 @@ class CachingBackend:
             return ChatResponse(*hit)
         if self.inner is None:
             raise ReplayMiss(f"no replay fixture for request digest {digest}")
-        while True:
-            with self._lock:
-                hit = self._index.get(digest)
-                if hit is not None:
-                    return ChatResponse(*hit)
-                flight = self._flights.get(digest)
-                if flight is None:
-                    flight = self._flights[digest] = threading.Event()
-                    break
-            # another caller is asking the model; retry once it settles
-            flight.wait()
-        try:
+        with self._lock:  # re-checked: an answered digest takes no flight lock
+            hit = self._index.get(digest)
+            if hit is None:
+                flight = self._flights.setdefault(digest, threading.Lock())
+        if hit is not None:
+            return ChatResponse(*hit)
+        with flight:
+            hit = self._index.get(digest)
+            if hit is not None:
+                return ChatResponse(*hit)
             response = self.inner.complete(request)
-            line = json.dumps(
-                {"digest": digest, "text": response.text,
-                 "latency_ms": response.latency_ms},
-                ensure_ascii=True,
-            )
+            line = json.dumps({"digest": digest, "text": response.text,
+                               "latency_ms": response.latency_ms}, ensure_ascii=True)
             with self._lock:
                 self._handle.write(line + "\n")
                 self._handle.flush()
                 self._index[digest] = (response.text, 0, True)
-        finally:
-            with self._lock:
                 del self._flights[digest]
-            flight.set()
         return response

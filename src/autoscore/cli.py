@@ -5,7 +5,8 @@ in the summary), 2 configuration error (an unknown key; a bad rules line,
 template override, run or backend setting, score_range or essay_set; an
 empty base_url; a bad --sample-fraction), 3 dataset error or corrupt run
 directory (a manifest that lacks a key or has a malformed value, a record
-score outside the run's range, a case pair evaluate would not compare or
+score outside the run's range, records or failures out of response_id
+order or an id in both, a case pair evaluate would not compare or
 whose dataset changed since the run, a missing or bad gold file, an empty
 validate-components sample, and for evaluate a run with no records, two
 run directories of one name, or two runs of one mode over one dataset

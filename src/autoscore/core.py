@@ -123,20 +123,11 @@ class StudentResponse:
             )
 
 
-@dataclass(frozen=True)
-class Score:
-    """An assigned integer score point; construct via validate_score."""
-
-    value: int
-
-
-def validate_score(value: int, score_range: ScoreRange) -> Score:
-    """Admit value as a Score iff it lies inside score_range."""
-    if not isinstance(value, int) or isinstance(value, bool):
+def validate_score(value: int, score_range: ScoreRange) -> int:
+    """`value` if it is an int (a bool is not one) inside score_range."""
+    if type(value) is not int or not score_range.contains(value):
         raise OutOfRange(value, score_range)
-    if not score_range.contains(value):
-        raise OutOfRange(value, score_range)
-    return Score(value)
+    return value
 
 
 @dataclass(frozen=True)

@@ -392,8 +392,8 @@ def validate_components(
                 f"expected {schema.item_id!r}"
             )
 
-    bool_fields = schema.boolean_fields()
-    count_fields = schema.count_fields()
+    bool_fields = [f for f in schema.fields if f.kind == "boolean"]
+    count_fields = [f for f in schema.fields if f.kind == "count"]
     for f_ in (*bool_fields, *count_fields):
         expected, check = schema.checks[f_.name]
         for rid in ids:
@@ -427,24 +427,14 @@ def validate_components(
             mae=c_mae, rmse=c_rmse, pearson=c_pearson, exact_match_rate=c_exact
         )
 
-    if count_fields:
-        joint = sum(
-            1
-            for rid in ids
-            if all(
-                predicted[rid].values[f_.name] == gold[rid][f_.name]
-                for f_ in count_fields
-            )
-        )
-        overall = joint / len(ids)
-    else:
-        overall = 1.0
-
+    # with no count fields every response matches on all of them: 1.0
+    joint = sum(all(predicted[rid].values[f_.name] == gold[rid][f_.name]
+                    for f_ in count_fields) for rid in ids)
     return ReliabilityReport(
         n=len(ids),
         boolean_fields=booleans,
         count_fields=counts,
-        overall_exact_match_rate=overall,
+        overall_exact_match_rate=joint / len(ids),
     )
 
 

@@ -236,7 +236,7 @@ def _score_one(config: RunConfig, response: StudentResponse):
             )
             outcomes.append(outcome)
             value = outcome.value
-        predicted = value.value
+        predicted = value
     except AutoscoreError as exc:
         floor = (
             isinstance(exc, agents.ScoringFailed) and config.imputation == "floor"
@@ -285,6 +285,23 @@ def _read_done(run_dir: Path):
     return records, failures, (records_end, failures_end)
 
 
+def _check_order(run_dir: Path, records, failures) -> None:
+    """Refuse what the response_id order lines are written in rules out: a
+    line whose id does not follow the one before it in its file (numbered
+    among the file's entries, which are its lines, as the program writes no
+    blank line), and an id in both files."""
+    for name, ids in ((RECORDS, [r.response_id for r in records]),
+                      (FAILURES, [rid for rid, _ in failures])):
+        for number, (before, after) in enumerate(zip(ids, ids[1:]), start=2):
+            if after <= before:
+                raise ManifestMismatch(f"{run_dir / name} line {number}: response_id "
+                                       f"{after!r} does not follow {before!r}")
+    both = {r.response_id for r in records}.intersection(rid for rid, _ in failures)
+    if both:
+        raise ManifestMismatch(f"{run_dir / FAILURES}: response_id {min(both)!r} "
+                               f"is in {RECORDS} too")
+
+
 def _execute(config: RunConfig, dataset: Dataset, manifest: dict) -> RunResult:
     records, failures, intact = _read_done(config.run_dir)
     done_ids = {r.response_id for r in records} | {rid for rid, _ in failures}
@@ -298,6 +315,7 @@ def _execute(config: RunConfig, dataset: Dataset, manifest: dict) -> RunResult:
             "persisted ids are not a prefix of the dataset ordering; "
             "the run dir is corrupt or belongs to another dataset"
         )
+    _check_order(config.run_dir, records, failures)
     todo = ordered[prefix_len:]
 
     with (config.run_dir / RECORDS).open("a", encoding="utf-8") as rec, \
@@ -458,6 +476,5 @@ def load_run(run_dir) -> RunResult:
     run_dir = Path(run_dir)
     manifest = _read_manifest(run_dir)
     records, failures, _ = _read_done(run_dir)
-    records.sort(key=lambda r: r.response_id)
-    failures.sort(key=lambda f: f[0])
+    _check_order(run_dir, records, failures)
     return RunResult(records=records, failures=failures, manifest=manifest)

@@ -10,7 +10,6 @@ rewritten to the list length and flagged.
 
 from __future__ import annotations
 
-import enum
 import json
 import logging
 import re
@@ -27,20 +26,14 @@ class SchemaError(AutoscoreError):
     """A schema that does not compile, or model output it does not admit."""
 
 
-class FieldKind(enum.Enum):
-    BOOLEAN = "boolean"
-    TEXT_LIST = "text_list"
-    COUNT = "count"
-    TEXT = "text"
-
-
 @dataclass(frozen=True)
 class ComponentField:
-    """One declared component: its JSON key, value kind, optional source
-    list for derived counts, and the rubric meaning it captures."""
+    """One declared component: its JSON key, value kind (a key of KINDS),
+    optional source list for derived counts, and the rubric meaning it
+    captures."""
 
     name: str
-    kind: FieldKind
+    kind: str
     derived_from: str | None = None
     description: str = ""
 
@@ -69,19 +62,13 @@ class ComponentSchema:
         """Inverse of compile_schema, for embedding in run manifests."""
         fields = []
         for f in self.fields:
-            entry: dict = {"name": f.name, "kind": f.kind.value}
+            entry: dict = {"name": f.name, "kind": f.kind}
             if f.derived_from is not None:
                 entry["derived_from"] = f.derived_from
             if f.description:
                 entry["description"] = f.description
             fields.append(entry)
         return {"fields": fields}
-
-    def count_fields(self) -> list[ComponentField]:
-        return [f for f in self.fields if f.kind is FieldKind.COUNT]
-
-    def boolean_fields(self) -> list[ComponentField]:
-        return [f for f in self.fields if f.kind is FieldKind.BOOLEAN]
 
 
 def compile_schema(item_id: str, definition: dict) -> ComponentSchema:
@@ -111,16 +98,13 @@ def compile_schema(item_id: str, definition: dict) -> ComponentSchema:
                 f"schema for {item_id!r}: duplicate field {name!r}"
             )
         seen.add(name)
-        kind_text = entry.get("kind", "")
-        try:
-            kind = FieldKind(kind_text)
-        except ValueError:
+        kind = entry.get("kind", "")
+        if type(kind) is not str or kind not in KINDS:
             raise SchemaError(
-                f"schema for {item_id!r}: field {name!r} has unknown kind "
-                f"{kind_text!r}"
-            ) from None
+                f"schema for {item_id!r}: field {name!r} has unknown kind {kind!r}"
+            )
         derived_from = entry.get("derived_from")
-        if derived_from is not None and kind is not FieldKind.COUNT:
+        if derived_from is not None and kind != "count":
             raise SchemaError(
                 f"schema for {item_id!r}: derived_from is only valid on "
                 f"count fields, found on {name!r}"
@@ -139,7 +123,7 @@ def compile_schema(item_id: str, definition: dict) -> ComponentSchema:
         if f.derived_from is None:
             continue
         source = by_name.get(f.derived_from) if type(f.derived_from) is str else None
-        if source is None or source.kind is not FieldKind.TEXT_LIST:
+        if source is None or source.kind != "text_list":
             raise SchemaError(
                 f"schema for {item_id!r}: count field {f.name!r} derives "
                 f"from {f.derived_from!r}, which is not a declared "
@@ -165,22 +149,21 @@ def extract_json_block(raw_model_output: str) -> dict:
             continue
         except RecursionError:
             raise SchemaError("model output nests JSON too deeply to parse")
-        if isinstance(obj, dict):
-            return obj
+        return obj  # raw_decode at a "{" gives an object or raises
     raise SchemaError("no balanced JSON object found in model output")
 
 
 # kind -> (label in the extraction prompt, label in a type error, check)
 KINDS = {
-    FieldKind.BOOLEAN: ("true or false", "boolean", lambda v: type(v) is bool),
-    FieldKind.TEXT_LIST: (
+    "boolean": ("true or false", "boolean", lambda v: type(v) is bool),
+    "text_list": (
         "list of text spans copied from the response", "list of strings",
         lambda v: type(v) is list and all(type(x) is str for x in v),
     ),
-    FieldKind.COUNT: (
+    "count": (
         "integer", "non-negative integer", lambda v: type(v) is int and v >= 0
     ),
-    FieldKind.TEXT: ("string", "string", lambda v: type(v) is str),
+    "text": ("string", "string", lambda v: type(v) is str),
 }
 
 # the JSON type of a decoded value; the one left out, NoneType, is "null"

@@ -415,7 +415,7 @@ def test_criterion_7_robust_parsing(synth_context, science_schema):
         for raw, expected in REPAIRABLE_SCORE_OUTPUTS:
             backend = ScriptedBackend(responses=[raw])
             outcome = agents.run_baseline(backend, synth_context, response)
-            assert outcome.value.value == expected
+            assert outcome.value == expected
             assert outcome.retries == 0
 
         for raw in UNPARSEABLE_SCORE_OUTPUTS:
@@ -426,7 +426,7 @@ def test_criterion_7_robust_parsing(synth_context, science_schema):
             # bad once then clean: one retry and a valid score
             backend = ScriptedBackend(responses=[raw, '{"score": 2}'])
             outcome = agents.run_baseline(backend, synth_context, response)
-            assert outcome.value.value == 2
+            assert outcome.value == 2
             assert outcome.retries == 1
 
         # extraction side: a wrong declared count is repaired by

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from autoscore import agents
 from autoscore.backend import ScriptedBackend, request_digest
-from autoscore.core import OutOfRange, Score, ScoreRange, StudentResponse, TaskContext
+from autoscore.core import OutOfRange, ScoreRange, StudentResponse, TaskContext
 from autoscore.schema import (
     SchemaError,
     StructuredRepresentation,
@@ -215,10 +215,10 @@ def test_representation_block_is_json_dumps_with_indent_2(values, flags):
 
 class TestParseScore:
     def test_plain(self):
-        assert agents.parse_score('{"score": 1}', ScoreRange(0, 2)) == Score(1)
+        assert agents.parse_score('{"score": 1}', ScoreRange(0, 2)) == 1
 
     def test_fenced(self):
-        assert agents.parse_score('```json {"score": 3} ```', ScoreRange(0, 3)) == Score(3)
+        assert agents.parse_score('```json {"score": 3} ```', ScoreRange(0, 3)) == 3
 
     def test_non_integer(self):
         with pytest.raises(SchemaError, match="^score must be a JSON integer, got 2.5$"):
@@ -252,7 +252,7 @@ class TestParseScore:
     def test_over_long_integer_is_retried(self, context, response):
         backend = ScriptedBackend(responses=[HUGE_SCORE, '{"score": 2}'])
         outcome = agents.run_baseline(backend, context, response)
-        assert outcome.value == Score(2)
+        assert outcome.value == 2
         assert outcome.retries == 1
 
 
@@ -289,7 +289,7 @@ def test_no_reply_text_raises_what_run_stage_does_not_catch(text):
     # run_stage re-prompts on SchemaError and OutOfRange; any other
     # exception out of a parser would abort the whole run
     try:
-        assert isinstance(agents.parse_score(text, ScoreRange(0, 3)), Score)
+        assert type(agents.parse_score(text, ScoreRange(0, 3))) is int
     except (SchemaError, OutOfRange):
         pass
     try:
@@ -390,7 +390,7 @@ class TestRunScoring:
     def test_clean_score(self, context, response):
         backend = ScriptedBackend(responses=['{"score": 2}'])
         outcome = agents.run_scoring(backend, context, response, self.rep())
-        assert outcome.value == Score(2)
+        assert outcome.value == 2
         assert outcome.retries == 0
 
     def test_out_of_range_retry_includes_range_reminder(self, context, response):
@@ -402,7 +402,7 @@ class TestRunScoring:
 
         backend = ScriptedBackend(script=script)
         outcome = agents.run_scoring(backend, context, response, self.rep())
-        assert outcome.value == Score(3)
+        assert outcome.value == 3
         assert outcome.retries == 1
         repair = seen[1][2][1]
         assert "from 0 to 3" in repair
@@ -443,13 +443,13 @@ class TestRunBaseline:
     def test_direct_score(self, context, response):
         backend = ScriptedBackend(responses=['{"score": 0}'])
         outcome = agents.run_baseline(backend, context, response)
-        assert outcome.value == Score(0)
+        assert outcome.value == 0
 
     def test_near_empty_response_still_goes_to_backend(self, context):
         response = StudentResponse("r0", " . ")
         backend = ScriptedBackend(responses=['{"score": 0}'])
         outcome = agents.run_baseline(backend, context, response)
-        assert outcome.value == Score(0)
+        assert outcome.value == 0
         assert backend.call_count == 1
 
     def test_malformed_three_times_fails(self, context, response):
@@ -473,7 +473,7 @@ class TestRunBaseline:
 
 
 def test_returned_scores_always_in_range_under_fuzzed_backends(context, response):
-    # any scripted output either yields an in-range Score or a domain error
+    # any scripted output either yields an in-range score or a domain error
     outputs = [
         '{"score": %d}' % v for v in range(-3, 8)
     ] + ["prose", '{"score": 1.5}', '{"x": 1}']
@@ -483,4 +483,4 @@ def test_returned_scores_always_in_range_under_fuzzed_backends(context, response
             outcome = agents.run_baseline(backend, context, response)
         except agents.ScoringFailed:
             continue
-        assert context.score_range.contains(outcome.value.value)
+        assert context.score_range.contains(outcome.value)

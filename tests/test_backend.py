@@ -446,6 +446,33 @@ class TestRemoteRetryPolicy:
 
 
 class TestCachingBackend:
+    def test_a_failed_miss_is_retried_by_one_waiting_caller(self, tmp_path):
+        calls = []
+
+        def first_fails(request):
+            calls.append(request.digest)
+            if len(calls) == 1:
+                time.sleep(0.05)  # long enough for every caller to queue behind it
+                raise Transport(503, "overloaded")
+            return "answer"
+
+        inner = ScriptedBackend(script=first_fails)
+        cached = CachingBackend(inner, tmp_path / "cache.jsonl")
+        barrier = threading.Barrier(4, timeout=10)
+
+        def ask(_):
+            barrier.wait()
+            try:
+                return cached.complete(_req()).text
+            except Transport:
+                return "error"
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            seen = sorted(pool.map(ask, range(4), timeout=10))
+        assert inner.call_count == 2
+        assert seen == ["answer"] * 3 + ["error"]
+        assert len((tmp_path / "cache.jsonl").read_text().splitlines()) == 1
+
     def test_second_identical_request_hits_cache(self, tmp_path):
         inner = ScriptedBackend(responses=["once"])
         cached = CachingBackend(inner, tmp_path / "cache.jsonl")

@@ -388,6 +388,19 @@ class TestScoreCommand:
         assert _score(workspace, "baseline", out, extra=["--resume"]) == 3
         assert f"{manifest} does not parse" in caplog.text
 
+    def test_records_out_of_order_exit_3(self, workspace, tmp_path, caplog):
+        out = tmp_path / "swapped"
+        assert _score(workspace, "baseline", out) == 0
+        records = out / "records.jsonl"
+        lines = records.read_text().splitlines(True)
+        records.write_text("".join([lines[1], lines[0], *lines[2:4]]))
+        before = records.read_bytes()
+        reports = str(tmp_path / "reports")
+        assert main(["evaluate", "--run", str(out), "--out", reports]) == 3
+        assert _score(workspace, "baseline", out, extra=["--resume"]) == 3
+        assert f"{records} line 2: response_id 'r01' does not follow 'r02'" in caplog.text
+        assert records.read_bytes() == before
+
     @pytest.mark.parametrize("key,edit,flags", RESUME_DRIFT,
                              ids=[case[0] for case in RESUME_DRIFT])
     def test_resume_refuses_drift(

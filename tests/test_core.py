@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from autoscore.core import (
     OutOfRange,
-    Score,
     ScoredRecord,
     ScoreRange,
     StructuredRepresentation,
@@ -20,13 +19,13 @@ from autoscore.core import (
 
 
 def test_validate_score_in_range():
-    assert validate_score(2, ScoreRange(0, 3)) == Score(2)
+    assert validate_score(2, ScoreRange(0, 3)) == 2
 
 
 def test_validate_score_boundaries():
     rng = ScoreRange(0, 2)
-    assert validate_score(0, rng) == Score(0)
-    assert validate_score(2, rng) == Score(2)
+    assert validate_score(0, rng) == 0
+    assert validate_score(2, rng) == 2
 
 
 def test_validate_score_out_of_range():

@@ -1,15 +1,18 @@
-"""The exact text of the errors a model reply or a dataset row can raise.
+"""The exact text of the errors a model reply, a dataset row, a schema or
+a run directory's lines can raise.
 
 A reply's error text is quoted back to the model in the repair prompt, so
 it is part of the request bytes, their digests and every cache and replay
-key; the dataset texts are what a user reads for exit 3. Each case pins
+key; the other texts are what a user reads for exit 2 or 3. Each case pins
 the text of one error, whatever class raises it.
 """
 
+from pathlib import Path
+
 import pytest
 
-from autoscore import agents
-from autoscore.core import ScoreRange
+from autoscore import agents, pipeline
+from autoscore.core import ScoredRecord, ScoreRange
 from autoscore.ingest import DatasetError, DatasetSpec, load_dataset
 from autoscore.schema import SchemaError, compile_schema
 
@@ -23,6 +26,16 @@ def _reply(text):
 
 def _score(text):
     return lambda tmp_path: agents.parse_score(text, ScoreRange(0, 3))
+
+
+def _kind(entry):
+    return lambda tmp_path: compile_schema("k", {"fields": [{"name": "x", **entry}]})
+
+
+def _persisted(record_ids, failure_ids=()):
+    records = [ScoredRecord(rid, "baseline", 1, 1, None) for rid in record_ids]
+    failures = [(rid, "E: x") for rid in failure_ids]
+    return lambda tmp_path: pipeline._check_order(Path("run"), records, failures)
 
 
 def _rows(*lines, header=HEADER):
@@ -51,9 +64,22 @@ def _rows(*lines, header=HEADER):
      "line 3: duplicate response id '1'"),
     (_rows("1\t1\t7\t2\tok"), DatasetError, "line 2: gold score 7 outside range 0..3"),
     (_rows("1\t1\t2\t2\t "), DatasetError, "line 2: empty response text"),
+    (_kind({"kind": "tuple"}), SchemaError,
+     "schema for 'k': field 'x' has unknown kind 'tuple'"),
+    (_kind({}), SchemaError, "schema for 'k': field 'x' has unknown kind ''"),
+    (_kind({"kind": ["text"]}), SchemaError,
+     "schema for 'k': field 'x' has unknown kind ['text']"),
+    (_persisted(["a", "c", "b"]), pipeline.ManifestMismatch,
+     "run/records.jsonl line 3: response_id 'b' does not follow 'c'"),
+    (_persisted(["a"], ["b", "b"]), pipeline.ManifestMismatch,
+     "run/failures.jsonl line 2: response_id 'b' does not follow 'b'"),
+    (_persisted(["a", "b"], ["b"]), pipeline.ManifestMismatch,
+     "run/failures.jsonl: response_id 'b' is in records.jsonl too"),
 ], ids=["missing-field", "no-json", "too-deep", "missing-score",
         "non-integer-score", "missing-column", "non-integer-cell", "field-count",
-        "duplicate-id", "gold-out-of-range", "empty-text"])
+        "duplicate-id", "gold-out-of-range", "empty-text", "unknown-kind",
+        "missing-kind", "list-kind", "records-out-of-order", "failures-out-of-order",
+        "id-in-both-files"])
 def test_error_text(tmp_path, raise_it, error, text):
     with pytest.raises(error) as excinfo:
         raise_it(tmp_path)

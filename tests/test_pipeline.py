@@ -483,6 +483,57 @@ class TestResume:
         assert records_file.read_bytes() == b"".join(lines)
         assert idle.call_count == 0
 
+    @pytest.mark.parametrize("corrupt,error", [
+        ("swapped", "records.jsonl line 2: response_id 'r01' does not follow 'r02'"),
+        ("duplicated", "records.jsonl line 4: response_id 'r03' does not follow 'r03'"),
+        ("in-both", "failures.jsonl: response_id 'r03' is in records.jsonl too"),
+    ], ids=["swapped", "duplicated", "in-both"])
+    def test_persisted_lines_out_of_order_are_refused_before_any_call(
+        self, tmp_path, synth_dataset, synth_context, science_schema,
+        scripted_backend_factory, corrupt, error,
+    ):
+        # the ids are a prefix as a set, so only their order shows the fault
+        config = make_config(
+            tmp_path, scripted_backend_factory(), schema=science_schema,
+            context=synth_context,
+        )
+        score_dataset(config, synth_dataset)
+        records_file = config.run_dir / "records.jsonl"
+        failures_file = config.run_dir / "failures.jsonl"
+        lines = records_file.read_bytes().splitlines(True)[:3]
+        if corrupt == "swapped":
+            lines[0], lines[1] = lines[1], lines[0]
+        elif corrupt == "duplicated":
+            lines.append(lines[2])
+        else:
+            failures_file.write_text('{"response_id": "r03", "error": "E: x"}\n')
+        records_file.write_bytes(b"".join(lines))
+        before = {p.name: p.read_bytes() for p in config.run_dir.iterdir()}
+        idle = scripted_backend_factory()
+        again = make_config(
+            tmp_path, idle, schema=science_schema, context=synth_context,
+        )
+        with pytest.raises(ManifestMismatch) as excinfo:
+            resume(again, synth_dataset)
+        assert str(excinfo.value) == f"{config.run_dir}/{error}"
+        assert idle.call_count == 0
+        assert {p.name: p.read_bytes() for p in config.run_dir.iterdir()} == before
+
+    def test_load_run_refuses_records_out_of_order(
+        self, tmp_path, synth_dataset, synth_context, scripted_backend,
+    ):
+        config = make_config(
+            tmp_path, scripted_backend, mode="baseline", context=synth_context,
+        )
+        score_dataset(config, synth_dataset)
+        records_file = config.run_dir / "records.jsonl"
+        lines = records_file.read_bytes().splitlines(True)
+        lines[4], lines[5] = lines[5], lines[4]
+        records_file.write_bytes(b"".join(lines))
+        with pytest.raises(ManifestMismatch, match="line 6: response_id 'r05' "
+                           "does not follow 'r06'$"):
+            load_run(config.run_dir)
+
 
 MANY_IDS = [f"m{k:03d}" for k in range(60)]
 

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from autoscore.schema import (
-    FieldKind,
     SchemaError,
     compile_schema,
     extract_json_block,
@@ -27,7 +26,7 @@ def test_science_schema_compiles(science_schema):
     ]
     by_name = {f.name: f for f in science_schema.fields}
     assert by_name["design_count"].derived_from == "design_improvements"
-    assert by_name["valid_conclusion"].kind is FieldKind.BOOLEAN
+    assert by_name["valid_conclusion"].kind == "boolean"
 
 
 def test_minimal_single_field_schema():
