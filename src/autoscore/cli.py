@@ -210,25 +210,16 @@ def cmd_evaluate(args) -> int:
                                f"one dataset through one backend; compare one of each")
         slots[slot] = run_dir
     reports = [evaluate_run(result) for result in runs]
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    shown = [rep.to_text() for rep in reports]
+    files: dict = {}
     for stem, rep in zip(stems, reports):
-        (out_dir / f"{stem}.metrics.json").write_text(
-            rep.to_json() + "\n", encoding="utf-8"
-        )
-        (out_dir / f"{stem}.metrics.txt").write_text(
-            rep.to_text(), encoding="utf-8"
-        )
-        print(rep.to_text())
-
+        files[f"{stem}.metrics.json"] = rep.to_dict()
+        files[f"{stem}.metrics.txt"] = rep.to_text()
     text, payload = report.comparison_table(list(zip(runs, reports)))
     if payload["rows"]:
-        (out_dir / "comparison.md").write_text(text, encoding="utf-8")
-        (out_dir / "comparison.json").write_text(
-            json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-        )
-        print(text)
+        shown.append(text)
+        files.update({"comparison.md": text, "comparison.json": payload})
+    _emit(args.out, "\n".join(shown), files)
     return EXIT_OK
 
 
@@ -262,16 +253,10 @@ def cmd_validate_components(args) -> int:
     }
     gold_subset = {rid: gold[rid] for rid in predicted if rid in gold}
     reliability = validate_components(predicted, gold_subset, schema)
-    print(reliability.to_text())
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "reliability.json").write_text(
-            reliability.to_json() + "\n", encoding="utf-8"
-        )
-        (out_dir / "reliability.txt").write_text(
-            reliability.to_text(), encoding="utf-8"
-        )
+    _emit(args.out, reliability.to_text(), {
+        "reliability.json": reliability.to_dict(),
+        "reliability.txt": reliability.to_text(),
+    })
     return EXIT_OK
 
 
@@ -303,21 +288,24 @@ def cmd_case(args) -> int:
         raise DatasetError(
             f"response {args.response_id!r} not present in dataset {item_id!r}"
         )
-    record = report.case_record(
-        autoscore_run,
-        pipeline.load_run(Path(args.run_baseline)),
-        args.response_id,
-        response_text=text_by_id[args.response_id],
-    )
-    markdown = record.to_markdown()
-    print(markdown)
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / f"case_{args.response_id}.md").write_text(
-            markdown + "\n", encoding="utf-8"
-        )
+    markdown = report.case_record(autoscore_run, pipeline.load_run(Path(args.run_baseline)),
+                                  args.response_id, text_by_id[args.response_id])
+    _emit(args.out, markdown, {f"case_{args.response_id}.md": markdown + "\n"})
     return EXIT_OK
+
+
+def _emit(out, shown: str, files: dict) -> None:
+    """Print shown; given an out directory, create it and write each file
+    (name -> payload) there: a dict as JSON indented by 2 with a final
+    newline, text as it is."""
+    print(shown)
+    if out is None:
+        return
+    Path(out).mkdir(parents=True, exist_ok=True)
+    for name, payload in files.items():
+        if isinstance(payload, dict):
+            payload = json.dumps(payload, indent=2) + "\n"
+        Path(out, name).write_text(payload, encoding="utf-8")
 
 
 _COMMANDS = {

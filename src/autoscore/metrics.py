@@ -22,7 +22,6 @@ variance) raise ZeroVariance and are reported as null cells, never as 0.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -243,9 +242,6 @@ class MetricsReport:
             "confusion": [list(row) for row in self.confusion],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
     def to_text(self) -> str:
         def cell(value) -> str:
             return "—" if value is None else f"{value:.4f}"
@@ -338,9 +334,6 @@ class ReliabilityReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
     def to_text(self) -> str:
         lines = [f"n = {self.n}"]

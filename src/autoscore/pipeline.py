@@ -213,6 +213,9 @@ def _read_manifest(run_dir: Path) -> dict:
         shaped = False
     if not shaped:
         raise ManifestMismatch(f"{path} has a malformed score_range, mode or context")
+    for key in ("item_id", "dataset_ref", "dataset_digest", "model_name", "backend_identity"):
+        if not isinstance(manifest[key], str):  # keys, headings and file names
+            raise ManifestMismatch(f"{path} has a malformed {key}")
     return manifest
 
 

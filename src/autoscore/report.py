@@ -10,9 +10,10 @@ from zero.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import logging
-from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
 from .ingest import DatasetError
@@ -127,13 +128,14 @@ def comparison_table(results: list[tuple]) -> tuple[str, dict]:
 def tradeoff_csv(results: list[tuple]) -> str:
     """One CSV line per (run result, metrics report) pair: the run's model,
     mode, mean wall time per successfully scored instance, and QWK. Every
-    run must have records."""
-    lines = ["model,variant,mean_ms,qwk"] + [
-        f"{result.manifest['model_name']},{result.manifest['mode']},"
-        f"{result.mean_wall_time_ms()!r},{report.qwk!r}"
-        for result, report in results
-    ]
-    return "".join(line + "\n" for line in lines)
+    run must have records. A field is quoted only where CSV needs it."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["model", "variant", "mean_ms", "qwk"])
+    for result, report in results:
+        writer.writerow([result.manifest["model_name"], result.manifest["mode"],
+                         result.mean_wall_time_ms(), report.qwk])
+    return out.getvalue()
 
 
 def _excerpt(text: str, limit: int = 240) -> str:
@@ -143,58 +145,12 @@ def _excerpt(text: str, limit: int = 240) -> str:
     return text[: limit - 1].rstrip() + "…"
 
 
-@dataclass(frozen=True)
-class CaseRecord:
-    """Audit view of one response across the paired runs: both predictions,
-    the gold score, and the extracted components that fed autoscore."""
-
-    response_id: str
-    question_excerpt: str
-    response_text: str
-    rubric_excerpt: str
-    components: dict
-    gold: int | None
-    autoscore_prediction: int
-    baseline_prediction: int
-
-    def to_markdown(self) -> str:
-        lines = [
-            f"# Case {self.response_id}",
-            "",
-            f"Human score = {self.gold}, autoscore = "
-            f"{self.autoscore_prediction}, baseline = {self.baseline_prediction}",
-            "",
-            f"**Assessment question:** {self.question_excerpt}",
-            "",
-            f"**Student response:** {self.response_text}",
-            "",
-            f"**Rubric excerpt:** {self.rubric_excerpt}",
-            "",
-            "**Extracted components:**",
-            "",
-        ]
-        for name, value in self.components.items():
-            if isinstance(value, list):
-                lines.append(f"- {name}:" + (" (none)" if not value else ""))
-                for entry in value:
-                    lines.append(f"  - {entry}")
-            else:
-                lines.append(f"- {name}: {json.dumps(value)}")
-        lines += [
-            "",
-            "```json",
-            json.dumps(self.components, indent=2, ensure_ascii=True),
-            "```",
-            "",
-        ]
-        return "\n".join(lines)
-
-
 def case_record(
     autoscore_run, baseline_run, response_id: str, response_text: str
-) -> CaseRecord:
-    """Join one response's records in a loaded autoscore run and baseline
-    run that comparison_table would pair into a CaseRecord.
+) -> str:
+    """The markdown audit of one response across a loaded autoscore run and
+    baseline run that comparison_table would pair: both predictions, the
+    gold score, and the extracted components that fed autoscore.
 
     The response text is supplied by the caller (run directories persist
     predictions and transcripts, not the dataset itself); question and
@@ -215,13 +171,34 @@ def case_record(
     auto_rec = find(autoscore_run, "autoscore")
     base_rec = find(baseline_run, "baseline")
     context = auto["context"]
-    return CaseRecord(
-        response_id=response_id,
-        question_excerpt=_excerpt(context["question"]),
-        response_text=response_text,
-        rubric_excerpt=_excerpt(context["rubric_text"], limit=400),
-        components=dict(auto_rec.representation.values),
-        gold=auto_rec.gold_score,
-        autoscore_prediction=auto_rec.predicted_score,
-        baseline_prediction=base_rec.predicted_score,
-    )
+    components = auto_rec.representation.values
+    lines = [
+        f"# Case {response_id}",
+        "",
+        f"Human score = {auto_rec.gold_score}, autoscore = "
+        f"{auto_rec.predicted_score}, baseline = {base_rec.predicted_score}",
+        "",
+        f"**Assessment question:** {_excerpt(context['question'])}",
+        "",
+        f"**Student response:** {response_text}",
+        "",
+        f"**Rubric excerpt:** {_excerpt(context['rubric_text'], limit=400)}",
+        "",
+        "**Extracted components:**",
+        "",
+    ]
+    for name, value in components.items():
+        if isinstance(value, list):
+            lines.append(f"- {name}:" + (" (none)" if not value else ""))
+            for entry in value:
+                lines.append(f"  - {entry}")
+        else:
+            lines.append(f"- {name}: {json.dumps(value)}")
+    lines += [
+        "",
+        "```json",
+        json.dumps(components, indent=2, ensure_ascii=True),
+        "```",
+        "",
+    ]
+    return "\n".join(lines)

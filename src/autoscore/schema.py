@@ -55,9 +55,6 @@ class ComponentSchema:
         object.__setattr__(self, "derived", tuple(
             (f.name, f.derived_from) for f in self.fields if f.derived_from is not None))
 
-    def field_names(self) -> list[str]:
-        return [f.name for f in self.fields]
-
     def to_definition(self) -> dict:
         """Inverse of compile_schema, for embedding in run manifests."""
         fields = []

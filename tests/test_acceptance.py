@@ -290,7 +290,7 @@ def test_criterion_4_ablation_purity(
     scripted_backend_factory,
 ):
     with criterion(4, "baseline prompts carry no component-schema text"):
-        schema_markers = science_schema.field_names() + [
+        schema_markers = [f.name for f in science_schema.fields] + [
             f.description for f in science_schema.fields if f.description
         ]
 

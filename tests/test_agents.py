@@ -270,7 +270,7 @@ _JSON_VALUES = (
                              for f in SCIENCE_SCHEMA_DEF["fields"]},
                             optional={"score": _LEAVES})
     | st.recursive(_LEAVES, lambda children: st.lists(children, max_size=4)
-                   | st.dictionaries(st.sampled_from(["score", *SCIENCE.field_names()])
+                   | st.dictionaries(st.sampled_from(["score", *(f.name for f in SCIENCE.fields)])
                                      | st.text(max_size=4), children, max_size=6),
                    max_leaves=12)
 ).map(json.dumps)
@@ -468,8 +468,8 @@ class TestRunBaseline:
 
         agents.run_baseline(ScriptedBackend(script=script), context, response)
         blob = "\n".join(prompts_seen)
-        for field in SCIENCE.field_names():
-            assert field not in blob
+        for field in SCIENCE.fields:
+            assert field.name not in blob
 
 
 def test_returned_scores_always_in_range_under_fuzzed_backends(context, response):

@@ -1,3 +1,4 @@
+import csv
 import json
 import shutil
 from pathlib import Path
@@ -690,9 +691,15 @@ class TestEvaluateCommand:
         ("context", {"question": "q", "rubric_text": 5}),
         ("context", "q"),
         ("score_range", {"min": 0, "max": 3.5}),
+        ("dataset_digest", ["x"]),
+        ("backend_identity", {"a": 1}),
+        ("model_name", ["m"]),
+        ("item_id", ["science"]),
+        ("dataset_ref", ["synth"]),
     ], ids=["range-empty", "range-inverted", "range-list", "mode-unknown",
             "mode-list", "context-no-question", "context-rubric-int",
-            "context-string", "range-float"])
+            "context-string", "range-float", "digest-list", "identity-object",
+            "model-list", "item-list", "ref-list"])
     def test_malformed_manifest_value_exits_3(
         self, workspace, tmp_path, caplog, key, value
     ):
@@ -1187,6 +1194,18 @@ class TestTradeoffCommand:
         assert main(["tradeoff", "--run", str(full), "--out", str(alone)]) == 0
         assert out.read_bytes() == alone.read_bytes()
 
+    def test_model_name_with_comma_and_quote_stays_one_field(self, workspace, tmp_path):
+        config = yaml.safe_load(workspace.read_text())
+        config["backend"]["model"] = 'demo,"model"'
+        workspace.write_text(yaml.safe_dump(config))
+        run_dir = tmp_path / "b"
+        assert _score(workspace, "baseline", run_dir) == 0
+        out = tmp_path / "tradeoff.csv"
+        assert main(["tradeoff", "--run", str(run_dir), "--out", str(out)]) == 0
+        rows = list(csv.reader(out.read_text().splitlines()))
+        assert [len(row) for row in rows] == [4, 4]
+        assert rows[1][:2] == ['demo,"model"', "baseline"]
+
     def test_idempotent_given_fixed_out(self, workspace, tmp_path):
         run_dir = tmp_path / "b"
         _score(workspace, "baseline", run_dir)
@@ -1220,6 +1239,26 @@ class TestCaseCommand:
         assert "```json" in markdown
         captured = capsys.readouterr()
         assert "# Case r02" in captured.out
+
+    def test_reports_without_out_go_to_stdout_only(
+        self, workspace, tmp_path, monkeypatch, capsys
+    ):
+        base_dir, auto_dir = tmp_path / "b", tmp_path / "a"
+        _score(workspace, "baseline", base_dir)
+        _score(workspace, "autoscore", auto_dir)
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert main(["case", "--run-autoscore", str(auto_dir),
+                     "--run-baseline", str(base_dir), "--id", "r02",
+                     "--config", str(workspace)]) == 0
+        assert capsys.readouterr().out.startswith("# Case r02\n")
+        assert main(["validate-components", "--run", str(auto_dir),
+                     "--gold", str(workspace.parent / "gold.jsonl")]) == 0
+        assert "valid_conclusion" in capsys.readouterr().out
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_missing_id_exits_3(self, workspace, tmp_path):
         base_dir = tmp_path / "b"
@@ -1293,6 +1332,21 @@ class TestCaseCommand:
                      "--config", str(workspace)])
         assert code == 3
         assert capsys.readouterr().out == ""
+
+
+    def test_list_item_id_in_manifest_exits_3(self, workspace, tmp_path, caplog):
+        base_dir, auto_dir = tmp_path / "b", tmp_path / "a"
+        _score(workspace, "baseline", base_dir)
+        _score(workspace, "autoscore", auto_dir)
+        manifest_path = auto_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["item_id"] = ["synth"]
+        manifest_path.write_text(json.dumps(manifest))
+        code = main(["case", "--run-autoscore", str(auto_dir),
+                     "--run-baseline", str(base_dir), "--id", "r02",
+                     "--config", str(workspace)])
+        assert code == 3
+        assert f"{manifest_path} has a malformed item_id" in caplog.text
 
 
 class TestHelpGolden:

@@ -242,23 +242,20 @@ class TestCaseRecord:
         return dirs
 
     def test_assembles_both_predictions(self, run_dirs):
-        record = case_record(
+        markdown = case_record(
             load_run(run_dirs["autoscore"]), load_run(run_dirs["baseline"]),
             "r05",
             response_text=synth_response_text("r05"),
         )
-        assert record.gold == 2
-        assert record.autoscore_prediction == 1
-        assert record.baseline_prediction == 1
-        assert record.components["design_count"] == 2
+        assert "\nHuman score = 2, autoscore = 1, baseline = 1\n" in markdown
+        assert "\n- design_count: 2\n" in markdown
 
     def test_markdown_rendering(self, run_dirs):
-        record = case_record(
+        markdown = case_record(
             load_run(run_dirs["autoscore"]), load_run(run_dirs["baseline"]),
             "r02",
             response_text=synth_response_text("r02"),
         )
-        markdown = record.to_markdown()
         assert "# Case r02" in markdown
         assert "```json" in markdown           # pretty-printed components
         assert "\n- design_improvements:" in markdown

@@ -16,7 +16,7 @@ from conftest import SCIENCE_SCHEMA_DEF
 
 def test_science_schema_compiles(science_schema):
     assert science_schema.item_id == "synth"
-    assert science_schema.field_names() == [
+    assert [f.name for f in science_schema.fields] == [
         "valid_conclusion",
         "conclusions",
         "design_improvements",
