@@ -22,13 +22,11 @@ from . import prompts
 from .backend import ChatRequest, EscapedText, escape, request_digest  # noqa: F401
 from .core import (
     AutoscoreError,
-    OutOfRange,
     ScoreRange,
     StructuredRepresentation,
     StudentResponse,
     TaskContext,
     Transcript,
-    validate_score,
 )
 from .schema import (
     KINDS,
@@ -201,7 +199,11 @@ def parse_score(raw_text: str, score_range: ScoreRange) -> int:
     value = parsed["score"]
     if type(value) is not int:
         raise SchemaError(f"score must be a JSON integer, got {value!r}")
-    return validate_score(value, score_range)
+    if not score_range.contains(value):
+        lo, hi = score_range.min, score_range.max
+        raise SchemaError(f"score {value} outside allowed range {lo}..{hi}",
+                          f" -- the score must be an integer from {lo} to {hi}")
+    return value
 
 
 def _parse_representation(
@@ -332,25 +334,16 @@ def run_stage(
         outcome.wall_time_ms += reply.latency_ms
         try:
             outcome.value = stage.parse(reply.text, context, input)
-        except (SchemaError, OutOfRange) as exc:
+        except SchemaError as exc:
             last_error = str(exc)
             repair = render(
                 prompts.RETRY_USER,
-                {"previous_output": reply.text, "error": _describe(exc)},
+                {"previous_output": reply.text, "error": last_error + exc.advice},
             )
             messages.append(("user", repair))
             continue
         return outcome
     raise stage.failure(last_error, outcome)
-
-
-def _describe(exc: Exception) -> str:
-    if isinstance(exc, OutOfRange):
-        rng = exc.score_range
-        return (
-            f"{exc} -- the score must be an integer from {rng.min} to {rng.max}"
-        )
-    return str(exc)
 
 
 def run_extraction(backend, context, response, input, **options) -> AgentOutcome:

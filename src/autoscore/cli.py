@@ -3,15 +3,16 @@
 Exit codes: 0 success (even with per-record failures, which are reported
 in the summary), 2 configuration error (an unknown key; a bad rules line,
 template override, run or backend setting, score_range or essay_set; an
-empty base_url; a bad --sample-fraction), 3 dataset error or corrupt run
-directory (a manifest that lacks a key or has a malformed value, a record
-score outside the run's range, records or failures out of response_id
-order or an id in both, a case pair evaluate would not compare or
-whose dataset changed since the run, a missing or bad gold file, an empty
-validate-components sample, and for evaluate a run with no records, two
-run directories of one name, or two runs of one mode over one dataset
-through one backend), 4 backend
-unavailable (a corrupt cache or replay line, say a bad latency_ms, too).
+empty base_url; a bad --sample-fraction; an unknown schema field key or a
+description that is not a string; a score --out that holds run files), 3
+dataset error or corrupt run directory (a manifest that lacks a key or has
+a malformed value, a record score outside the run's range, records or
+failures out of response_id order or an id in both, a case pair evaluate
+would not compare or whose dataset changed since the run, a missing or bad
+gold file, an empty validate-components sample, and for evaluate a run
+with no records, two run directories of one name, or two runs of one mode
+over one dataset through one backend), 4 backend unavailable (a corrupt
+cache or replay line, say a bad latency_ms, too).
 Logs go to stderr; data goes to files and stdout.
 """
 
@@ -234,12 +235,11 @@ def cmd_validate_components(args) -> int:
     manifest_path = Path(args.run) / pipeline.MANIFEST
     schema_def = result.manifest["schema"]
     if not schema_def:  # a corrupt run directory, not a bad config
-        raise pipeline.ManifestMismatch(
-            f"{manifest_path}: run manifest carries no schema definition")
+        raise DatasetError(f"{manifest_path}: run manifest carries no schema definition")
     try:
         schema = compile_schema(result.manifest["item_id"], schema_def)
     except SchemaError as exc:
-        raise pipeline.ManifestMismatch(f"{manifest_path}: {exc}") from None
+        raise DatasetError(f"{manifest_path}: {exc}") from None
     gold = load_gold_annotations(args.gold)
 
     # at fraction 1.0 the sample is every id
@@ -330,7 +330,7 @@ def main(argv=None) -> int:
     except (ConfigError, SchemaError) as exc:
         logger.error("configuration error: %s", exc)
         return EXIT_CONFIG
-    except (DatasetError, pipeline.ManifestMismatch) as exc:
+    except DatasetError as exc:
         logger.error("dataset error: %s", exc)
         return EXIT_DATASET
     except BackendUnavailable as exc:

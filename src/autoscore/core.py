@@ -45,17 +45,6 @@ class AutoscoreError(Exception):
     """Base class for every domain error raised by this package."""
 
 
-class OutOfRange(AutoscoreError):
-    """An agent emitted a score point outside the rubric's score range."""
-
-    def __init__(self, value: int, score_range: "ScoreRange"):
-        self.score_range = score_range
-        super().__init__(
-            f"score {value} outside allowed range "
-            f"{score_range.min}..{score_range.max}"
-        )
-
-
 @dataclass(frozen=True)
 class ScoreRange:
     """Inclusive integer score scale fixed by the rubric, e.g. 0..3."""
@@ -121,13 +110,6 @@ class StudentResponse:
             raise ValueError(
                 f"response {self.response_id!r} has empty text"
             )
-
-
-def validate_score(value: int, score_range: ScoreRange) -> int:
-    """`value` if it is an int (a bool is not one) inside score_range."""
-    if type(value) is not int or not score_range.contains(value):
-        raise OutOfRange(value, score_range)
-    return value
 
 
 @dataclass(frozen=True)

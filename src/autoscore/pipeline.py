@@ -30,7 +30,7 @@ from . import agents
 from .backend import read_jsonl
 from .core import (AutoscoreError, ScoredRecord, ScoreRange, StudentResponse, TaskContext,
                    decode_json, integer_at_least)
-from .ingest import Dataset
+from .ingest import Dataset, DatasetError
 from .schema import ComponentSchema
 
 logger = logging.getLogger(__name__)
@@ -71,12 +71,8 @@ RESUME_KEYS = (
 READ_KEYS = (*RESUME_KEYS[:-2], "dataset_ref")
 
 
-class ManifestMismatch(AutoscoreError):
-    """The run directory is corrupt or belongs to an incompatible run."""
-
-
 class RunDirConflict(AutoscoreError):
-    """score_dataset refuses to write into an already-started run dir."""
+    """score_dataset refuses to write into a directory that holds run files."""
 
 
 @dataclass(frozen=True)
@@ -196,14 +192,14 @@ def _read_manifest(run_dir: Path) -> dict:
     try:
         manifest = decode_json(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
-        raise ManifestMismatch(f"{run_dir} has no manifest") from None
+        raise DatasetError(f"{run_dir} has no manifest") from None
     except ValueError as exc:  # not UTF-8 or not JSON
-        raise ManifestMismatch(f"{path} does not parse: {exc}") from None
+        raise DatasetError(f"{path} does not parse: {exc}") from None
     if not isinstance(manifest, dict):
-        raise ManifestMismatch(f"{path} is not a JSON object")
+        raise DatasetError(f"{path} is not a JSON object")
     missing = [key for key in READ_KEYS if key not in manifest]
     if missing:
-        raise ManifestMismatch(f"{path} lacks {', '.join(missing)}")
+        raise DatasetError(f"{path} lacks {', '.join(missing)}")
     try:  # the values readers index must have the shape they index
         ScoreRange(**manifest["score_range"])
         shaped = manifest["mode"] in STAGES and all(
@@ -212,10 +208,10 @@ def _read_manifest(run_dir: Path) -> dict:
     except (TypeError, KeyError, ValueError):
         shaped = False
     if not shaped:
-        raise ManifestMismatch(f"{path} has a malformed score_range, mode or context")
+        raise DatasetError(f"{path} has a malformed score_range, mode or context")
     for key in ("item_id", "dataset_ref", "dataset_digest", "model_name", "backend_identity"):
         if not isinstance(manifest[key], str):  # keys, headings and file names
-            raise ManifestMismatch(f"{path} has a malformed {key}")
+            raise DatasetError(f"{path} has a malformed {key}")
     return manifest
 
 
@@ -280,10 +276,10 @@ def _read_done(run_dir: Path):
     line in either file. Also returns the intact byte length of each file,
     where the next append must start."""
     records, records_end = read_jsonl(
-        run_dir / RECORDS, ScoredRecord.from_jsonl_line, ManifestMismatch
+        run_dir / RECORDS, ScoredRecord.from_jsonl_line, DatasetError
     )
     failures, failures_end = read_jsonl(
-        run_dir / FAILURES, _failure_from_line, ManifestMismatch
+        run_dir / FAILURES, _failure_from_line, DatasetError
     )
     return records, failures, (records_end, failures_end)
 
@@ -297,12 +293,12 @@ def _check_order(run_dir: Path, records, failures) -> None:
                       (FAILURES, [rid for rid, _ in failures])):
         for number, (before, after) in enumerate(zip(ids, ids[1:]), start=2):
             if after <= before:
-                raise ManifestMismatch(f"{run_dir / name} line {number}: response_id "
-                                       f"{after!r} does not follow {before!r}")
+                raise DatasetError(f"{run_dir / name} line {number}: response_id "
+                                   f"{after!r} does not follow {before!r}")
     both = {r.response_id for r in records}.intersection(rid for rid, _ in failures)
     if both:
-        raise ManifestMismatch(f"{run_dir / FAILURES}: response_id {min(both)!r} "
-                               f"is in {RECORDS} too")
+        raise DatasetError(f"{run_dir / FAILURES}: response_id {min(both)!r} "
+                           f"is in {RECORDS} too")
 
 
 def _execute(config: RunConfig, dataset: Dataset, manifest: dict) -> RunResult:
@@ -314,7 +310,7 @@ def _execute(config: RunConfig, dataset: Dataset, manifest: dict) -> RunResult:
     # stale id, one not in the dataset, fails this too)
     prefix_len = len(done_ids)
     if {r.response_id for r in ordered[:prefix_len]} != done_ids:
-        raise ManifestMismatch(
+        raise DatasetError(
             "persisted ids are not a prefix of the dataset ordering; "
             "the run dir is corrupt or belongs to another dataset"
         )
@@ -440,9 +436,11 @@ def score_dataset(config: RunConfig, dataset: Dataset) -> RunResult:
     run_dir = config.run_dir
     run_dir.mkdir(parents=True, exist_ok=True)
     if (run_dir / MANIFEST).exists():
-        raise RunDirConflict(
-            f"{run_dir} already contains a run; use resume instead"
-        )
+        raise RunDirConflict(f"{run_dir} already contains a run; use resume instead")
+    for name in (RECORDS, FAILURES):  # left by a run whose manifest is gone
+        if (run_dir / name).exists():
+            raise RunDirConflict(f"{run_dir / name} exists with no manifest; "
+                                 f"score into a directory without run files")
     manifest = _manifest_for(config, dataset)
     _write_manifest(run_dir, manifest)
     logger.info(
@@ -462,15 +460,15 @@ def resume(config: RunConfig, dataset: Dataset) -> RunResult:
     current = _manifest_for(config, dataset)
     for key in RESUME_KEYS:
         if key not in manifest:  # written before the key was recorded
-            raise ManifestMismatch(f"manifest has no {key}; it cannot be resumed")
+            raise DatasetError(f"manifest has no {key}; it cannot be resumed")
         got, want = manifest[key], current[key]
         if got == want:
             continue
         if isinstance(got, dict) and isinstance(want, dict):
             # name the parts that differ, not their (prompt or rubric) text
             parts = [k for k in {**want, **got} if got.get(k) != want.get(k)]
-            raise ManifestMismatch(f"manifest {key} differs for {', '.join(parts)}")
-        raise ManifestMismatch(f"manifest {key} is {got!r}, current run has {want!r}")
+            raise DatasetError(f"manifest {key} differs for {', '.join(parts)}")
+        raise DatasetError(f"manifest {key} is {got!r}, current run has {want!r}")
     return _execute(config, dataset, manifest)
 
 

@@ -20,10 +20,17 @@ from .core import AutoscoreError, StructuredRepresentation
 logger = logging.getLogger(__name__)
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+# the keys of a field entry, as to_definition writes them
+_FIELD_KEYS = ("name", "kind", "derived_from", "description")
 
 
 class SchemaError(AutoscoreError):
-    """A schema that does not compile, or model output it does not admit."""
+    """A schema that does not compile, or model output it does not admit;
+    `advice` is what a repair prompt adds after the message."""
+
+    def __init__(self, message: str, advice: str = ""):
+        super().__init__(message)
+        self.advice = advice
 
 
 @dataclass(frozen=True)
@@ -72,7 +79,8 @@ def compile_schema(item_id: str, definition: dict) -> ComponentSchema:
     """Build a ComponentSchema from a parsed config definition.
 
     The definition is a mapping with a "fields" list; each entry carries
-    name, kind, an optional derived_from, and an optional description.
+    name, kind, an optional derived_from, and an optional description
+    string, and no other key.
     """
     raw_fields = definition.get("fields", []) if isinstance(definition, dict) else None
     if not isinstance(raw_fields, list) or not all(
@@ -95,6 +103,14 @@ def compile_schema(item_id: str, definition: dict) -> ComponentSchema:
                 f"schema for {item_id!r}: duplicate field {name!r}"
             )
         seen.add(name)
+        unknown = [key for key in entry if key not in _FIELD_KEYS]
+        if unknown:
+            raise SchemaError(f"schema for {item_id!r}: field {name!r} has "
+                              f"unknown key {unknown[0]!r}")
+        description = entry.get("description", "")
+        if type(description) is not str:
+            raise SchemaError(f"schema for {item_id!r}: field {name!r} has a "
+                              f"description that is not a string: {description!r}")
         kind = entry.get("kind", "")
         if type(kind) is not str or kind not in KINDS:
             raise SchemaError(
@@ -106,14 +122,7 @@ def compile_schema(item_id: str, definition: dict) -> ComponentSchema:
                 f"schema for {item_id!r}: derived_from is only valid on "
                 f"count fields, found on {name!r}"
             )
-        compiled.append(
-            ComponentField(
-                name=name,
-                kind=kind,
-                derived_from=derived_from,
-                description=entry.get("description", ""),
-            )
-        )
+        compiled.append(ComponentField(name, kind, derived_from, description))
 
     by_name = {f.name: f for f in compiled}
     for f in compiled:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from autoscore import agents
 from autoscore.backend import ScriptedBackend, request_digest
-from autoscore.core import OutOfRange, ScoreRange, StudentResponse, TaskContext
+from autoscore.core import ScoreRange, StudentResponse, TaskContext
 from autoscore.schema import (
     SchemaError,
     StructuredRepresentation,
@@ -241,7 +241,7 @@ class TestParseScore:
             agents.parse_score("two points", ScoreRange(0, 3))
 
     def test_out_of_range(self):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(SchemaError, match="^score 9 outside allowed range 0..3$"):
             agents.parse_score('{"score": 9}', ScoreRange(0, 3))
 
     def test_over_long_integer_is_a_domain_error(self):
@@ -286,16 +286,16 @@ _REPLIES = st.lists(_JSON_VALUES | _FRAGMENTS | st.text(max_size=12),
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(text=_REPLIES)
 def test_no_reply_text_raises_what_run_stage_does_not_catch(text):
-    # run_stage re-prompts on SchemaError and OutOfRange; any other
+    # run_stage re-prompts on SchemaError; any other
     # exception out of a parser would abort the whole run
     try:
         assert type(agents.parse_score(text, ScoreRange(0, 3))) is int
-    except (SchemaError, OutOfRange):
+    except SchemaError:
         pass
     try:
         representation = validate_representation(extract_json_block(text), SCIENCE)
         assert isinstance(representation, StructuredRepresentation)
-    except (SchemaError, OutOfRange):
+    except SchemaError:
         pass
 
 
@@ -456,6 +456,38 @@ class TestRunBaseline:
         backend = ScriptedBackend(responses=["nope"] * 3)
         with pytest.raises(agents.ScoringFailed):
             agents.run_baseline(backend, context, response)
+
+    def test_repair_turns_are_pinned(self, context, response):
+        # a reply's error text enters every later request, and so its digest
+        # and every cache and replay key: these bytes may not move
+        replies = ['{"score": 9}', '{"score": "2"}', "no json", '{"score": 7}']
+        seen = []
+
+        def script(request):
+            seen.append(request)
+            return replies[len(seen) - 1]
+
+        with pytest.raises(agents.ScoringFailed, match=r"^gave up after 4 attempts: "
+                           r"score 7 outside allowed range 0\.\.3$"):
+            agents.run_baseline(ScriptedBackend(script=script), context, response,
+                                max_retries=4)
+        repair = ("Your previous reply was:\n{}\n\nIt could not be used: {}\n\n"
+                  "Reply again, following the required output format exactly, "
+                  "with no surrounding text.\n")
+        assert seen[-1].messages[2:] == (
+            ("user", repair.format('{"score": 9}', "score 9 outside allowed range "
+                                   "0..3 -- the score must be an integer from 0 to 3")),
+            ("user", repair.format('{"score": "2"}',
+                                   "score must be a JSON integer, got '2'")),
+            ("user", repair.format("no json",
+                                   "no balanced JSON object found in model output")),
+        )
+        assert [request.digest for request in seen] == [
+            "7abdbb509406d0d505d610e63188dce38d058b0748d77255f6b90a01f239a8de",
+            "993d29d9162a9e93d009306882b70401508b308b80222ec2ebdd45f22fb5a7c2",
+            "afc9126dfc1d21b6c00bf1607810b70955c9f54a4c378071c30cef3a65bc132e",
+            "13f90a342d3378fe4b36a3d344f3ce0e1facbbba7f3ba2a69a6bea0c9ec5b4c3",
+        ]
 
     def test_baseline_prompt_never_mentions_schema_fields(self, context, response):
         prompts_seen = []

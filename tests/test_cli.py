@@ -289,8 +289,11 @@ class TestScoreCommand:
         {"fields": [{"name": 5, "kind": "boolean"}]},
         {"fields": [{"name": "a", "kind": "text_list"},
                     {"name": "b", "kind": "count", "derived_from": ["a"]}]},
+        {"fields": [{"name": "a", "kind": "text_list"},
+                    {"name": "b", "kind": "count", "derived_form": "a"}]},
+        {"fields": [{"name": "a", "kind": "boolean", "description": 5}]},
     ], ids=["field-not-mapping", "schema-list", "fields-mapping", "name-int",
-            "derived-from-list"])
+            "derived-from-list", "unknown-key", "description-int"])
     def test_malformed_schema_exits_2_before_writing(
         self, workspace, tmp_path, caplog, schema
     ):
@@ -647,6 +650,17 @@ class TestScoreCommand:
         out = tmp_path / "dup"
         assert _score(workspace, "baseline", out) == 0
         assert _score(workspace, "baseline", out) == 2
+
+    def test_scoring_over_a_run_without_its_manifest_exits_2(
+        self, workspace, tmp_path, caplog
+    ):
+        out = tmp_path / "dup"
+        assert _score(workspace, "baseline", out) == 0
+        (out / "manifest.json").unlink()
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert _score(workspace, "autoscore", out) == 2
+        assert f"{out / 'records.jsonl'} exists with no manifest" in caplog.text
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_per_record_failures_still_exit_zero(self, workspace, tmp_path):
         # drop r11's scoring rule: its retries exhaust, the run completes

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from autoscore.agents import parse_score
 from autoscore.core import (
-    OutOfRange,
     ScoredRecord,
     ScoreRange,
     StructuredRepresentation,
@@ -14,8 +14,13 @@ from autoscore.core import (
     Transcript,
     decode_json,
     integer_at_least,
-    validate_score,
 )
+from autoscore.schema import SchemaError
+
+
+# A score's range is checked where a reply is parsed: parse_score.
+def validate_score(value, rng):
+    return parse_score(json.dumps({"score": value}), rng)
 
 
 def test_validate_score_in_range():
@@ -29,12 +34,12 @@ def test_validate_score_boundaries():
 
 
 def test_validate_score_out_of_range():
-    with pytest.raises(OutOfRange):
+    with pytest.raises(SchemaError, match="^score 4 outside allowed range 0..3$"):
         validate_score(4, ScoreRange(0, 3))
 
 
 def test_validate_score_rejects_non_integers():
-    with pytest.raises(OutOfRange):
+    with pytest.raises(SchemaError, match="^score must be a JSON integer, got True$"):
         validate_score(True, ScoreRange(0, 3))
 
 
@@ -50,14 +55,14 @@ def test_single_point_range_is_illegal():
 @pytest.mark.parametrize("lo,hi", [(0, 2), (0, 3), (1, 6), (2, 12)])
 def test_validate_score_accepts_exactly_cardinality_integers(lo, hi):
     rng = ScoreRange(lo, hi)
-    accepted = 0
+    accepted = []
     for value in range(lo - 3, hi + 4):
         try:
-            validate_score(value, rng)
-            accepted += 1
-        except OutOfRange:
+            accepted.append(validate_score(value, rng))
+        except SchemaError:
             pass
-    assert accepted == rng.cardinality == hi - lo + 1
+    assert accepted == list(range(lo, hi + 1))
+    assert len(accepted) == rng.cardinality == hi - lo + 1
 
 
 def test_task_context_requires_question_and_rubric():

@@ -69,16 +69,21 @@ def _rows(*lines, header=HEADER):
     (_kind({}), SchemaError, "schema for 'k': field 'x' has unknown kind ''"),
     (_kind({"kind": ["text"]}), SchemaError,
      "schema for 'k': field 'x' has unknown kind ['text']"),
-    (_persisted(["a", "c", "b"]), pipeline.ManifestMismatch,
+    (_kind({"kind": "count", "derived_form": "items"}), SchemaError,
+     "schema for 'k': field 'x' has unknown key 'derived_form'"),
+    (_kind({"kind": "text", "description": 5}), SchemaError,
+     "schema for 'k': field 'x' has a description that is not a string: 5"),
+    (_persisted(["a", "c", "b"]), DatasetError,
      "run/records.jsonl line 3: response_id 'b' does not follow 'c'"),
-    (_persisted(["a"], ["b", "b"]), pipeline.ManifestMismatch,
+    (_persisted(["a"], ["b", "b"]), DatasetError,
      "run/failures.jsonl line 2: response_id 'b' does not follow 'b'"),
-    (_persisted(["a", "b"], ["b"]), pipeline.ManifestMismatch,
+    (_persisted(["a", "b"], ["b"]), DatasetError,
      "run/failures.jsonl: response_id 'b' is in records.jsonl too"),
 ], ids=["missing-field", "no-json", "too-deep", "missing-score",
         "non-integer-score", "missing-column", "non-integer-cell", "field-count",
         "duplicate-id", "gold-out-of-range", "empty-text", "unknown-kind",
-        "missing-kind", "list-kind", "records-out-of-order", "failures-out-of-order",
+        "missing-kind", "list-kind", "unknown-field-key", "description-not-string",
+        "records-out-of-order", "failures-out-of-order",
         "id-in-both-files"])
 def test_error_text(tmp_path, raise_it, error, text):
     with pytest.raises(error) as excinfo:

@@ -15,9 +15,8 @@ import pytest
 from autoscore import agents, pipeline
 from autoscore.backend import CachingBackend, ScriptedBackend
 from autoscore.core import StudentResponse
-from autoscore.ingest import Dataset
+from autoscore.ingest import Dataset, DatasetError
 from autoscore.pipeline import (
-    ManifestMismatch,
     RunConfig,
     RunDirConflict,
     load_run,
@@ -162,6 +161,23 @@ class TestScoreDataset:
         score_dataset(config, synth_dataset)
         with pytest.raises(RunDirConflict):
             score_dataset(config, synth_dataset)
+
+    @pytest.mark.parametrize("name", ["records.jsonl", "failures.jsonl"])
+    def test_refuses_run_files_left_without_a_manifest(
+        self, tmp_path, synth_dataset, synth_context, scripted_backend_factory, name,
+    ):
+        # a run whose manifest is gone: a new run would append its lines to
+        # the old ones and give the old outcomes the new run's manifest
+        idle = scripted_backend_factory()
+        config = make_config(tmp_path, idle, mode="baseline", context=synth_context)
+        config.run_dir.mkdir()
+        (config.run_dir / name).write_text("")
+        with pytest.raises(RunDirConflict, match=f"^{config.run_dir / name} exists "
+                           "with no manifest; score into a directory without run "
+                           "files$"):
+            score_dataset(config, synth_dataset)
+        assert sorted(p.name for p in config.run_dir.iterdir()) == [name]
+        assert idle.call_count == 0
 
     def test_per_record_failures_are_not_fatal(
         self, tmp_path, synth_dataset, synth_context, science_schema,
@@ -430,7 +446,8 @@ class TestResume:
             tmp_path, scripted_backend_factory(), mode="baseline",
             context=synth_context,
         )
-        with pytest.raises(ManifestMismatch):
+        with pytest.raises(DatasetError, match="^manifest mode is 'autoscore', "
+                           "current run has 'baseline'$"):
             resume(other, synth_dataset)
 
     def test_resume_with_edited_dataset_is_a_mismatch(
@@ -451,7 +468,7 @@ class TestResume:
             tmp_path, scripted_backend_factory(), schema=science_schema,
             context=synth_context,
         )
-        with pytest.raises(ManifestMismatch):
+        with pytest.raises(DatasetError, match="^manifest dataset_digest is "):
             resume(again, edited)
 
     @pytest.mark.parametrize("corrupt", ["stale-id", "gap"])
@@ -477,7 +494,7 @@ class TestResume:
         again = make_config(
             tmp_path, idle, schema=science_schema, context=synth_context,
         )
-        with pytest.raises(ManifestMismatch, match="^persisted ids are not a "
+        with pytest.raises(DatasetError, match="^persisted ids are not a "
                            "prefix of the dataset ordering"):
             resume(again, synth_dataset)
         assert records_file.read_bytes() == b"".join(lines)
@@ -513,7 +530,7 @@ class TestResume:
         again = make_config(
             tmp_path, idle, schema=science_schema, context=synth_context,
         )
-        with pytest.raises(ManifestMismatch) as excinfo:
+        with pytest.raises(DatasetError) as excinfo:
             resume(again, synth_dataset)
         assert str(excinfo.value) == f"{config.run_dir}/{error}"
         assert idle.call_count == 0
@@ -530,7 +547,7 @@ class TestResume:
         lines = records_file.read_bytes().splitlines(True)
         lines[4], lines[5] = lines[5], lines[4]
         records_file.write_bytes(b"".join(lines))
-        with pytest.raises(ManifestMismatch, match="line 6: response_id 'r05' "
+        with pytest.raises(DatasetError, match="line 6: response_id 'r05' "
                            "does not follow 'r06'$"):
             load_run(config.run_dir)
 
@@ -876,7 +893,7 @@ class TestRunDirLayout:
         assert loaded.failures == result.failures
 
     def test_load_run_without_manifest(self, tmp_path):
-        with pytest.raises(ManifestMismatch):
+        with pytest.raises(DatasetError, match="never-ran has no manifest$"):
             load_run(tmp_path / "never-ran")
 
     @pytest.mark.parametrize("cut", [
@@ -895,7 +912,7 @@ class TestRunDirLayout:
         score_dataset(config, synth_dataset)
         manifest = config.run_dir / "manifest.json"
         manifest.write_bytes(cut(manifest.read_bytes()))
-        with pytest.raises(ManifestMismatch, match="manifest.json"):
+        with pytest.raises(DatasetError, match="manifest.json"):
             load_run(config.run_dir)
 
     def test_torn_trailing_record_line_recovered_on_resume(
