@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Callable, TypeVar
 from urllib.parse import urlsplit
 
-from .core import AutoscoreError, decode_json, integer_at_least
+from .core import AutoscoreError, decode_json, integer_at_least, read_file
 
 logger = logging.getLogger(__name__)
 
@@ -436,17 +436,16 @@ def parse_jsonl(
 
 
 def read_jsonl(
-    path: str | Path, parse: Callable[[str], T], corrupt: type[AutoscoreError]
+    path: str | Path, parse: Callable[[str], T], corrupt: type[AutoscoreError],
+    what: str | None = None,
 ) -> tuple[list[T], int]:
     """`parse_jsonl` over an append-only JSONL file. Every append writes one
     whole line ending in a newline, so bytes after the last newline are a
     torn append (a crash mid-write) and are left out. Returns the entries
     and the byte length of the intact prefix, where a writer must start
-    its next append. A missing file reads as empty."""
-    try:
-        data = Path(path).read_bytes()
-    except FileNotFoundError:
-        return [], 0
+    its next append. A missing file reads as empty unless `what` names it
+    (see `read_file`)."""
+    data = read_file(path, corrupt, what)
     end = data.rfind(b"\n") + 1
     if end < len(data):
         logger.warning("ignoring a torn last line in %s", path)
@@ -474,8 +473,6 @@ class CachingBackend:
         self.inner = inner
         self.model_name = inner.model_name if inner is not None else _model(model_name)
         self._path = Path(cache_path)
-        if inner is None and not self._path.exists():
-            raise BackendUnavailable(f"replay fixture not found: {self._path}")
 
         def parse(line: str) -> tuple[str, tuple[str, int, bool]]:
             # digest -> the (text, latency_ms, from_cache) a hit returns
@@ -485,7 +482,8 @@ class CachingBackend:
                 return entry["digest"], (entry["text"], 0, True)
             return entry["digest"], (entry["text"], latency_ms, False)
 
-        entries, end = read_jsonl(self._path, parse, BackendUnavailable)
+        entries, end = read_jsonl(self._path, parse, BackendUnavailable,
+                                  "replay fixture" if inner is None else None)
         self._index: dict[str, tuple[str, int, bool]] = dict(entries)
         self._flights: dict[str, threading.Lock] = {}
         self._lock = threading.Lock()

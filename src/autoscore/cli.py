@@ -4,15 +4,18 @@ Exit codes: 0 success (even with per-record failures, which are reported
 in the summary), 2 configuration error (an unknown key; a bad rules line,
 template override, run or backend setting, score_range or essay_set; an
 empty base_url; a bad --sample-fraction; an unknown schema field key or a
-description that is not a string; a score --out that holds run files), 3
-dataset error or corrupt run directory (a manifest that lacks a key or has
-a malformed value, a record score outside the run's range, records or
-failures out of response_id order or an id in both, a case pair evaluate
-would not compare or whose dataset changed since the run, a missing or bad
-gold file, an empty validate-components sample, and for evaluate a run
-with no records, two run directories of one name, or two runs of one mode
-over one dataset through one backend), 4 backend unavailable (a corrupt
-cache or replay line, say a bad latency_ms, too).
+description that is not a string; a score --out that holds run files; an
+--out that cannot be created), 3 dataset error or corrupt run directory (a
+manifest that lacks a key or has a malformed value, a record score outside
+the run's range, records or failures out of response_id order or an id in
+both, a case pair evaluate would not compare or whose dataset changed since
+the run, a missing or bad gold file or one that names a response twice, a
+TSV, gold file or run directory of the wrong kind, an empty
+validate-components sample, and for evaluate a run with no records, two
+run directories of one name, or two runs of one mode over one dataset
+through one backend), 4 backend unavailable (a corrupt cache or replay
+line, say a bad latency_ms, too, or a cache or replay path that is a
+directory).
 Logs go to stderr; data goes to files and stdout.
 """
 
@@ -30,7 +33,8 @@ from .backend import BackendUnavailable
 from .config import ConfigError, build_backend, load_config
 from .core import AutoscoreError
 from .ingest import DatasetError, load_dataset, sample_ids
-from .metrics import evaluate_run, load_gold_annotations, validate_components
+from .metrics import (evaluate_run, load_gold_annotations, reliability_text,
+                      validate_components)
 from .schema import SchemaError, compile_schema
 
 logger = logging.getLogger("autoscore")
@@ -253,10 +257,8 @@ def cmd_validate_components(args) -> int:
     }
     gold_subset = {rid: gold[rid] for rid in predicted if rid in gold}
     reliability = validate_components(predicted, gold_subset, schema)
-    _emit(args.out, reliability.to_text(), {
-        "reliability.json": reliability.to_dict(),
-        "reliability.txt": reliability.to_text(),
-    })
+    text = reliability_text(reliability)
+    _emit(args.out, text, {"reliability.json": reliability, "reliability.txt": text})
     return EXIT_OK
 
 
@@ -268,8 +270,7 @@ def cmd_tradeoff(args) -> int:
     csv_text = report.tradeoff_csv(
         [(run, evaluate_run(run)) for run in runs if run.records])
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(csv_text, encoding="utf-8")
+    _write(out.parent, {out.name: csv_text})
     print(csv_text, end="")
     return EXIT_OK
 
@@ -295,17 +296,25 @@ def cmd_case(args) -> int:
 
 
 def _emit(out, shown: str, files: dict) -> None:
-    """Print shown; given an out directory, create it and write each file
-    (name -> payload) there: a dict as JSON indented by 2 with a final
-    newline, text as it is."""
+    """Print shown; given an out directory, write each file (name ->
+    payload) there: a dict as JSON indented by 2 with a final newline,
+    text as it is."""
     print(shown)
-    if out is None:
-        return
-    Path(out).mkdir(parents=True, exist_ok=True)
-    for name, payload in files.items():
-        if isinstance(payload, dict):
-            payload = json.dumps(payload, indent=2) + "\n"
-        Path(out, name).write_text(payload, encoding="utf-8")
+    if out is not None:
+        _write(Path(out), {name: json.dumps(payload, indent=2) + "\n"
+                           if isinstance(payload, dict) else payload
+                           for name, payload in files.items()})
+
+
+def _write(directory: Path, files: dict[str, str]) -> None:
+    """Create directory and write each file (name -> text) there; an
+    OSError is a ConfigError naming the path."""
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            Path(directory, name).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {exc.filename}: {exc.strerror}") from None
 
 
 _COMMANDS = {

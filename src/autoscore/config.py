@@ -14,7 +14,7 @@ import yaml
 from . import agents
 from .backend import (CachingBackend, RemoteBackend, ScriptedBackend, parse_jsonl,
                       scripted_rule)
-from .core import AutoscoreError, ScoreRange, TaskContext, decode_json
+from .core import AutoscoreError, ScoreRange, TaskContext, decode_json, read_file
 from .ingest import DatasetSpec
 from .schema import ComponentSchema, compile_schema
 
@@ -150,10 +150,9 @@ def _parse_item(item_id: str, raw: dict, config_dir: Path) -> ItemConfig:
 
 def load_config(path) -> Config:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+    text = read_file(path, ConfigError, "config file").decode("utf-8")
     try:
-        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+        raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
@@ -206,10 +205,8 @@ def build_backend(config: Config, kind_override: str | None = None):
             backend = CachingBackend(None, resolve("replay_path"), model_name)
         else:
             path = resolve("script_path")
-            if not path.exists():
-                raise ConfigError(f"scripted rules file not found: {path}")
             # a hand-written last line may lack its newline: read all the bytes
-            rules = parse_jsonl(path, path.read_bytes(),
+            rules = parse_jsonl(path, read_file(path, ConfigError, "scripted rules file"),
                                 lambda line: scripted_rule(decode_json(line)),
                                 ConfigError)
             backend = ScriptedBackend(rules=rules, model_name=model_name)

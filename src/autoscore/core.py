@@ -1,8 +1,8 @@
 """Core domain types shared by every stage of the scoring pipeline.
 
 Everything here is an immutable value object with its invariants enforced
-at construction time, the JSON decoder every reader of the package's
-files uses, or the one check of a count; no I/O happens in this module.
+at construction time, the file read and the JSON decoder every reader of
+the package's files uses, or the one check of a count.
 """
 
 from __future__ import annotations
@@ -43,6 +43,21 @@ def integer_at_least(value, name: str, minimum: int) -> int:
 
 class AutoscoreError(Exception):
     """Base class for every domain error raised by this package."""
+
+
+def read_file(path, error: type[AutoscoreError], what: str | None = None) -> bytes:
+    """The bytes of file `path`. A missing one raises `error` "<what> not
+    found: <path>", or reads as b"" when no `what` is given; any other
+    OSError (a directory, say) raises `error` naming the path."""
+    try:
+        with open(path, "rb") as handle:
+            return handle.read()
+    except FileNotFoundError:
+        if what is None:
+            return b""
+        raise error(f"{what} not found: {path}") from None
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror}") from None
 
 
 @dataclass(frozen=True)

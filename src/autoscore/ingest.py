@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import AutoscoreError, ScoreRange, StudentResponse
+from .core import AutoscoreError, ScoreRange, StudentResponse, read_file
 
 
 class DatasetError(AutoscoreError):
@@ -83,8 +83,7 @@ class Dataset:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _read_lines(path: Path) -> list[str]:
-    raw = path.read_bytes()
+def _read_lines(raw: bytes) -> list[str]:
     lines = []
     for chunk in raw.split(b"\n"):
         chunk = chunk.rstrip(b"\r")
@@ -112,9 +111,7 @@ def load_dataset(spec: DatasetSpec) -> Dataset:
     required, (id_col, set_col, text_col), gold_cols = FAMILIES[spec.family]
     gold_col = gold_cols[spec.gold_rule]
     path = Path(spec.tsv_path)
-    if not path.exists():
-        raise DatasetError(f"dataset file not found: {path}")
-    lines = _read_lines(path)
+    lines = _read_lines(read_file(path, DatasetError, "dataset file"))
     if not lines:
         raise DatasetError(f"dataset file is empty: {path}")
 

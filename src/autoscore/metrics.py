@@ -23,11 +23,10 @@ variance) raise ZeroVariance and are reported as null cells, never as 0.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
+from dataclasses import asdict, dataclass
 
 from .backend import parse_jsonl
-from .core import AutoscoreError, ScoreRange, StructuredRepresentation, decode_json
+from .core import AutoscoreError, ScoreRange, StructuredRepresentation, decode_json, read_file
 from .ingest import DatasetError
 from .schema import ComponentSchema
 
@@ -195,9 +194,9 @@ def f1_binary(gold, pred) -> float:
     return 2 * tp / denom
 
 
-def count_agreement(gold_counts, pred_counts):
+def count_agreement(gold_counts, pred_counts) -> dict:
     """Element-wise stats over paired non-negative integer counts:
-    (mae, rmse, pearson or None when undefined, exact_match_rate)."""
+    {mae, rmse, pearson (None when undefined), exact_match_rate}."""
     n = len(gold_counts)
     if n == 0:
         raise DatasetError("no count pairs")
@@ -210,14 +209,17 @@ def count_agreement(gold_counts, pred_counts):
         corr = _pearson_values(list(gold_counts), list(pred_counts))
     except ZeroVariance:
         corr = None
-    return (l1 / n, math.sqrt(sse / n), corr, exact / n)
+    return {"mae": l1 / n, "rmse": math.sqrt(sse / n), "pearson": corr,
+            "exact_match_rate": exact / n}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class MetricsReport:
-    """One run's headline metrics plus the full confusion matrix."""
+    """One run's headline metrics and confusion matrix, in file order."""
 
+    label: str | None = None
     n: int
+    failures: int = 0
     accuracy: float
     qwk: float
     pearson: float | None
@@ -225,22 +227,9 @@ class MetricsReport:
     mae: float
     rmse: float
     confusion: tuple[tuple[int, ...], ...]
-    failures: int = 0
-    label: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "n": self.n,
-            "failures": self.failures,
-            "accuracy": self.accuracy,
-            "qwk": self.qwk,
-            "pearson": self.pearson,
-            "spearman": self.spearman,
-            "mae": self.mae,
-            "rmse": self.rmse,
-            "confusion": [list(row) for row in self.confusion],
-        }
+        return asdict(self)
 
     def to_text(self) -> str:
         def cell(value) -> str:
@@ -306,64 +295,33 @@ def evaluate_run(result) -> MetricsReport:
                           label=result.manifest["mode"])
 
 
-@dataclass(frozen=True)
-class BooleanFieldStats:
-    accuracy: float
-    f1: float
-    cohen_kappa: float
-
-
-@dataclass(frozen=True)
-class CountFieldStats:
-    mae: float
-    rmse: float
-    pearson: float | None
-    exact_match_rate: float
-
-
-@dataclass(frozen=True)
-class ReliabilityReport:
-    """Component-recognition reliability against gold annotations: per
-    boolean field accuracy/F1/kappa, per count field error and exact-match
-    statistics, and the joint all-counts exact-match rate."""
-
-    n: int
-    boolean_fields: dict = field(default_factory=dict)
-    count_fields: dict = field(default_factory=dict)
-    overall_exact_match_rate: float = 0.0
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def to_text(self) -> str:
-        lines = [f"n = {self.n}"]
-        for name, s in self.boolean_fields.items():
-            lines.append(
-                f"{name}: accuracy {s.accuracy:.4f}  f1 {s.f1:.4f}  "
-                f"kappa {s.cohen_kappa:.4f}"
-            )
-        for name, s in self.count_fields.items():
-            corr = "—" if s.pearson is None else f"{s.pearson:.4f}"
-            lines.append(
-                f"{name}: mae {s.mae:.4f}  rmse {s.rmse:.4f}  pearson {corr}  "
-                f"exact-match {s.exact_match_rate:.4f}"
-            )
-        lines.append(
-            f"overall exact-match (all counts): "
-            f"{self.overall_exact_match_rate:.4f}"
-        )
-        return "\n".join(lines) + "\n"
+def reliability_text(report: dict) -> str:
+    """The text form of a `validate_components` report."""
+    lines = [f"n = {report['n']}"]
+    for name, s in report["boolean_fields"].items():
+        lines.append(f"{name}: accuracy {s['accuracy']:.4f}  f1 {s['f1']:.4f}  "
+                     f"kappa {s['cohen_kappa']:.4f}")
+    for name, s in report["count_fields"].items():
+        corr = "—" if s["pearson"] is None else f"{s['pearson']:.4f}"
+        lines.append(f"{name}: mae {s['mae']:.4f}  rmse {s['rmse']:.4f}  "
+                     f"pearson {corr}  exact-match {s['exact_match_rate']:.4f}")
+    lines.append(f"overall exact-match (all counts): "
+                 f"{report['overall_exact_match_rate']:.4f}")
+    return "\n".join(lines) + "\n"
 
 
 def validate_components(
     predicted: dict[str, StructuredRepresentation],
     gold: dict[str, dict],
     schema: ComponentSchema,
-) -> ReliabilityReport:
-    """Compare extracted representations against gold component annotations,
-    aligned by response id. Gold must supply every boolean and count field
-    of the schema for every aligned response, and each such gold and
-    predicted value must pass the schema's own check for its kind."""
+) -> dict:
+    """Component-recognition reliability against gold annotations, aligned
+    by response id, as the dict reliability.json holds: n; per boolean
+    field accuracy, F1 and Cohen's kappa; per count field `count_agreement`;
+    and the joint all-counts exact-match rate. Gold must supply every
+    boolean and count field of the schema for every aligned response, and
+    each such gold and predicted value must pass the schema's own check for
+    its kind."""
     pred_ids = set(predicted)
     gold_ids = set(gold)
     if pred_ids != gold_ids:
@@ -385,9 +343,8 @@ def validate_components(
                 f"expected {schema.item_id!r}"
             )
 
-    bool_fields = [f for f in schema.fields if f.kind == "boolean"]
-    count_fields = [f for f in schema.fields if f.kind == "count"]
-    for f_ in (*bool_fields, *count_fields):
+    compared = [f for f in schema.fields if f.kind in ("boolean", "count")]
+    for f_ in compared:
         expected, check = schema.checks[f_.name]
         for rid in ids:
             if f_.name not in gold[rid]:
@@ -400,35 +357,23 @@ def validate_components(
                     raise DatasetError(f"{whose} for {rid} has {f_.name!r} = "
                                        f"{value!r}, expected {expected}")
 
-    booleans = {}
-    for f_ in bool_fields:
+    booleans, counts = {}, {}
+    for f_ in compared:
         gold_vec = [gold[rid][f_.name] for rid in ids]
         pred_vec = [predicted[rid].values[f_.name] for rid in ids]
-        agree = sum(1 for g, r in zip(gold_vec, pred_vec) if g == r)
-        booleans[f_.name] = BooleanFieldStats(
-            accuracy=agree / len(ids),
-            f1=f1_binary(gold_vec, pred_vec),
-            cohen_kappa=cohen_kappa_binary(gold_vec, pred_vec),
-        )
-
-    counts = {}
-    for f_ in count_fields:
-        gold_vec = [gold[rid][f_.name] for rid in ids]
-        pred_vec = [predicted[rid].values[f_.name] for rid in ids]
-        c_mae, c_rmse, c_pearson, c_exact = count_agreement(gold_vec, pred_vec)
-        counts[f_.name] = CountFieldStats(
-            mae=c_mae, rmse=c_rmse, pearson=c_pearson, exact_match_rate=c_exact
-        )
+        if f_.kind == "count":
+            counts[f_.name] = count_agreement(gold_vec, pred_vec)
+        else:
+            agree = sum(1 for g, r in zip(gold_vec, pred_vec) if g == r)
+            booleans[f_.name] = {"accuracy": agree / len(ids),
+                                 "f1": f1_binary(gold_vec, pred_vec),
+                                 "cohen_kappa": cohen_kappa_binary(gold_vec, pred_vec)}
 
     # with no count fields every response matches on all of them: 1.0
-    joint = sum(all(predicted[rid].values[f_.name] == gold[rid][f_.name]
-                    for f_ in count_fields) for rid in ids)
-    return ReliabilityReport(
-        n=len(ids),
-        boolean_fields=booleans,
-        count_fields=counts,
-        overall_exact_match_rate=joint / len(ids),
-    )
+    joint = sum(all(predicted[rid].values[name] == gold[rid][name] for name in counts)
+                for rid in ids)
+    return {"n": len(ids), "boolean_fields": booleans, "count_fields": counts,
+            "overall_exact_match_rate": joint / len(ids)}
 
 
 def _gold_annotation(line: str) -> tuple[str, dict]:
@@ -441,12 +386,14 @@ def _gold_annotation(line: str) -> tuple[str, dict]:
 
 def load_gold_annotations(path) -> dict[str, dict]:
     """Gold component annotations: JSONL of {response_id, values{...}}. A
-    missing file, or a line that does not parse, lacks either key or has
-    `values` that is not an object, raises DatasetError naming the file
-    (and the line)."""
-    try:
-        data = Path(path).read_bytes()
-    except FileNotFoundError:
-        raise DatasetError(f"gold annotations file not found: {path}") from None
+    file that cannot be read, a line that does not parse, lacks either key
+    or has `values` that is not an object, and a response_id on two lines
+    raise DatasetError naming the file (and the line or the id)."""
+    data = read_file(path, DatasetError, "gold annotations file")
+    gold: dict[str, dict] = {}
     # a hand-written last line may lack its newline: parse all the bytes
-    return dict(parse_jsonl(path, data, _gold_annotation, DatasetError))
+    for rid, values in parse_jsonl(path, data, _gold_annotation, DatasetError):
+        if rid in gold:
+            raise DatasetError(f"{path}: response_id {rid!r} is on two lines")
+        gold[rid] = values
+    return gold

@@ -72,7 +72,8 @@ READ_KEYS = (*RESUME_KEYS[:-2], "dataset_ref")
 
 
 class RunDirConflict(AutoscoreError):
-    """score_dataset refuses to write into a directory that holds run files."""
+    """score_dataset refuses a directory that holds run files, or a path
+    it cannot make a directory."""
 
 
 @dataclass(frozen=True)
@@ -193,6 +194,8 @@ def _read_manifest(run_dir: Path) -> dict:
         manifest = decode_json(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise DatasetError(f"{run_dir} has no manifest") from None
+    except OSError as exc:  # a run_dir that is a file, say
+        raise DatasetError(f"cannot read {path}: {exc.strerror}") from None
     except ValueError as exc:  # not UTF-8 or not JSON
         raise DatasetError(f"{path} does not parse: {exc}") from None
     if not isinstance(manifest, dict):
@@ -434,7 +437,10 @@ def score_dataset(config: RunConfig, dataset: Dataset) -> RunResult:
     run aborts only on configuration errors or unexpected exceptions.
     """
     run_dir = config.run_dir
-    run_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        run_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise RunDirConflict(f"cannot make {run_dir} a directory: {exc.strerror}") from None
     if (run_dir / MANIFEST).exists():
         raise RunDirConflict(f"{run_dir} already contains a run; use resume instead")
     for name in (RECORDS, FAILURES):  # left by a run whose manifest is gone

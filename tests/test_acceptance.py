@@ -337,22 +337,22 @@ def test_criterion_5_reliability_report():
         from autoscore.metrics import validate_components
 
         report = validate_components(predicted, gold, SCIENCE)
-        b = report.boolean_fields["valid_conclusion"]
-        assert b.accuracy == 0.9
-        assert b.f1 == 10 / 11
-        assert b.cohen_kappa == 0.8
-        d = report.count_fields["design_count"]
-        assert (d.mae, d.rmse) == (0.3, math.sqrt(3 / 10))
-        assert d.pearson == 40 / math.sqrt(49 * 60)
-        assert d.exact_match_rate == 0.7
-        v = report.count_fields["validity_count"]
-        assert (v.mae, v.rmse) == (0.1, math.sqrt(1 / 10))
-        assert v.pearson == 38 / math.sqrt(44 * 41)
-        assert v.exact_match_rate == 0.9
-        assert report.overall_exact_match_rate == 0.6
+        b = report["boolean_fields"]["valid_conclusion"]
+        assert b["accuracy"] == 0.9
+        assert b["f1"] == 10 / 11
+        assert b["cohen_kappa"] == 0.8
+        d = report["count_fields"]["design_count"]
+        assert (d["mae"], d["rmse"]) == (0.3, math.sqrt(3 / 10))
+        assert d["pearson"] == 40 / math.sqrt(49 * 60)
+        assert d["exact_match_rate"] == 0.7
+        v = report["count_fields"]["validity_count"]
+        assert (v["mae"], v["rmse"]) == (0.1, math.sqrt(1 / 10))
+        assert v["pearson"] == 38 / math.sqrt(44 * 41)
+        assert v["exact_match_rate"] == 0.9
+        assert report["overall_exact_match_rate"] == 0.6
 
         # every reliability quantity is exposed as a named field
-        data = report.to_dict()
+        data = report
         assert set(data["boolean_fields"]["valid_conclusion"]) == {
             "accuracy", "f1", "cohen_kappa",
         }

@@ -1394,3 +1394,251 @@ class TestHelpGolden:
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(["score", "--bogus"])
         assert excinfo.value.code == 2
+
+
+def _four_response_run(root: Path, fields: list, extracted: dict, gold: dict) -> Path:
+    """Score four responses (gold scores 1, 2, 2, 3) in autoscore mode
+    through scripted rules that extract `extracted[rid]` and score every
+    response 2; write `gold` as the component annotations. Returns the run
+    directory."""
+    ids, scores = ["a1", "a2", "a3", "a4"], [1, 2, 2, 3]
+    rows = ["Id\tEssaySet\tScore1\tScore2\tEssayText"]
+    rows += [f"{rid}\t1\t{s}\t{s}\tresponse {rid} text" for rid, s in zip(ids, scores)]
+    (root / "data.tsv").write_text("".join(r + "\n" for r in rows))
+    rules = [{"match": [f"response {rid} text", "Identify the rubric-relevant"],
+              "text": json.dumps(extracted[rid])} for rid in ids]
+    rules.append({"match": "response", "text": '{"score": 2}'})
+    (root / "rules.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rules))
+    (root / "gold.jsonl").write_text("".join(
+        json.dumps({"response_id": rid, "values": gold[rid]}) + "\n" for rid in ids))
+    (root / "config.yaml").write_text(yaml.safe_dump({
+        "backend": {"kind": "scripted", "model": "m", "script_path": "rules.jsonl"},
+        "run": {"parallelism": 1},
+        "items": {"tiny": {"family": "sas", "tsv_path": "data.tsv", "essay_set": 1,
+                           "score_range": {"min": 0, "max": 3}, "question": "q",
+                           "rubric_text": "r", "schema": {"fields": fields}}},
+    }))
+    run = root / "run"
+    assert main(["score", "--config", str(root / "config.yaml"), "--item", "tiny",
+                 "--out", str(run)]) == 0
+    return run
+
+
+OK_FIELD = {"name": "ok", "kind": "boolean"}
+# gold ok: T F T F, predicted: T F F F (accuracy 3/4, f1 2/3, kappa 1/2)
+OK_PRED = {"a1": True, "a2": False, "a3": False, "a4": False}
+OK_GOLD = {"a1": True, "a2": False, "a3": True, "a4": False}
+
+CONSTANT_COUNT_RELIABILITY_JSON = """\
+{
+  "n": 4,
+  "boolean_fields": {
+    "ok": {
+      "accuracy": 0.75,
+      "f1": 0.6666666666666666,
+      "cohen_kappa": 0.5
+    }
+  },
+  "count_fields": {
+    "k": {
+      "mae": 1.0,
+      "rmse": 1.0,
+      "pearson": null,
+      "exact_match_rate": 0.0
+    }
+  },
+  "overall_exact_match_rate": 0.0
+}
+"""
+CONSTANT_COUNT_RELIABILITY_TXT = """\
+n = 4
+ok: accuracy 0.7500  f1 0.6667  kappa 0.5000
+k: mae 1.0000  rmse 1.0000  pearson —  exact-match 0.0000
+overall exact-match (all counts): 0.0000
+"""
+BOOLEAN_ONLY_RELIABILITY_JSON = """\
+{
+  "n": 4,
+  "boolean_fields": {
+    "ok": {
+      "accuracy": 0.75,
+      "f1": 0.6666666666666666,
+      "cohen_kappa": 0.5
+    }
+  },
+  "count_fields": {},
+  "overall_exact_match_rate": 1.0
+}
+"""
+BOOLEAN_ONLY_RELIABILITY_TXT = """\
+n = 4
+ok: accuracy 0.7500  f1 0.6667  kappa 0.5000
+overall exact-match (all counts): 1.0000
+"""
+# gold 1 2 2 3 against a constant 2: no correlation is defined
+CONSTANT_SCORE_METRICS_JSON = """\
+{
+  "label": "autoscore",
+  "n": 4,
+  "failures": 0,
+  "accuracy": 0.5,
+  "qwk": 0.0,
+  "pearson": null,
+  "spearman": null,
+  "mae": 0.5,
+  "rmse": 0.7071067811865476,
+  "confusion": [
+    [
+      0,
+      0,
+      0,
+      0
+    ],
+    [
+      0,
+      0,
+      1,
+      0
+    ],
+    [
+      0,
+      0,
+      2,
+      0
+    ],
+    [
+      0,
+      0,
+      1,
+      0
+    ]
+  ]
+}
+"""
+CONSTANT_SCORE_METRICS_TXT = """\
+[autoscore]
+n         4
+failures  0
+accuracy  0.5000
+qwk       0.0000
+pearson   —
+spearman  —
+mae       0.5000
+rmse      0.7071
+confusion (rows = gold):
+     0    0    0    0
+     0    0    1    0
+     0    0    2    0
+     0    0    1    0
+"""
+
+
+class TestReportBytes:
+    """The exact bytes of the report files for cells the demo never
+    produces: an undefined correlation and a schema without count fields."""
+
+    @pytest.mark.parametrize("fields,count,expected_json,expected_txt", [
+        ([OK_FIELD, {"name": "k", "kind": "count"}], ({"k": 1}, {"k": 2}),
+         CONSTANT_COUNT_RELIABILITY_JSON, CONSTANT_COUNT_RELIABILITY_TXT),
+        ([OK_FIELD], ({}, {}), BOOLEAN_ONLY_RELIABILITY_JSON,
+         BOOLEAN_ONLY_RELIABILITY_TXT),
+    ], ids=["constant-count", "boolean-only"])
+    def test_reliability_files(self, tmp_path, fields, count, expected_json,
+                               expected_txt):
+        pred, gold = count
+        run = _four_response_run(
+            tmp_path, fields, {rid: {"ok": v, **pred} for rid, v in OK_PRED.items()},
+            {rid: {"ok": v, **gold} for rid, v in OK_GOLD.items()})
+        out = tmp_path / "rel"
+        assert main(["validate-components", "--run", str(run),
+                     "--gold", str(tmp_path / "gold.jsonl"), "--out", str(out)]) == 0
+        assert (out / "reliability.json").read_text(encoding="utf-8") == expected_json
+        assert (out / "reliability.txt").read_text(encoding="utf-8") == expected_txt
+
+    def test_metrics_files_with_undefined_correlations(self, tmp_path):
+        run = _four_response_run(tmp_path, [OK_FIELD],
+                                 {rid: {"ok": v} for rid, v in OK_PRED.items()},
+                                 {rid: {"ok": v} for rid, v in OK_GOLD.items()})
+        out = tmp_path / "reports"
+        assert main(["evaluate", "--run", str(run), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["run.metrics.json",
+                                                          "run.metrics.txt"]
+        assert (out / "run.metrics.json").read_text(encoding="utf-8") == \
+            CONSTANT_SCORE_METRICS_JSON
+        assert (out / "run.metrics.txt").read_text(encoding="utf-8") == \
+            CONSTANT_SCORE_METRICS_TXT
+
+
+def _score_with_setting(*key, extra=()):
+    """Score a baseline run with the config setting at `key` set to `wrong`."""
+    def run(config_path, tmp_path, wrong):
+        config = yaml.safe_load(config_path.read_text())
+        _setting(*key, value=str(wrong))(config, tmp_path)
+        config_path.write_text(yaml.safe_dump(config))
+        return _score(config_path, "baseline", tmp_path / "run", extra)
+    return run
+
+
+def _validate_against_gold(config_path, tmp_path, wrong):
+    assert _score(config_path, "autoscore", tmp_path / "run") == 0
+    return main(["validate-components", "--run", str(tmp_path / "run"),
+                 "--gold", str(wrong)])
+
+
+class TestPathOfTheWrongKind:
+    """A directory where a file is read, or a file where a run directory
+    is, exits with its reader's code and names the path."""
+
+    @pytest.mark.parametrize("wrong_kind,run,code", [
+        ("dir", lambda config_path, tmp_path, wrong:
+         _score(wrong, "baseline", tmp_path / "run"), 2),
+        ("dir", _score_with_setting("items", "synth", "tsv_path"), 3),
+        ("dir", _score_with_setting("backend", "script_path"), 2),
+        ("dir", _score_with_setting("backend", "cache_path"), 4),
+        ("dir", _score_with_setting("backend", "replay_path",
+                                    extra=["--backend", "replay"]), 4),
+        ("dir", _validate_against_gold, 3),
+        ("file", lambda config_path, tmp_path, wrong:
+         main(["evaluate", "--run", str(wrong), "--out", str(tmp_path / "reports")]), 3),
+        ("file", lambda config_path, tmp_path, wrong:
+         _score(config_path, "baseline", wrong, ["--resume"]), 3),
+    ], ids=["config", "tsv-path", "script-path", "cache-path", "replay-path", "gold",
+            "evaluate-run", "resume-out"])
+    def test_input_exits_with_its_readers_code(self, workspace, tmp_path, caplog,
+                                                wrong_kind, run, code):
+        wrong = tmp_path / "wrong"
+        if wrong_kind == "dir":
+            wrong.mkdir()
+        else:
+            wrong.write_text("")
+        assert run(workspace, tmp_path, wrong) == code
+        assert f"cannot read {wrong}" in caplog.text
+
+    @pytest.mark.parametrize("command,argv", [
+        ("score", lambda config_path, a, b: ["score", "--config", str(config_path),
+                                             "--item", "synth"]),
+        ("evaluate", lambda config_path, a, b: ["evaluate", "--run", str(a),
+                                                "--run", str(b)]),
+        ("validate-components", lambda config_path, a, b: [
+            "validate-components", "--run", str(a),
+            "--gold", str(config_path.parent / "gold.jsonl")]),
+        ("case", lambda config_path, a, b: [
+            "case", "--run-autoscore", str(a), "--run-baseline", str(b),
+            "--id", "r02", "--config", str(config_path)]),
+        ("tradeoff", lambda config_path, a, b: ["tradeoff", "--run", str(a)]),
+    ], ids=["score", "evaluate", "validate-components", "case", "tradeoff"])
+    def test_out_that_cannot_be_created_exits_2(self, workspace, tmp_path, caplog,
+                                                command, argv):
+        auto, base = tmp_path / "a", tmp_path / "b"
+        assert _score(workspace, "autoscore", auto) == 0
+        assert _score(workspace, "baseline", base) == 0
+        # tradeoff writes --out as a file, the others make it a directory
+        out = tmp_path / "taken"
+        if command == "tradeoff":
+            out.mkdir()
+        else:
+            out.write_text("kept\n")
+        assert main([*argv(workspace, auto, base), "--out", str(out)]) == 2
+        assert (f"cannot make {out} a directory" if command == "score"
+                else f"cannot write {out}") in caplog.text
+        assert command == "tradeoff" or out.read_text() == "kept\n"

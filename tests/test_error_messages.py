@@ -7,6 +7,8 @@ key; the other texts are what a user reads for exit 2 or 3. Each case pins
 the text of one error, whatever class raises it.
 """
 
+import json
+import os
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ import pytest
 from autoscore import agents, pipeline
 from autoscore.core import ScoredRecord, ScoreRange
 from autoscore.ingest import DatasetError, DatasetSpec, load_dataset
+from autoscore.metrics import load_gold_annotations
 from autoscore.schema import SchemaError, compile_schema
 
 SCHEMA = compile_schema("k", {"fields": [{"name": "flag", "kind": "boolean"}]})
@@ -44,6 +47,19 @@ def _rows(*lines, header=HEADER):
         path.write_text("".join(line + "\n" for line in (header, *lines)))
         return load_dataset(DatasetSpec(family="sas", tsv_path=str(path), essay_set=1,
                                         score_range=ScoreRange(0, 3)))
+    return load
+
+
+def _gold(*ids):
+    def load(tmp_path):
+        (tmp_path / "gold.jsonl").write_text("".join(
+            json.dumps({"response_id": rid, "values": {}}) + "\n" for rid in ids))
+        cwd = os.getcwd()
+        os.chdir(tmp_path)  # the text names the path as given
+        try:
+            return load_gold_annotations("gold.jsonl")
+        finally:
+            os.chdir(cwd)
     return load
 
 
@@ -79,12 +95,14 @@ def _rows(*lines, header=HEADER):
      "run/failures.jsonl line 2: response_id 'b' does not follow 'b'"),
     (_persisted(["a", "b"], ["b"]), DatasetError,
      "run/failures.jsonl: response_id 'b' is in records.jsonl too"),
+    (_gold("d01", "d02", "d01"), DatasetError,
+     "gold.jsonl: response_id 'd01' is on two lines"),
 ], ids=["missing-field", "no-json", "too-deep", "missing-score",
         "non-integer-score", "missing-column", "non-integer-cell", "field-count",
         "duplicate-id", "gold-out-of-range", "empty-text", "unknown-kind",
         "missing-kind", "list-kind", "unknown-field-key", "description-not-string",
         "records-out-of-order", "failures-out-of-order",
-        "id-in-both-files"])
+        "id-in-both-files", "gold-id-twice"])
 def test_error_text(tmp_path, raise_it, error, text):
     with pytest.raises(error) as excinfo:
         raise_it(tmp_path)

@@ -141,19 +141,19 @@ class TestF1:
 
 class TestCountAgreement:
     def test_identical(self):
-        c_mae, c_rmse, c_pearson, c_exact = count_agreement([1, 2, 3], [1, 2, 3])
-        assert (c_mae, c_rmse, c_exact) == (0.0, 0.0, 1.0)
-        assert c_pearson == 1.0
+        c = count_agreement([1, 2, 3], [1, 2, 3])
+        assert (c["mae"], c["rmse"], c["exact_match_rate"]) == (0.0, 0.0, 1.0)
+        assert c["pearson"] == 1.0
 
     def test_identical_but_constant_reports_none(self):
-        _, _, c_pearson, c_exact = count_agreement([2, 2, 2], [2, 2, 2])
-        assert c_pearson is None
-        assert c_exact == 1.0
+        c = count_agreement([2, 2, 2], [2, 2, 2])
+        assert c["pearson"] is None
+        assert c["exact_match_rate"] == 1.0
 
     def test_hand_example(self):
-        c_mae, _, _, c_exact = count_agreement([1, 2, 0], [1, 1, 0])
-        assert c_mae == pytest.approx(1 / 3, abs=1e-15)
-        assert c_exact == pytest.approx(2 / 3, abs=1e-15)
+        c = count_agreement([1, 2, 0], [1, 1, 0])
+        assert c["mae"] == pytest.approx(1 / 3, abs=1e-15)
+        assert c["exact_match_rate"] == pytest.approx(2 / 3, abs=1e-15)
 
     def test_empty_is_an_error(self):
         with pytest.raises(DatasetError, match="^no count pairs$"):
@@ -380,31 +380,31 @@ class TestValidateComponents:
             for rid, rep in predicted.items()
         }
         report = validate_components(predicted, gold, SCIENCE)
-        assert report.boolean_fields["valid_conclusion"].accuracy == 1.0
-        assert report.count_fields["design_count"].exact_match_rate == 1.0
-        assert report.count_fields["design_count"].mae == 0.0
-        assert report.overall_exact_match_rate == 1.0
+        assert report["boolean_fields"]["valid_conclusion"]["accuracy"] == 1.0
+        assert report["count_fields"]["design_count"]["exact_match_rate"] == 1.0
+        assert report["count_fields"]["design_count"]["mae"] == 0.0
+        assert report["overall_exact_match_rate"] == 1.0
 
     def test_frozen_fixture_statistics(self):
         predicted, gold = _reliability_fixture()
         report = validate_components(predicted, gold, SCIENCE)
-        b = report.boolean_fields["valid_conclusion"]
+        b = report["boolean_fields"]["valid_conclusion"]
         # hand-computed: 9/10 agree; tp=5 fp=0 fn=1; po=.9 pe=.5
-        assert b.accuracy == 0.9
-        assert b.f1 == 10 / 11
-        assert b.cohen_kappa == 0.8
-        d = report.count_fields["design_count"]
+        assert b["accuracy"] == 0.9
+        assert b["f1"] == 10 / 11
+        assert b["cohen_kappa"] == 0.8
+        d = report["count_fields"]["design_count"]
         # ints: L1=3 SSE=3 exact=7; moments num=40 vx=49 vy=60
-        assert d.mae == 0.3
-        assert d.rmse == math.sqrt(3 / 10)
-        assert d.pearson == 40 / math.sqrt(49 * 60)
-        assert d.exact_match_rate == 0.7
-        v = report.count_fields["validity_count"]
-        assert v.mae == 0.1
-        assert v.rmse == math.sqrt(1 / 10)
-        assert v.pearson == 38 / math.sqrt(44 * 41)
-        assert v.exact_match_rate == 0.9
-        assert report.overall_exact_match_rate == 0.6
+        assert d["mae"] == 0.3
+        assert d["rmse"] == math.sqrt(3 / 10)
+        assert d["pearson"] == 40 / math.sqrt(49 * 60)
+        assert d["exact_match_rate"] == 0.7
+        v = report["count_fields"]["validity_count"]
+        assert v["mae"] == 0.1
+        assert v["rmse"] == math.sqrt(1 / 10)
+        assert v["pearson"] == 38 / math.sqrt(44 * 41)
+        assert v["exact_match_rate"] == 0.9
+        assert report["overall_exact_match_rate"] == 0.6
 
     def test_misaligned_ids(self):
         predicted, gold = _reliability_fixture()
@@ -439,13 +439,13 @@ class TestValidateComponents:
                      "b": StructuredRepresentation("flags", {"ok": False})}
         report = validate_components(predicted, {"a": {"ok": True}, "b": {"ok": True}},
                                      schema)
-        assert report.boolean_fields["ok"].accuracy == 0.5
-        assert report.count_fields == {}
-        assert report.overall_exact_match_rate == 1.0
+        assert report["boolean_fields"]["ok"]["accuracy"] == 0.5
+        assert report["count_fields"] == {}
+        assert report["overall_exact_match_rate"] == 1.0
 
     def test_report_exposes_reliability_quantities(self):
         predicted, gold = _reliability_fixture()
-        data = validate_components(predicted, gold, SCIENCE).to_dict()
+        data = validate_components(predicted, gold, SCIENCE)
         bool_stats = data["boolean_fields"]["valid_conclusion"]
         assert set(bool_stats) == {"accuracy", "f1", "cohen_kappa"}
         count_stats = data["count_fields"]["design_count"]
