@@ -477,10 +477,14 @@ class CachingBackend:
         def parse(line: str) -> tuple[str, tuple[str, int, bool]]:
             # digest -> the (text, latency_ms, from_cache) a hit returns
             entry = decode_json(line)
+            digest, text = entry["digest"], entry["text"]
+            if type(digest) is not str or type(text) is not str:
+                raise ValueError(f"digest and text must be strings, got "
+                                 f"{type(digest).__name__} and {type(text).__name__}")
             latency_ms = integer_at_least(entry.get("latency_ms", 1), "latency_ms", 1)
             if inner is not None:
-                return entry["digest"], (entry["text"], 0, True)
-            return entry["digest"], (entry["text"], latency_ms, False)
+                return digest, (text, 0, True)
+            return digest, (text, latency_ms, False)
 
         entries, end = read_jsonl(self._path, parse, BackendUnavailable,
                                   "replay fixture" if inner is None else None)

@@ -1,11 +1,12 @@
 """Command-line entry point.
 
 Exit codes: 0 success (even with per-record failures, which are reported
-in the summary), 2 configuration error (an unknown key; a bad rules line,
-template override, run or backend setting, score_range or essay_set; an
-empty base_url; a bad --sample-fraction; an unknown schema field key or a
-description that is not a string; a score --out that holds run files; an
---out that cannot be created), 3 dataset error or corrupt run directory (a
+in the summary), 2 configuration error (a config file that is not UTF-8;
+an unknown key; a bad rules line, template override, run or backend
+setting, score_range or essay_set; an empty base_url; a bad
+--sample-fraction; an unknown schema field key or a description that is
+not a string; a score --out that holds run files; an --out that cannot be
+created), 3 dataset error or corrupt run directory (a
 manifest that lacks a key or has a malformed value, a record score outside
 the run's range, records or failures out of response_id order or an id in
 both, a case pair evaluate would not compare or whose dataset changed since
@@ -14,8 +15,8 @@ TSV, gold file or run directory of the wrong kind, an empty
 validate-components sample, and for evaluate a run with no records, two
 run directories of one name, or two runs of one mode over one dataset
 through one backend), 4 backend unavailable (a corrupt cache or replay
-line, say a bad latency_ms, too, or a cache or replay path that is a
-directory).
+line, say a bad latency_ms or a digest or text that is not a string, too,
+or a cache or replay path that is a directory).
 Logs go to stderr; data goes to files and stdout.
 """
 

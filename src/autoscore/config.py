@@ -150,9 +150,11 @@ def _parse_item(item_id: str, raw: dict, config_dir: Path) -> ItemConfig:
 
 def load_config(path) -> Config:
     path = Path(path)
-    text = read_file(path, ConfigError, "config file").decode("utf-8")
+    data = read_file(path, ConfigError, "config file")
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.safe_load(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8: {exc}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):

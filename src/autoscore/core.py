@@ -144,13 +144,6 @@ class Transcript:
                              f"{self.agent_name!r}, {self.prompt_digest!r} and "
                              f"{self.raw_output!r}")
 
-    def to_dict(self) -> dict:
-        return {
-            "agent_name": self.agent_name,
-            "prompt_digest": self.prompt_digest,
-            "raw_output": self.raw_output,
-        }
-
 
 @dataclass(frozen=True)
 class StructuredRepresentation:
@@ -173,13 +166,6 @@ class StructuredRepresentation:
                 type(flag) is str for flag in self.inconsistency_flags):
             raise ValueError(f"inconsistency_flags must be strings, "
                              f"got {self.inconsistency_flags!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_id": self.schema_id,
-            "values": self.values,
-            "inconsistency_flags": list(self.inconsistency_flags),
-        }
 
 
 @dataclass(frozen=True)
@@ -219,24 +205,19 @@ class ScoredRecord:
         integer_at_least(self.wall_time_ms, "wall_time_ms", 0)
         integer_at_least(self.retries, "retries", 0)
 
-    def to_dict(self) -> dict:
-        rep = self.representation
-        return {
-            "response_id": self.response_id,
-            "mode": self.mode,
-            "gold_score": self.gold_score,
-            "predicted_score": self.predicted_score,
-            "representation": rep.to_dict() if rep is not None else None,
-            "transcripts": [t.to_dict() for t in self.transcripts],
-            "wall_time_ms": self.wall_time_ms,
-            "retries": self.retries,
-        }
-
     def to_jsonl_line(self) -> str:
-        return json.dumps(self.to_dict(), ensure_ascii=True)
+        # the line is the fields: a frozen dataclass's instance dict holds
+        # exactly its fields, in declaration order; json writes a tuple as a list
+        rep = self.representation
+        return json.dumps({
+            **vars(self), "representation": None if rep is None else vars(rep),
+            "transcripts": [vars(t) for t in self.transcripts],
+        }, ensure_ascii=True)
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ScoredRecord":
+    def from_jsonl_line(cls, line: str) -> "ScoredRecord":
+        # by name: an extra key is ignored, a missing one raises KeyError
+        data = decode_json(line)
         rep = data.get("representation")
         if rep is not None:
             flags = rep["inconsistency_flags"]
@@ -250,7 +231,3 @@ class ScoredRecord:
                    for t in data["transcripts"]]),
             data["wall_time_ms"], data["retries"],
         )
-
-    @classmethod
-    def from_jsonl_line(cls, line: str) -> "ScoredRecord":
-        return cls.from_dict(decode_json(line))

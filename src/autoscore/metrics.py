@@ -23,7 +23,7 @@ variance) raise ZeroVariance and are reported as null cells, never as 0.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .backend import parse_jsonl
 from .core import AutoscoreError, ScoreRange, StructuredRepresentation, decode_json, read_file
@@ -235,16 +235,10 @@ class MetricsReport:
         def cell(value) -> str:
             return "—" if value is None else f"{value:.4f}"
 
-        rows = [
-            ("n", str(self.n)),
-            ("failures", str(self.failures)),
-            ("accuracy", cell(self.accuracy)),
-            ("qwk", cell(self.qwk)),
-            ("pearson", cell(self.pearson)),
-            ("spearman", cell(self.spearman)),
-            ("mae", cell(self.mae)),
-            ("rmse", cell(self.rmse)),
-        ]
+        # a row per field, in file order; a count (declared int) prints as is
+        counts = {f.name for f in fields(self) if f.type == "int"}
+        rows = [(name, str(value) if name in counts else cell(value))
+                for name, value in vars(self).items() if name not in ("label", "confusion")]
         width = max(len(name) for name, _ in rows)
         lines = [f"{name:<{width}}  {value}" for name, value in rows]
         lines.append("confusion (rows = gold):")
@@ -378,17 +372,20 @@ def validate_components(
 
 def _gold_annotation(line: str) -> tuple[str, dict]:
     entry = decode_json(line)
-    values = entry["values"]
+    rid, values = entry["response_id"], entry["values"]
+    if type(rid) is not str:
+        raise TypeError(f"response_id is {type(rid).__name__}, not a string")
     if not isinstance(values, dict):
         raise TypeError(f"values is {type(values).__name__}, not an object")
-    return entry["response_id"], values
+    return rid, values
 
 
 def load_gold_annotations(path) -> dict[str, dict]:
     """Gold component annotations: JSONL of {response_id, values{...}}. A
-    file that cannot be read, a line that does not parse, lacks either key
-    or has `values` that is not an object, and a response_id on two lines
-    raise DatasetError naming the file (and the line or the id)."""
+    file that cannot be read, a line that does not parse, lacks either key,
+    or has a response_id that is not a string or `values` that is not an
+    object, and a response_id on two lines raise DatasetError naming the
+    file (and the line or the id)."""
     data = read_file(path, DatasetError, "gold annotations file")
     gold: dict[str, dict] = {}
     # a hand-written last line may lack its newline: parse all the bytes

@@ -20,8 +20,6 @@ from .core import AutoscoreError, StructuredRepresentation
 logger = logging.getLogger(__name__)
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-# the keys of a field entry, as to_definition writes them
-_FIELD_KEYS = ("name", "kind", "derived_from", "description")
 
 
 class SchemaError(AutoscoreError):
@@ -63,16 +61,11 @@ class ComponentSchema:
             (f.name, f.derived_from) for f in self.fields if f.derived_from is not None))
 
     def to_definition(self) -> dict:
-        """Inverse of compile_schema, for embedding in run manifests."""
-        fields = []
-        for f in self.fields:
-            entry: dict = {"name": f.name, "kind": f.kind}
-            if f.derived_from is not None:
-                entry["derived_from"] = f.derived_from
-            if f.description:
-                entry["description"] = f.description
-            fields.append(entry)
-        return {"fields": fields}
+        """Inverse of compile_schema, for embedding in run manifests: each
+        ComponentField's fields in order, less a None derived_from and an
+        empty description (their defaults)."""
+        return {"fields": [{key: value for key, value in vars(f).items()
+                            if value not in (None, "")} for f in self.fields]}
 
 
 def compile_schema(item_id: str, definition: dict) -> ComponentSchema:
@@ -103,7 +96,7 @@ def compile_schema(item_id: str, definition: dict) -> ComponentSchema:
                 f"schema for {item_id!r}: duplicate field {name!r}"
             )
         seen.add(name)
-        unknown = [key for key in entry if key not in _FIELD_KEYS]
+        unknown = [key for key in entry if key not in ComponentField.__dataclass_fields__]
         if unknown:
             raise SchemaError(f"schema for {item_id!r}: field {name!r} has "
                               f"unknown key {unknown[0]!r}")

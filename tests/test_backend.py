@@ -182,6 +182,22 @@ class TestReplayBackend:
                                      r"ValueError\(.latency_ms must be an integer >= 1"):
                 CachingBackend(inner, fixture, "m1")
 
+    @pytest.mark.parametrize("key,value", [
+        ("digest", ["x"]), ("digest", 5), ("text", 5), ("text", None),
+    ], ids=["digest-list", "digest-int", "text-int", "text-null"])
+    def test_digest_or_text_that_is_not_a_string_is_corruption(
+        self, tmp_path, key, value,
+    ):
+        fixture = tmp_path / "fixture.jsonl"
+        fixture.write_text(json.dumps({"digest": _req().digest, "text": "ok"}) + "\n"
+                           + json.dumps({"digest": "d2", "text": "x", key: value}) + "\n")
+        # replay, and a cache that would serve the line as a hit
+        for inner in (None, ScriptedBackend(responses=[])):
+            with pytest.raises(BackendUnavailable,
+                               match=r"fixture.jsonl line 2 does not parse: "
+                                     r"ValueError\(.digest and text must be strings"):
+                CachingBackend(inner, fixture, "m1")
+
 
     def test_line_nested_too_deeply_is_corruption(self, tmp_path):
         fixture = tmp_path / "fixture.jsonl"

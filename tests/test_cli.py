@@ -138,6 +138,11 @@ def _empty_demo_tsv(config, root):
     (root / "data.tsv").write_bytes(b"")
 
 
+def _cache_line_with_a_list_digest(config, root):
+    (root / "cache.jsonl").write_text('{"digest": ["x"], "text": "t"}\n')
+    config["backend"]["cache_path"] = "cache.jsonl"
+
+
 # per manifest key that a resume must keep: a change to the config (or the
 # workspace files) and score flags that make that key the first to differ
 RESUME_DRIFT = [
@@ -514,11 +519,14 @@ class TestScoreCommand:
         (_setting("items", "science", "tsv_path", value="absent.tsv"), 3,
          "dataset file not found"),
         (_empty_demo_tsv, 3, "dataset file is empty"),
+        (_cache_line_with_a_list_digest, 4,
+         "cache.jsonl line 1 does not parse: ValueError('digest and text must be "
+         "strings, got list and str')"),
     ], ids=["unknown-family", "essay-set-0", "essay-set-float", "essay-set-true",
             "essay-set-string", "range-without-max", "range-float", "range-string",
             "range-true", "family-list", "gold-rule-list", "question-int",
             "reference-material-int", "tsv-path-list", "model-int",
-            "missing-rules-file", "missing-tsv", "empty-tsv"])
+            "missing-rules-file", "missing-tsv", "empty-tsv", "cache-digest-list"])
     def test_demo_config_refusal_exits_before_writing(
         self, tmp_path, caplog, edit, code, message
     ):
@@ -970,8 +978,9 @@ class TestValidateComponentsCommand:
         b'{"response_id": "r03", "val', b'{"response_id": "r03"}', b"[1, 2]",
         b'{"response_id": "r03", "values": 5}',
         b'{"response_id": "r03\xe9", "values": {}}', b"[" * 100_000,
+        b'{"response_id": ["r03"], "values": {}}', b'{"response_id": 3, "values": {}}',
     ], ids=["cut_short", "no_values", "not_an_object", "values_not_an_object",
-            "not_utf8", "nested_too_deeply"])
+            "not_utf8", "nested_too_deeply", "id_a_list", "id_an_int"])
     def test_bad_gold_line_exits_3(self, workspace, tmp_path, caplog, bad_line):
         run_dir = tmp_path / "auto"
         _score(workspace, "autoscore", run_dir)

@@ -65,9 +65,22 @@ def test_missing_required_key(tmp_path):
 
 def test_invalid_yaml(tmp_path):
     path = tmp_path / "config.yaml"
-    path.write_text("items: [unclosed", encoding="utf-8")
-    with pytest.raises(ConfigError):
-        load_config(path)
+    for data in (b"items: [unclosed", b"# \xff\nitems: {}\n"):
+        path.write_bytes(data)
+        with pytest.raises(ConfigError):
+            load_config(path)
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, caplog):
+    from autoscore.cli import main
+
+    path = tmp_path / "config.yaml"
+    path.write_bytes(b"# \xff\n" + yaml.safe_dump(_config_dict()).encode("utf-8"))
+    assert main(["score", "--config", str(path), "--item", "synth",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert (f"config file {path} is not UTF-8: 'utf-8' codec can't decode byte "
+            f"0xff in position 2") in caplog.text
+    assert not (tmp_path / "out").exists()
 
 
 def test_top_level_list_exits_2(tmp_path, caplog):
