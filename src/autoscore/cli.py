@@ -3,20 +3,22 @@
 Exit codes: 0 success (even with per-record failures, which are reported
 in the summary), 2 configuration error (a config file that is not UTF-8;
 an unknown key; a bad rules line, template override, run or backend
-setting, score_range or essay_set; an empty base_url; a bad
---sample-fraction; an unknown schema field key or a description that is
-not a string; a score --out that holds run files; an --out that cannot be
-created), 3 dataset error or corrupt run directory (a
-manifest that lacks a key or has a malformed value, a record score outside
-the run's range, records or failures out of response_id order or an id in
-both, a case pair evaluate would not compare or whose dataset changed since
-the run, a missing or bad gold file or one that names a response twice, a
-TSV, gold file or run directory of the wrong kind, an empty
-validate-components sample, and for evaluate a run with no records, two
-run directories of one name, or two runs of one mode over one dataset
-through one backend), 4 backend unavailable (a corrupt cache or replay
-line, say a bad latency_ms or a digest or text that is not a string, too,
-or a cache or replay path that is a directory).
+setting, score_range or essay_set; an empty base_url; a backend
+cache_path, replay_path or script_path that is not a non-empty string; a
+bad --sample-fraction; an unknown schema field key or a description that
+is not a string; a score --out that holds run files; an --out that cannot
+be created), 3 dataset error or corrupt run directory (a manifest that
+lacks a key or has a malformed value, a record whose mode is not the
+manifest's or whose score lies outside the run's range, records or
+failures out of response_id order or an id in both, a case pair evaluate
+would not compare or whose dataset changed since the run, a missing or
+bad gold file or one that names a response twice, a TSV, gold file or run
+directory of the wrong kind, an empty validate-components sample, and for
+evaluate a run with no records, two run directories of one name, or two
+runs of one mode over one dataset through one backend), 4 backend
+unavailable (a corrupt cache or replay line, say a bad latency_ms or a
+digest or text that is not a string, too, or a cache or replay path that
+is a directory).
 Logs go to stderr; data goes to files and stdout.
 """
 
@@ -218,13 +220,13 @@ def cmd_evaluate(args) -> int:
     reports = [evaluate_run(result) for result in runs]
     shown = [rep.to_text() for rep in reports]
     files: dict = {}
-    for stem, rep in zip(stems, reports):
+    for stem, rep, text in zip(stems, reports, shown):
         files[f"{stem}.metrics.json"] = rep.to_dict()
-        files[f"{stem}.metrics.txt"] = rep.to_text()
-    text, payload = report.comparison_table(list(zip(runs, reports)))
+        files[f"{stem}.metrics.txt"] = text
+    table, payload = report.comparison_table(list(zip(runs, reports)))
     if payload["rows"]:
-        shown.append(text)
-        files.update({"comparison.md": text, "comparison.json": payload})
+        shown.append(table)
+        files.update({"comparison.md": table, "comparison.json": payload})
     _emit(args.out, "\n".join(shown), files)
     return EXIT_OK
 

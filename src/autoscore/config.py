@@ -194,8 +194,9 @@ def build_backend(config: Config, kind_override: str | None = None):
 
     def resolve(key: str) -> Path:
         value = _require(settings, key, "backend")
-        p = Path(value)
-        return p if p.is_absolute() else config_dir / p
+        if not isinstance(value, str) or not value:
+            raise ConfigError(f"backend.{key} must be a non-empty string, got {value!r}")
+        return config_dir / value  # an absolute value stays as it is
 
     try:  # each backend checks its own arguments
         if kind == "remote":

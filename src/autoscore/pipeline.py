@@ -274,13 +274,18 @@ def _failure_from_line(line: str) -> tuple[str, str]:
     return response_id, error
 
 
-def _read_done(run_dir: Path):
+def _read_done(run_dir: Path, mode: str):
     """Read back persisted records and failures, skipping a torn trailing
-    line in either file. Also returns the intact byte length of each file,
-    where the next append must start."""
+    line in either file, and refuse a record whose mode is not `mode`, the
+    manifest's, which every reader goes by. Also returns the intact byte
+    length of each file, where the next append must start."""
     records, records_end = read_jsonl(
         run_dir / RECORDS, ScoredRecord.from_jsonl_line, DatasetError
     )
+    for number, record in enumerate(records, start=1):
+        if record.mode != mode:
+            raise DatasetError(f"{run_dir / RECORDS} line {number}: mode {record.mode!r} "
+                               f"in a run of mode {mode!r}")
     failures, failures_end = read_jsonl(
         run_dir / FAILURES, _failure_from_line, DatasetError
     )
@@ -305,7 +310,7 @@ def _check_order(run_dir: Path, records, failures) -> None:
 
 
 def _execute(config: RunConfig, dataset: Dataset, manifest: dict) -> RunResult:
-    records, failures, intact = _read_done(config.run_dir)
+    records, failures, intact = _read_done(config.run_dir, manifest["mode"])
     done_ids = {r.response_id for r in records} | {rid for rid, _ in failures}
     ordered = sorted(dataset.responses, key=lambda r: r.response_id)
 
@@ -482,6 +487,6 @@ def load_run(run_dir) -> RunResult:
     """Read a completed run directory back into a RunResult."""
     run_dir = Path(run_dir)
     manifest = _read_manifest(run_dir)
-    records, failures, _ = _read_done(run_dir)
+    records, failures, _ = _read_done(run_dir, manifest["mode"])
     _check_order(run_dir, records, failures)
     return RunResult(records=records, failures=failures, manifest=manifest)

@@ -53,34 +53,17 @@ def _better(metric: str, base, new) -> str:
     return "autoscore" if new > base else "baseline"
 
 
-def _fmt(value, bold: bool) -> str:
-    if value is None:
-        return "—"
-    text = f"{value:.3f}"
-    return f"**{text}**" if bold else text
-
-
-def _fmt_delta(delta) -> str:
-    if delta is None:
-        return "—"
-    return f"{delta:+.2f}%"
-
-
 def comparison_table(results: list[tuple]) -> tuple[str, dict]:
     """Pair the baseline and autoscore runs among (run result, metrics
-    report) pairs that share a pairing_key, and render each pair as
-    markdown plus a machine-readable dict (no pair: no rows).
-
-    The better cell of each metric pair is bolded; ties bold both; deltas
-    follow the delta_percent convention rounded for display, None where
-    either cell is undefined or the base is zero.
-    """
+    report) pairs that share a pairing_key into the rows comparison.json
+    holds, one per pair (no pair: no rows), and return (its text, that
+    payload). Deltas follow the delta_percent convention rounded for
+    display, None where either cell is undefined or the base is zero."""
     groups: dict[tuple, dict] = {}
     for result, rep in results:
         key = pairing_key(result.manifest)
         groups.setdefault(key, {})[result.manifest["mode"]] = (result, rep)
-    lines: list[str] = []
-    payload_rows: list[dict] = []
+    rows: list[dict] = []
     for group in groups.values():
         if len(group) < 2:
             continue
@@ -92,37 +75,44 @@ def comparison_table(results: list[tuple]) -> tuple[str, dict]:
                 "metrics are not computed over identical responses",
                 dataset, model, base.n, auto.n,
             )
-        lines.append(f"### {dataset} / {model}")
-        lines.append("")
-        lines.append("| metric | baseline | autoscore | Δ(%) |")
-        lines.append("|---|---|---|---|")
-        row_payload: dict = {
+        metrics: dict = {}
+        for metric in METRIC_ORDER:
+            b, a = getattr(base, metric), getattr(auto, metric)
+            undefined = b is None or a is None or b == 0
+            metrics[metric] = {
+                "baseline": b,
+                "autoscore": a,
+                "delta_pct": None if undefined else round2(delta_percent(b, a)),
+                "better": _better(metric, b, a),
+            }
+        rows.append({
             "dataset": dataset,
             "model": model,
             "n_baseline": base.n,
             "n_autoscore": auto.n,
-            "metrics": {},
-        }
-        for metric in METRIC_ORDER:
-            b, a = getattr(base, metric), getattr(auto, metric)
-            undefined = b is None or a is None or b == 0
-            delta = None if undefined else round2(delta_percent(b, a))
-            winner = _better(metric, b, a)
-            lines.append(
-                f"| {metric} "
-                f"| {_fmt(b, winner in ('baseline', 'tie'))} "
-                f"| {_fmt(a, winner in ('autoscore', 'tie'))} "
-                f"| {_fmt_delta(delta)} |"
-            )
-            row_payload["metrics"][metric] = {
-                "baseline": b,
-                "autoscore": a,
-                "delta_pct": delta,
-                "better": winner,
-            }
+            "metrics": metrics,
+        })
+    payload = {"rows": rows}
+    return comparison_text(payload), payload
+
+
+def comparison_text(payload: dict) -> str:
+    """The markdown comparison.md holds, from the dict comparison.json
+    holds: one table per row, with the better cell of each metric bolded
+    (a tie bolds both) and a dash for an undefined cell or delta."""
+    lines: list[str] = []
+    for row in payload["rows"]:
+        lines += [f"### {row['dataset']} / {row['model']}", "",
+                  "| metric | baseline | autoscore | Δ(%) |", "|---|---|---|---|"]
+        for metric, cell in row["metrics"].items():
+            shown = ["—" if cell[side] is None
+                     else f"**{cell[side]:.3f}**" if cell["better"] in (side, "tie")
+                     else f"{cell[side]:.3f}"
+                     for side in ("baseline", "autoscore")]
+            delta = "—" if cell["delta_pct"] is None else f"{cell['delta_pct']:+.2f}%"
+            lines.append(f"| {metric} | {shown[0]} | {shown[1]} | {delta} |")
         lines.append("")
-        payload_rows.append(row_payload)
-    return "\n".join(lines), {"rows": payload_rows}
+    return "\n".join(lines)
 
 
 def tradeoff_csv(results: list[tuple]) -> str:

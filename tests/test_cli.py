@@ -143,6 +143,12 @@ def _cache_line_with_a_list_digest(config, root):
     config["backend"]["cache_path"] = "cache.jsonl"
 
 
+def _replay_from(path):
+    def edit(config, root):
+        config["backend"].update(kind="replay", replay_path=path)
+    return edit
+
+
 # per manifest key that a resume must keep: a change to the config (or the
 # workspace files) and score flags that make that key the first to differ
 RESUME_DRIFT = [
@@ -522,11 +528,19 @@ class TestScoreCommand:
         (_cache_line_with_a_list_digest, 4,
          "cache.jsonl line 1 does not parse: ValueError('digest and text must be "
          "strings, got list and str')"),
+        (_setting("backend", "cache_path", value=5), 2,
+         "backend.cache_path must be a non-empty string, got 5"),
+        (_setting("backend", "cache_path", value=["a"]), 2,
+         "backend.cache_path must be a non-empty string, got ['a']"),
+        (_setting("backend", "script_path", value=5), 2,
+         "backend.script_path must be a non-empty string, got 5"),
+        (_replay_from(7), 2, "backend.replay_path must be a non-empty string, got 7"),
     ], ids=["unknown-family", "essay-set-0", "essay-set-float", "essay-set-true",
             "essay-set-string", "range-without-max", "range-float", "range-string",
             "range-true", "family-list", "gold-rule-list", "question-int",
             "reference-material-int", "tsv-path-list", "model-int",
-            "missing-rules-file", "missing-tsv", "empty-tsv", "cache-digest-list"])
+            "missing-rules-file", "missing-tsv", "empty-tsv", "cache-digest-list",
+            "cache-path-int", "cache-path-list", "script-path-int", "replay-path-int"])
     def test_demo_config_refusal_exits_before_writing(
         self, tmp_path, caplog, edit, code, message
     ):
@@ -1163,6 +1177,42 @@ class TestLineNestedTooDeeply:
         )
         assert code == 4
         assert f"{fixture} line 1 does not parse" in caplog.text
+
+
+class TestRecordOfAnotherMode:
+    """An autoscore run whose first record line is the baseline run's is a
+    corrupt run directory for every reader: exit 3 before any report or
+    record is written."""
+
+    @pytest.mark.parametrize("command", [
+        lambda config_path, auto, base, reports: [
+            "evaluate", "--run", str(auto), "--run", str(base), "--out", str(reports)],
+        lambda config_path, auto, base, reports: [
+            "validate-components", "--run", str(auto),
+            "--gold", str(config_path.parent / "gold.jsonl"), "--out", str(reports)],
+        lambda config_path, auto, base, reports: [
+            "case", "--run-autoscore", str(auto), "--run-baseline", str(base),
+            "--id", "r02", "--config", str(config_path), "--out", str(reports)],
+        lambda config_path, auto, base, reports: [
+            "score", "--config", str(config_path), "--item", "synth",
+            "--mode", "autoscore", "--out", str(auto), "--resume"],
+    ], ids=["evaluate", "validate-components", "case", "score-resume"])
+    def test_exits_3_and_writes_nothing(self, workspace, tmp_path, caplog, command):
+        auto, base = tmp_path / "auto", tmp_path / "base"
+        assert _score(workspace, "autoscore", auto) == 0
+        assert _score(workspace, "baseline", base) == 0
+        records = auto / "records.jsonl"
+        lines = records.read_text().splitlines(True)
+        # cut to four lines, so a resume has responses left to score
+        records.write_text("".join([base.joinpath("records.jsonl").read_text()
+                                    .splitlines(True)[0], *lines[1:4]]))
+        before = records.read_bytes()
+        reports = tmp_path / "reports"
+        assert main(command(workspace, auto, base, reports)) == 3
+        assert (f"{records} line 1: mode 'baseline' in a run of mode 'autoscore'"
+                in caplog.text)
+        assert not reports.exists()
+        assert records.read_bytes() == before
 
 
 class TestTradeoffCommand:

@@ -4,11 +4,13 @@ its bytes."""
 
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 from autoscore.cli import main
 
 DEMO = Path(__file__).parent.parent / "demo"
+OLDER_RUNS = Path(__file__).parent / "data" / "demo_ecf67b4"
 
 EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 
@@ -48,21 +50,9 @@ GOLDEN = {
 }
 
 
-def test_demo_end_to_end(tmp_path):
-    base_dir = tmp_path / "base"
-    auto_dir = tmp_path / "auto"
-    for mode, out in [("baseline", base_dir), ("autoscore", auto_dir)]:
-        code = main(
-            [
-                "score",
-                "--config", str(DEMO / "config.yaml"),
-                "--item", "science",
-                "--mode", mode,
-                "--out", str(out),
-            ]
-        )
-        assert code == 0
-
+def _write_reports(tmp_path, base_dir, auto_dir):
+    """Every report the README shows for the demo's two runs, written under
+    tmp_path / "reports"."""
     reports = tmp_path / "reports"
     assert main(
         [
@@ -116,6 +106,34 @@ def test_demo_end_to_end(tmp_path):
     case_md = (reports / "case_d05.md").read_text()
     assert "Human score = 3, autoscore = 3, baseline = 1" in case_md
 
+
+def _written(tmp_path):
+    return {
+        path.relative_to(tmp_path).as_posix(): hashlib.sha256(
+            path.read_bytes()
+        ).hexdigest()
+        for path in tmp_path.rglob("*")
+        if path.is_file() and path.name != "manifest.json"
+    }
+
+
+def test_demo_end_to_end(tmp_path):
+    base_dir = tmp_path / "base"
+    auto_dir = tmp_path / "auto"
+    for mode, out in [("baseline", base_dir), ("autoscore", auto_dir)]:
+        code = main(
+            [
+                "score",
+                "--config", str(DEMO / "config.yaml"),
+                "--item", "science",
+                "--mode", mode,
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+
+    _write_reports(tmp_path, base_dir, auto_dir)
+
     # d07's declared validity_count disagreed with its empty evidence list
     records = [
         json.loads(line)
@@ -125,11 +143,17 @@ def test_demo_end_to_end(tmp_path):
     assert d07["representation"]["inconsistency_flags"] == ["validity_count"]
     assert d07["representation"]["values"]["validity_count"] == 0
 
-    written = {
-        path.relative_to(tmp_path).as_posix(): hashlib.sha256(
-            path.read_bytes()
-        ).hexdigest()
-        for path in tmp_path.rglob("*")
-        if path.is_file() and path.name != "manifest.json"
-    }
-    assert written == GOLDEN
+    assert _written(tmp_path) == GOLDEN
+
+
+def test_runs_written_by_an_older_tree_read_to_the_same_reports(tmp_path, caplog):
+    # the demo's two runs as the tree of commit ecf67b4 wrote them (its
+    # timing.csv left out): a manifest without templates, same record bytes
+    shutil.copytree(OLDER_RUNS, tmp_path, dirs_exist_ok=True)
+    _write_reports(tmp_path, tmp_path / "base", tmp_path / "auto")
+    assert _written(tmp_path) == GOLDEN
+
+    assert main(["score", "--config", str(DEMO / "config.yaml"), "--item", "science",
+                 "--out", str(tmp_path / "auto"), "--resume"]) == 3
+    assert "manifest has no templates; it cannot be resumed" in caplog.text
+    assert _written(tmp_path) == GOLDEN

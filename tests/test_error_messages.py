@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from autoscore import agents, pipeline
-from autoscore.core import ScoredRecord, ScoreRange
+from autoscore.core import ScoredRecord, ScoreRange, StructuredRepresentation
 from autoscore.ingest import DatasetError, DatasetSpec, load_dataset
 from autoscore.metrics import load_gold_annotations
 from autoscore.schema import SchemaError, compile_schema
@@ -39,6 +39,23 @@ def _persisted(record_ids, failure_ids=()):
     records = [ScoredRecord(rid, "baseline", 1, 1, None) for rid in record_ids]
     failures = [(rid, "E: x") for rid in failure_ids]
     return lambda tmp_path: pipeline._check_order(Path("run"), records, failures)
+
+
+def _modes(run_mode, *record_modes):
+    """Read back, as a run of run_mode, records of record_modes."""
+    def read(tmp_path):
+        rep = StructuredRepresentation("k", {"flag": True})
+        (tmp_path / "run").mkdir()
+        (tmp_path / "run" / "records.jsonl").write_text("".join(
+            ScoredRecord(f"r{n}", mode, 1, 1, rep if mode == "autoscore" else None)
+            .to_jsonl_line() + "\n" for n, mode in enumerate(record_modes)))
+        cwd = os.getcwd()
+        os.chdir(tmp_path)  # the text names the path as given
+        try:
+            return pipeline._read_done(Path("run"), run_mode)
+        finally:
+            os.chdir(cwd)
+    return read
 
 
 def _rows(*lines, header=HEADER):
@@ -97,12 +114,17 @@ def _gold(*ids):
      "run/failures.jsonl: response_id 'b' is in records.jsonl too"),
     (_gold("d01", "d02", "d01"), DatasetError,
      "gold.jsonl: response_id 'd01' is on two lines"),
+    (_modes("autoscore", "baseline"), DatasetError,
+     "run/records.jsonl line 1: mode 'baseline' in a run of mode 'autoscore'"),
+    (_modes("baseline", "baseline", "autoscore"), DatasetError,
+     "run/records.jsonl line 2: mode 'autoscore' in a run of mode 'baseline'"),
 ], ids=["missing-field", "no-json", "too-deep", "missing-score",
         "non-integer-score", "missing-column", "non-integer-cell", "field-count",
         "duplicate-id", "gold-out-of-range", "empty-text", "unknown-kind",
         "missing-kind", "list-kind", "unknown-field-key", "description-not-string",
         "records-out-of-order", "failures-out-of-order",
-        "id-in-both-files", "gold-id-twice"])
+        "id-in-both-files", "gold-id-twice", "baseline-record-in-autoscore-run",
+        "autoscore-record-in-baseline-run"])
 def test_error_text(tmp_path, raise_it, error, text):
     with pytest.raises(error) as excinfo:
         raise_it(tmp_path)

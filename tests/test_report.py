@@ -160,6 +160,75 @@ class TestComparisonTable:
             ("Biology subset", "LLaMA-3.1-70B-Instruct", "spearman")
         ]
 
+    def test_exact_bytes_of_cells_the_demo_never_produces(self):
+        # row 1: reversed predictions against perfect ones, so a zero
+        # baseline accuracy, negative baseline correlations and lower errors
+        # for autoscore; row 2: one constant-gold report on both sides, so
+        # ties (bolded twice) and undefined correlations
+        def run(mode, model):
+            result = _run(mode, identity=f"scripted:{model}")
+            result.manifest["model_name"] = model
+            return result
+
+        reversed_ = _report([0, 1, 2, 3], [3, 2, 1, 0])
+        perfect = _report([0, 1, 2, 3], [0, 1, 2, 3])
+        flat = _report([1, 1, 1], [0, 1, 2])
+        text, payload = comparison_table([
+            (run("autoscore", "m"), perfect), (run("baseline", "other"), flat),
+            (run("baseline", "m"), reversed_), (run("autoscore", "other"), flat),
+        ])
+        assert text == COMPARISON_MD
+        assert json.dumps(payload, indent=2) == json.dumps(COMPARISON_JSON, indent=2)
+
+
+def _cell(baseline, autoscore, delta_pct, better):
+    return {"baseline": baseline, "autoscore": autoscore, "delta_pct": delta_pct,
+            "better": better}
+
+
+COMPARISON_MD = """\
+### synth / m
+
+| metric | baseline | autoscore | Δ(%) |
+|---|---|---|---|
+| qwk | -1.000 | **1.000** | +200.00% |
+| accuracy | 0.000 | **1.000** | — |
+| pearson | -1.000 | **1.000** | +200.00% |
+| spearman | -1.000 | **1.000** | +200.00% |
+| mae | 2.000 | **0.000** | -100.00% |
+| rmse | 2.236 | **0.000** | -100.00% |
+
+### synth / other
+
+| metric | baseline | autoscore | Δ(%) |
+|---|---|---|---|
+| qwk | **0.000** | **0.000** | — |
+| accuracy | **0.333** | **0.333** | +0.00% |
+| pearson | — | — | — |
+| spearman | — | — | — |
+| mae | **0.667** | **0.667** | +0.00% |
+| rmse | **0.816** | **0.816** | +0.00% |
+"""
+
+COMPARISON_JSON = {"rows": [
+    {"dataset": "synth", "model": "m", "n_baseline": 4, "n_autoscore": 4, "metrics": {
+        "qwk": _cell(-1.0, 1.0, 200.0, "autoscore"),
+        "accuracy": _cell(0.0, 1.0, None, "autoscore"),
+        "pearson": _cell(-1.0, 1.0, 200.0, "autoscore"),
+        "spearman": _cell(-1.0, 1.0, 200.0, "autoscore"),
+        "mae": _cell(2.0, 0.0, -100.0, "autoscore"),
+        "rmse": _cell(2.23606797749979, 0.0, -100.0, "autoscore"),
+    }},
+    {"dataset": "synth", "model": "other", "n_baseline": 3, "n_autoscore": 3, "metrics": {
+        "qwk": _cell(0.0, 0.0, None, "tie"),
+        "accuracy": _cell(1 / 3, 1 / 3, 0.0, "tie"),
+        "pearson": _cell(None, None, None, "undefined"),
+        "spearman": _cell(None, None, None, "undefined"),
+        "mae": _cell(2 / 3, 2 / 3, 0.0, "tie"),
+        "rmse": _cell(0.816496580927726, 0.816496580927726, 0.0, "tie"),
+    }},
+]}
+
 
 class TestTradeoff:
     def test_rows_carry_mean_time_and_qwk(
